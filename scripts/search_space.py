@@ -40,7 +40,7 @@ def main():
     _, enum_lo, run_lo = apps.count_motifs(g, 4, level="lo", workers=args.threads)
     print(f"4-motif  enumerated hi={enum_hi:>12d}  lo={enum_lo:>12d}  "
           f"ratio={enum_hi / max(1, enum_lo):6.2f}  "
-          f"wall hi={run_hi.wall_ms:8.0f}ms")
+          f"wall hi={run_hi.wall_ms:8.0f}ms lo={run_lo.wall_ms:8.0f}ms")
 
     chi, rhi = apps.count_cliques(g, args.k, level="hi", workers=args.threads)
     clo, rlo = apps.count_cliques(g, args.k, level="lo", workers=args.threads)

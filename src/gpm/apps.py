@@ -6,6 +6,9 @@ shrinking local graph, and formula-based motif counting (see `localcount`).
 """
 from __future__ import annotations
 
+import time
+from dataclasses import replace
+
 from . import localcount
 from .engine import ProblemSpec, mine
 from .graph import Graph
@@ -51,26 +54,33 @@ def count_motifs(g, k, *, level="hi", **options):
     """Vertex-induced motif counts keyed by canonical pattern code.
 
     Motifs are structural, so labels are ignored; every motif of size k
-    appears in the map, zero counts included.
+    appears in the map, zero counts included. Returns `(counts, enumerated,
+    run)`; at level "lo" `run` covers the whole local count (for k = 4 the
+    wedge kernel plus the 4-clique walk) and `enumerated` adds the kernel's
+    wedges to the walk's candidates.
     """
     if g.labels is not None:
         g = Graph(g.vertex_count, g.row_offsets, g.neighbors)
     if level == "hi":
-        result = mine(g, motif_spec(k), **options)
-        counts = dict(result.pattern_map)
-        enumerated = result.enumerated
-        run = result
-    elif k == 3:
-        counts, run = localcount.mc3_local_counts(g, workers=options.get("workers", 1))
-        enumerated = run.enumerated
-    elif k == 4:
-        counts, run, _, enumerated = localcount.mc4_local_counts(
-            g, workers=options.get("workers", 1))
+        run = mine(g, motif_spec(k), **options)
+        counts = dict(run.pattern_map)
+    elif k in (3, 4):
+        t0 = time.perf_counter()
+        workers = options.get("workers", 1)
+        if k == 3:
+            counts, walk = localcount.mc3_local_counts(g, workers=workers)
+            wedges = 0
+        else:
+            counts, walk, kernel, _ = localcount.mc4_local_counts(g, workers=workers)
+            wedges = kernel.enumerated
+        run = replace(walk, pattern_map=counts, enumerated=walk.enumerated + wedges,
+                      accepted=walk.accepted + wedges,
+                      wall_ms=(time.perf_counter() - t0) * 1000.0)
     else:
         raise ValueError("formula-based motif counting supports k in {3, 4}")
     for p in all_patterns(k):
         counts.setdefault(canonical_code(p), 0)
-    return counts, enumerated, run
+    return counts, run.enumerated, run
 
 
 def count_subgraphs(g, pattern, **options):

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import threading
 import time
 
 from . import apps, oracle
 from .dfscode import render_code
-from .engine import ProblemSpec, mine
+from .engine import ProblemSpec, mine, workers_from_env
 from .fsm import FsmMemoryError
 from .fsm import mine_spec as fsm_mine_spec
 from .graph import GraphParseError, load_edge_list
@@ -31,8 +30,7 @@ def _add_common(parser, *, level=False, pattern=False, fsm=False):
     parser.add_argument("graph", help="edge-list file ('u v' per line, '#' comments)")
     parser.add_argument("--labels", help="vertex label file ('id label' per line)")
     parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("GPM_THREADS", "1")),
-                        help="worker count (env GPM_THREADS)")
+                        help="worker count (default: env GPM_THREADS, else 1)")
     parser.add_argument("--orient", choices=["degree", "core", "none", "auto"],
                         default="auto", help="orientation for clique search")
     parser.add_argument("--format", choices=["json", "tsv"], default="json")
@@ -163,7 +161,12 @@ def run(argv=None):
     if getattr(args, "no_sb", False):
         return _fail("--no-sb is refused: every subcommand reports counts and "
                      "disabling symmetry breaking changes them")
-    if getattr(args, "threads", 1) < 1:
+    if args.threads is None:
+        try:
+            args.threads = workers_from_env()
+        except ValueError as exc:
+            return _fail(str(exc))
+    if args.threads < 1:
         return _fail("--threads must be >= 1")
 
     try:
@@ -229,7 +232,7 @@ def _run_clique(args, g):
 def _run_match(args, g):
     if args.no_mo:
         return _fail("--no-mo is not supported for edge-induced matching")
-    pattern = load_pattern(args.pattern)
+    pattern = load_pattern(args.pattern, g.label_names)
     hooks = _listing_hooks(args)
     sink = hooks.pop("_sink", None)
     spec = apps.subgraph_listing_spec(pattern, **hooks)
@@ -243,16 +246,9 @@ def _run_match(args, g):
 
 
 def _run_motif(args, g):
-    options = _mine_options(args)
-    if args.level == "lo":
-        if args.k == 5:
-            return _fail("--level lo supports k in {3, 4}")
-        counts, enumerated, run = apps.count_motifs(g, args.k, level="lo",
-                                                    workers=args.threads)
-        stats = {"enumerated_embeddings": enumerated,
-                 "wall_ms": round(run.wall_ms, 3), "workers": args.threads}
-        return _emit(_sorted_rows(counts), args, stats=stats)
-    counts, _, run = apps.count_motifs(g, args.k, level="hi", **options)
+    if args.level == "lo" and args.k == 5:
+        return _fail("--level lo supports k in {3, 4}")
+    counts, _, run = apps.count_motifs(g, args.k, level=args.level, **_mine_options(args))
     return _emit(_sorted_rows(counts), args, run)
 
 
@@ -277,7 +273,7 @@ def _run_oracle(args, g):
     if args.oracle_command == "motif":
         counts = oracle.count_vertex_induced(g, args.k)
         return _emit(_sorted_rows(counts), args)
-    pattern = load_pattern(args.pattern)
+    pattern = load_pattern(args.pattern, g.label_names)
     if args.oracle_command == "match":
         count = oracle.count_edge_induced(g, pattern)
         return _emit([(motif_name(canonical_code(pattern)), count)], args)

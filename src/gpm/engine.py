@@ -979,6 +979,15 @@ def _build_explicit_plan(g, pattern, spec, opts, orientation):
     return _MatchPlan(g, spec, opts, pattern, key)
 
 
+def workers_from_env():
+    """Worker count from the GPM_THREADS environment variable, else 1."""
+    raw = os.environ.get("GPM_THREADS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"GPM_THREADS must be an integer, got {raw!r}") from None
+
+
 def mine(g, spec, *, workers=None, orientation="auto", use_mnc=None, use_df=True,
          use_mo=True, debug=False):
     """Run one mining problem to completion and return a `MiningResult`.
@@ -991,7 +1000,7 @@ def mine(g, spec, *, workers=None, orientation="auto", use_mnc=None, use_df=True
     Results are independent of the worker count.
     """
     if workers is None:
-        workers = int(os.environ.get("GPM_THREADS", "1"))
+        workers = workers_from_env()
     if workers < 1:
         raise ValueError("workers must be >= 1")
     t0 = time.perf_counter()

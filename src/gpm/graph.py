@@ -197,14 +197,29 @@ def _load_labels(path, vertex_count):
     if missing:
         raise GraphParseError(f"{path}: missing labels for vertices {missing[:5]}"
                               + ("..." if len(missing) > 5 else ""))
-    tokens = set(raw_labels.values())
-    try:
-        names = sorted(tokens, key=int)
-    except ValueError:
-        names = sorted(tokens)
+    ids, names = label_ids([raw_labels[v] for v in range(vertex_count)])
+    return np.array(ids, dtype=np.int64), names
+
+
+def label_ids(tokens, names=None):
+    """Dense integer ids for label tokens, and the token each id stands for.
+
+    Without `names` the distinct tokens are numbered in numeric order when
+    all parse as integers, else in string order. With `names` (a graph's
+    `label_names`) each token takes its index there, so a pattern's labels
+    share the graph's numbering; a token not in `names` raises
+    GraphParseError.
+    """
+    if names is None:
+        try:
+            names = sorted(set(tokens), key=int)
+        except ValueError:
+            names = sorted(set(tokens))
     index = {t: i for i, t in enumerate(names)}
-    labels = np.array([index[raw_labels[v]] for v in range(vertex_count)], dtype=np.int64)
-    return labels, tuple(names)
+    unknown = [t for t in tokens if t not in index]
+    if unknown:
+        raise GraphParseError(f"label {unknown[0]!r} does not occur in the graph's labels")
+    return [index[t] for t in tokens], tuple(names)
 
 
 def validate_graph(g):

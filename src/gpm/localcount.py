@@ -1,24 +1,30 @@
 """Formula-based local counting for 3- and 4-vertex motifs.
 
 Instead of enumerating every motif, count per-vertex and per-edge quantities
-during a cheap enumeration (triangles, or 4-cliques plus 4-cycles) and recover
-the remaining motif counts with closed-form corrections. The correction
+and recover the motif counts with closed-form corrections. For 3-motifs the
+wedge total is Σ C(d, 2) over vertex degrees and only triangles are
+enumerated. For 4-motifs one numpy wedge kernel (`wedge_kernel`) computes,
+from the CSR arrays alone, every pair's co-degree and every edge's triangle
+count: the co-degrees give the non-induced 4-cycle count, the triangle counts
+give the raw diamond / tailed-triangle / 4-path / 3-star terms (the closed
+forms of ESCAPE and PGD). Only 4-cliques are enumerated. The correction
 constants are calibrated once against the brute-force oracle on a basis of
 small graphs (see `calibrate_corrections` and scripts/calibrate_mc4.py) and
 frozen below; tests re-derive and assert them.
 """
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
-from .engine import ProblemSpec, mine
-from .patterns import canonical_code, clique, cycle, named_motifs, triangle
+import numpy as np
 
-# raw accumulator keys used inside the shared pattern map during local runs
-_RAW_DIAMOND = "_raw_diamond"
-_RAW_TAILED = "_raw_tailed"
-_RAW_PATH = "_raw_path"
-_RAW_STAR = "_raw_star"
+from .engine import MiningResult, ProblemSpec, mine
+from .patterns import canonical_code, clique, named_motifs, triangle
+
+# Wedges one `wedge_kernel` chunk may hold. Each wedge costs a few int64 words
+# in the chunk's arrays, so this bounds the kernel's working memory.
+PAIR_BUDGET = 1 << 20
 
 # frozen oracle-calibrated corrections (exact rationals):
 #   diamond        = raw_diamond / 2 - 6 * cliques4
@@ -50,24 +56,80 @@ def _apply_correction(row, raw, helpers):
     return int(total)
 
 
+def wedge_kernel(g):
+    """Non-induced 4-cycles and the raw 4-motif terms, from the CSR arrays.
+
+    Forms every wedge a-w-b with a < b (w any common neighbor), in chunks of
+    consecutive smaller endpoints `a` holding at most PAIR_BUDGET wedges (a
+    vertex with more forms a chunk of its own), so each chunk holds complete
+    co-degrees for its pairs. Returns `(terms, run)`. `terms` holds the
+    non-induced 4-cycle count Σ_{a<b} C(codeg(a, b), 2) / 2 under
+    "noninduced_c4", and under "raw_diamond", "raw_tailed", "raw_path" and
+    "raw_star" the per-edge sums of the formulas over each edge's triangle
+    count t = codeg(u, v). `run` records the wedges formed as `enumerated`
+    and the kernel's own `wall_ms`.
+    """
+    t0 = time.perf_counter()
+    n = g.vertex_count
+    offs, nbr = g.row_offsets, g.neighbors
+    deg = np.diff(offs)
+    src = np.repeat(np.arange(n, dtype=np.int64), deg)
+    # directed edge (a, w) -> the neighbors b > a of w, the slice nbr[lo:offs[w + 1]]
+    lo = np.searchsorted(src * n + nbr, nbr * n + src, side="right")
+    span = offs[nbr + 1] - lo
+    edge_prefix = np.concatenate(([0], np.cumsum(span)))
+    vertex_prefix = edge_prefix[offs]
+
+    cycle_diagonals = diamond = tailed = path = star = 0
+    a0 = 0
+    while a0 < n:
+        a1 = int(np.searchsorted(vertex_prefix, vertex_prefix[a0] + PAIR_BUDGET,
+                                 side="right")) - 1
+        a1 = min(max(a1, a0 + 1), n)
+        e0, e1 = int(offs[a0]), int(offs[a1])
+        a0 = a1
+        s = span[e0:e1]
+        # flat indices of every wedge's far endpoint b, slice by slice
+        shift = np.repeat(lo[e0:e1] - (edge_prefix[e0:e1] - edge_prefix[e0]), s)
+        far = nbr[shift + np.arange(edge_prefix[e1] - edge_prefix[e0])]
+        keys, codeg = np.unique(np.repeat(src[e0:e1], s) * n + far, return_counts=True)
+        # each 4-cycle is counted once per diagonal
+        cycle_diagonals += int(np.sum(codeg * (codeg - 1) // 2))
+
+        u, v = src[e0:e1], nbr[e0:e1]
+        up = v > u
+        u, v = u[up], v[up]
+        t = np.zeros(len(u), dtype=np.int64)
+        if len(keys):
+            edge_keys = u * n + v
+            at = np.minimum(np.searchsorted(keys, edge_keys), len(keys) - 1)
+            t = np.where(keys[at] == edge_keys, codeg[at], 0)
+        su = deg[u] - t - 1
+        sv = deg[v] - t - 1
+        diamond += int(np.sum(t * (t - 1)))
+        tailed += int(np.sum(t * (su + sv)))
+        path += int(np.sum(su * sv))
+        star += int(np.sum(su * (su - 1) + sv * (sv - 1)))
+
+    wedges = int(edge_prefix[-1])
+    terms = {"noninduced_c4": cycle_diagonals // 2, "raw_diamond": diamond, "raw_tailed": tailed,
+             "raw_path": path, "raw_star": star}
+    run = MiningResult(pattern_map={}, enumerated=wedges, accepted=wedges,
+                       wall_ms=(time.perf_counter() - t0) * 1000.0)
+    return terms, run
+
+
 def mc3_local_counts(g, workers=1):
     """3-motif counts {wedge, triangle} without enumerating wedges.
 
-    One triangle enumeration; a per-root hook accumulates choose(deg, 2) so
-    the wedge total falls out as the star sum minus three per triangle.
+    One triangle enumeration; the wedge total is the star sum Σ C(d, 2) over
+    vertex degrees minus three per triangle.
     """
-    wedge_key = "_raw_wedge"
-
-    def accumulate(emb, depth, acc):
-        if depth == 0:
-            d = emb.graph.degree(emb.history(0))
-            acc[wedge_key] = acc.get(wedge_key, 0) + d * (d - 1) // 2
-
-    spec = ProblemSpec(vertex_induced=True, k=3, patterns=(triangle(),),
-                       local_reduce=accumulate)
-    result = mine(g, spec, workers=workers)
+    deg = g.degrees()
+    raw_wedge = int(np.sum(deg * (deg - 1) // 2))
+    result = mine(g, ProblemSpec(vertex_induced=True, k=3, patterns=(triangle(),)),
+                  workers=workers)
     tri = result.pattern_map.get(canonical_code(triangle()), 0)
-    raw_wedge = result.pattern_map.get(wedge_key, 0)
     counts = {
         canonical_code(named_motifs(3)["wedge"]): raw_wedge - MC3_WEDGE_TRIANGLE_FACTOR * tri,
         canonical_code(triangle()): tri,
@@ -76,64 +138,29 @@ def mc3_local_counts(g, workers=1):
 
 
 def mc4_local_counts(g, workers=1):
-    """All six 4-motif counts from per-edge formulas plus two enumerations.
+    """All six 4-motif counts from one wedge kernel and one 4-clique walk.
 
-    The 4-clique walk visits every edge once at depth 1; the hook reads the
-    edge's endpoint degrees and local triangle count and accumulates the raw
-    diamond / tailed-triangle / 4-path / 3-star terms. Only 4-cliques and
-    4-cycles are enumerated exactly; the frozen corrections turn raw sums into
-    exact vertex-induced counts.
+    `wedge_kernel` gives the non-induced 4-cycle count C4 and the raw
+    diamond / tailed-triangle / 4-path / 3-star terms; the 4-clique walk gives
+    K4. The frozen corrections turn the raw terms into exact vertex-induced
+    counts, and the induced 4-cycles are C4 - diamond - 3 * K4.
+
+    Returns `(counts, clique_run, kernel_run, enumerated)`, where
+    `enumerated` is the walk's candidates plus the kernel's wedges.
     """
-    adj = g.adjacency()
-
-    def accumulate(emb, depth, acc):
-        if depth != 1:
-            return
-        u = emb.history(0)
-        v = emb.history(1)
-        au, av = adj[u], adj[v]
-        tri = 0
-        i = j = 0
-        nu, nv = len(au), len(av)
-        while i < nu and j < nv:
-            a, b = au[i], av[j]
-            if a < b:
-                i += 1
-            elif b < a:
-                j += 1
-            else:
-                tri += 1
-                i += 1
-                j += 1
-        star_u = len(au) - tri - 1
-        star_v = len(av) - tri - 1
-        acc[_RAW_DIAMOND] = acc.get(_RAW_DIAMOND, 0) + tri * (tri - 1)
-        acc[_RAW_TAILED] = acc.get(_RAW_TAILED, 0) + tri * (star_u + star_v)
-        acc[_RAW_PATH] = acc.get(_RAW_PATH, 0) + star_u * star_v
-        acc[_RAW_STAR] = (acc.get(_RAW_STAR, 0)
-                          + star_u * (star_u - 1) + star_v * (star_v - 1))
-
-    clique_spec = ProblemSpec(vertex_induced=True, k=4, patterns=(clique(4),),
-                              local_reduce=accumulate)
-    # degree filtering stays off: the per-edge hook must see every edge
-    clique_run = mine(g, clique_spec, workers=workers, use_df=False)
-
-    cycle_spec = ProblemSpec(vertex_induced=True, k=4, patterns=(cycle(4),))
-    cycle_run = mine(g, cycle_spec, workers=workers)
+    terms, kernel_run = wedge_kernel(g)
+    clique_spec = ProblemSpec(vertex_induced=True, k=4, patterns=(clique(4),))
+    clique_run = mine(g, clique_spec, workers=workers)
 
     names = named_motifs(4)
     k4 = clique_run.pattern_map.get(canonical_code(names["4-clique"]), 0)
-    c4 = cycle_run.pattern_map.get(canonical_code(names["4-cycle"]), 0)
-    raw_d = clique_run.pattern_map.get(_RAW_DIAMOND, 0)
-    raw_t = clique_run.pattern_map.get(_RAW_TAILED, 0)
-    raw_p = clique_run.pattern_map.get(_RAW_PATH, 0)
-    raw_s = clique_run.pattern_map.get(_RAW_STAR, 0)
-
     cor = MC4_CORRECTIONS
-    diamond = _apply_correction(cor["diamond"], raw_d, {"4-clique": k4})
-    tailed = _apply_correction(cor["tailed-triangle"], raw_t, {"diamond": diamond})
-    path4 = _apply_correction(cor["4-path"], raw_p, {"4-cycle": c4})
-    star3 = _apply_correction(cor["3-star"], raw_s, {"tailed-triangle": tailed})
+    diamond = _apply_correction(cor["diamond"], terms["raw_diamond"], {"4-clique": k4})
+    c4 = terms["noninduced_c4"] - diamond - 3 * k4
+    tailed = _apply_correction(cor["tailed-triangle"], terms["raw_tailed"],
+                               {"diamond": diamond})
+    path4 = _apply_correction(cor["4-path"], terms["raw_path"], {"4-cycle": c4})
+    star3 = _apply_correction(cor["3-star"], terms["raw_star"], {"tailed-triangle": tailed})
 
     counts = {
         canonical_code(names["4-path"]): path4,
@@ -143,8 +170,8 @@ def mc4_local_counts(g, workers=1):
         canonical_code(names["diamond"]): diamond,
         canonical_code(names["4-clique"]): k4,
     }
-    enumerated = clique_run.enumerated + cycle_run.enumerated
-    return counts, clique_run, cycle_run, enumerated
+    enumerated = clique_run.enumerated + kernel_run.enumerated
+    return counts, clique_run, kernel_run, enumerated
 
 
 def calibrate_corrections(sample_graphs=None):
@@ -154,8 +181,6 @@ def calibrate_corrections(sample_graphs=None):
     over the basis and verifies a zero residual; returns the coefficients in
     the same shape as MC4_CORRECTIONS.
     """
-    import numpy as np
-
     from .oracle import count_vertex_induced
 
     if sample_graphs is None:
@@ -166,8 +191,8 @@ def calibrate_corrections(sample_graphs=None):
     keys = {m: canonical_code(p) for m, p in names.items()}
     for g in sample_graphs:
         oc = count_vertex_induced(g, 4)
-        raws = _raw_terms(g)
-        rows.append((raws, {m: oc.get(k, 0) for m, k in keys.items()}))
+        terms, _ = wedge_kernel(g)
+        rows.append((terms, {m: oc.get(k, 0) for m, k in keys.items()}))
 
     def solve(feature_names, target):
         a = np.array([[float(r[0][f]) if f in r[0] else float(r[1][f])
@@ -189,23 +214,6 @@ def calibrate_corrections(sample_graphs=None):
         "4-path": {"raw": c_p[0], "4-cycle": c_p[1]},
         "3-star": {"raw": c_s[0], "tailed-triangle": c_s[1]},
     }
-
-
-def _raw_terms(g):
-    adj = g.adjacency()
-    raw = {"raw_diamond": 0, "raw_tailed": 0, "raw_path": 0, "raw_star": 0}
-    for u in range(g.vertex_count):
-        for v in adj[u]:
-            if v <= u:
-                continue
-            common = len(set(adj[u]) & set(adj[v]))
-            su = len(adj[u]) - common - 1
-            sv = len(adj[v]) - common - 1
-            raw["raw_diamond"] += common * (common - 1)
-            raw["raw_tailed"] += common * (su + sv)
-            raw["raw_path"] += su * sv
-            raw["raw_star"] += su * (su - 1) + sv * (sv - 1)
-    return raw
 
 
 def _calibration_basis():

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .graph import GraphParseError
+from .graph import GraphParseError, label_ids
 
 BRUTE_FORCE_BOUND = 8
 
@@ -130,8 +130,13 @@ def is_clique(p):
     return len(p.edges) == k * (k - 1) // 2
 
 
-def load_pattern(path_):
-    """Read a pattern file: "u v" edge lines plus optional "v id label" lines."""
+def load_pattern(path_, label_names=None):
+    """Read a pattern file: "u v" edge lines plus optional "v id label" lines.
+
+    Label tokens resolve through `label_names`, the graph's `label_names`, so
+    pattern and graph number labels alike; without it the pattern's own
+    tokens are numbered (see `graph.label_ids`).
+    """
     edges = []
     raw_labels = {}
     max_id = -1
@@ -158,17 +163,10 @@ def load_pattern(path_):
     n = max_id + 1
     labels = None
     if raw_labels:
-        tokens = set(raw_labels.values())
-        try:
-            names = sorted(tokens, key=int)
-        except ValueError:
-            names = sorted(tokens)
-        index = {t: i for i, t in enumerate(names)}
-        labels = tuple(index.get(raw_labels.get(v), 0) if raw_labels.get(v) is not None else 0
-                       for v in range(n))
         missing = [v for v in range(n) if v not in raw_labels]
         if missing:
             raise GraphParseError(f"{path_}: pattern labels missing for vertices {missing}")
+        labels, _ = label_ids([raw_labels[v] for v in range(n)], label_names)
     return Pattern(n, edges, labels=labels)
 
 

@@ -2,7 +2,12 @@ import json
 
 import pytest
 
+from gpm import localcount, oracle
+from gpm.apps import triangle_spec
 from gpm.cli import run
+from gpm.engine import mine
+from gpm.graph import Graph
+from gpm.patterns import Pattern
 
 
 @pytest.fixture
@@ -21,6 +26,10 @@ def files(tmp_path):
     write("two_edges.lbl", "0 A\n1 B\n2 A\n3 B\n")
     write("tri.pat", "0 1\n0 2\n1 2\n")
     write("c4.pat", "0 1\n1 2\n2 3\n3 0\n")
+    write("tailed.el", "0 1\n1 2\n2 0\n2 3\n")
+    write("tailed.lbl", "0 A\n1 B\n2 B\n3 B\n")
+    write("bb.pat", "v 0 B\nv 1 B\n0 1\n")
+    write("bz.pat", "v 0 B\nv 1 Z\n0 1\n")
     paths["tmp"] = str(tmp_path)
     return paths
 
@@ -93,6 +102,35 @@ class TestSubcommands:
         stats = payload[-1]["stats"]
         assert set(stats) == {"enumerated_embeddings", "wall_ms", "workers"}
 
+    def test_motif_lo_stats_cover_kernel_and_walk(self, files, capsys, monkeypatch):
+        parts = []
+        counts4 = localcount.mc4_local_counts
+
+        def recorded(*args, **kwargs):
+            parts.append(counts4(*args, **kwargs))
+            return parts[-1]
+
+        monkeypatch.setattr(localcount, "mc4_local_counts", recorded)
+        code, out = _capture(capsys, ["motif", "-k", "4", files["diamond.el"],
+                                      "--level", "lo", "--stats"])
+        assert code == 0
+        stats = json.loads(out)[-1]["stats"]
+        (_, walk, kernel, enumerated), = parts
+        # wall_ms is printed rounded to three decimals
+        assert stats["wall_ms"] >= walk.wall_ms + kernel.wall_ms - 0.0005
+        assert stats["enumerated_embeddings"] == enumerated
+        assert enumerated == walk.enumerated + kernel.enumerated
+
+    def test_pattern_labels_use_graph_numbering(self, files, capsys):
+        # graph labels A B B B; the edges 1-2 and 2-3 join two B vertices
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)], labels=[0, 1, 1, 1])
+        assert oracle.count_edge_induced(g, Pattern(2, [(0, 1)], labels=(1, 1))) == 2
+        for cmd in (["match"], ["oracle", "match"]):
+            code, out = _capture(capsys, cmd + ["-p", files["bb.pat"], files["tailed.el"],
+                                                "--labels", files["tailed.lbl"]])
+            assert code == 0
+            assert json.loads(out)[0]["support"] == 2
+
     def test_listing_output(self, files, capsys, tmp_path):
         out_path = tmp_path / "tris.txt"
         code, _ = _capture(capsys, ["tc", files["k4.el"], "--list", str(out_path)])
@@ -143,6 +181,19 @@ class TestErrorsAndToggles:
         code, out = _capture(capsys, ["tc", files["k4.el"], "--stats"])
         assert code == 0
         assert json.loads(out)[-1]["stats"]["workers"] == 3
+
+    def test_unknown_pattern_label(self, files, capsys):
+        assert run(["match", "-p", files["bz.pat"], files["tailed.el"],
+                    "--labels", files["tailed.lbl"]]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_bad_threads_env(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("GPM_THREADS", "abc")
+        assert run(["tc", files["k4.el"]]) == 2
+        assert capsys.readouterr().err == "gpm: GPM_THREADS must be an integer, got 'abc'\n"
+        assert run(["tc", files["k4.el"], "--threads", "1"]) == 0
+        with pytest.raises(ValueError, match="GPM_THREADS"):
+            mine(Graph.from_edges(3, [(0, 1)]), triangle_spec())
 
     def test_level_lo_rejected_without_orientation(self, files):
         assert run(["clique", "-k", "4", files["k4.el"], "--level", "lo",

@@ -1,13 +1,70 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
-from gpm import apps, oracle
+from gpm import apps, localcount, oracle
 from gpm.graph import Graph
 from gpm.localcount import (MC4_CORRECTIONS, calibrate_corrections,
-                            local_wedge_count, mc3_local_counts, mc4_local_counts)
+                            local_wedge_count, mc3_local_counts, mc4_local_counts,
+                            wedge_kernel)
 from gpm.patterns import canonical_code, named_motifs, triangle, wedge
 
 from conftest import random_graph
+
+
+def _disjoint_union(*graphs):
+    edges, n = [], 0
+    for g in graphs:
+        adj = g.adjacency()
+        edges += [(n + u, n + v) for u in range(g.vertex_count) for v in adj[u] if u < v]
+        n += g.vertex_count
+    return Graph.from_edges(n, edges)
+
+
+def _hub_and_communities(rng, communities=4, size=6, density=0.7):
+    """Vertex 0 adjacent to everything, plus dense random communities."""
+    n = 1 + communities * size
+    edges = [(0, v) for v in range(1, n)]
+    for c in range(communities):
+        members = range(1 + c * size, 1 + (c + 1) * size)
+        edges += [(a, b) for a, b in combinations(members, 2) if rng.random() < density]
+    return Graph.from_edges(n, edges)
+
+
+def _edge_case_graphs():
+    """No edges, no wedges, one hub, complete, disjoint parts, hub plus communities."""
+    rng = random.Random(0xED6E)
+    k6 = Graph.from_edges(6, list(combinations(range(6), 2)))
+    return [
+        Graph.from_edges(0, []),
+        Graph.from_edges(5, []),
+        Graph.from_edges(8, [(2 * i, 2 * i + 1) for i in range(4)]),
+        Graph.from_edges(9, [(0, i) for i in range(1, 9)]),
+        k6,
+        _disjoint_union(k6, Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]),
+                        random_graph(rng, 12, 0.3)),
+        _hub_and_communities(rng),
+    ]
+
+
+def _reference_terms(g):
+    """The kernel's terms by set intersection over every vertex pair."""
+    adj = [set(a) for a in g.adjacency()]
+    terms = dict.fromkeys(("noninduced_c4", "raw_diamond", "raw_tailed",
+                           "raw_path", "raw_star"), 0)
+    for u, v in combinations(range(g.vertex_count), 2):
+        common = len(adj[u] & adj[v])
+        terms["noninduced_c4"] += common * (common - 1) // 2
+        if v not in adj[u]:
+            continue
+        su = len(adj[u]) - common - 1
+        sv = len(adj[v]) - common - 1
+        terms["raw_diamond"] += common * (common - 1)
+        terms["raw_tailed"] += common * (su + sv)
+        terms["raw_path"] += su * sv
+        terms["raw_star"] += su * (su - 1) + sv * (sv - 1)
+    terms["noninduced_c4"] //= 2
+    return terms
 
 
 def test_edge_wedge_formula_example():
@@ -62,9 +119,10 @@ class TestFourMotifs:
 class TestOracleAgreement:
     def test_many_random_graphs(self, rng):
         # the module-level contract: formula counts are exact
-        for trial in range(50):
-            n = rng.randint(8, 45)
-            g = random_graph(rng, n, rng.uniform(0.08, 0.35))
+        graphs = _edge_case_graphs() + [
+            random_graph(rng, rng.randint(8, 45), rng.uniform(0.08, 0.35))
+            for _ in range(50)]
+        for trial, g in enumerate(graphs):
             counts3, _ = mc3_local_counts(g)
             expect3 = oracle.count_vertex_induced(g, 3)
             assert {k: v for k, v in counts3.items() if v} == expect3, trial
@@ -72,11 +130,29 @@ class TestOracleAgreement:
             expect4 = oracle.count_vertex_induced(g, 4)
             assert {k: v for k, v in counts4.items() if v} == expect4, trial
 
+    def test_workers_agree(self, rng):
+        for g in _edge_case_graphs()[-2:] + [random_graph(rng, 60, 0.15)]:
+            one = apps.count_motifs(g, 4, level="lo", workers=1)[0]
+            assert apps.count_motifs(g, 4, level="lo", workers=2)[0] == one
+
     def test_search_space_below_high_level(self, rng):
         g = random_graph(rng, 200, 0.05)
         _, _, _, lo_enumerated = mc4_local_counts(g)
         _, hi_enumerated, _ = apps.count_motifs(g, 4, level="hi")
         assert lo_enumerated < hi_enumerated
+
+
+class TestWedgeKernel:
+    def test_chunked_terms_match_reference(self, rng, monkeypatch):
+        graphs = _edge_case_graphs() + [random_graph(rng, 40, 0.2) for _ in range(5)]
+        whole = [wedge_kernel(g) for g in graphs]
+        # a few wedges per chunk; the hub's pairs overflow it and form their own
+        monkeypatch.setattr(localcount, "PAIR_BUDGET", 3)
+        for g, (terms, run) in zip(graphs, whole):
+            chunked_terms, chunked_run = wedge_kernel(g)
+            assert terms == chunked_terms == _reference_terms(g)
+            deg = g.degrees()
+            assert run.enumerated == chunked_run.enumerated == sum(deg * (deg - 1) // 2)
 
 
 class TestCalibration:
