@@ -57,7 +57,8 @@ def count_motifs(g, k, *, level="hi", **options):
     appears in the map, zero counts included. Returns `(counts, enumerated,
     run)`; at level "lo" `run` covers the whole local count (for k = 4 the
     wedge kernel plus the 4-clique walk) and `enumerated` adds the kernel's
-    wedges to the walk's candidates.
+    wedges to the walk's candidates. `options` go to every `mine` call,
+    including the local counters' triangle or 4-clique walk.
     """
     if g.labels is not None:
         g = Graph(g.vertex_count, g.row_offsets, g.neighbors)
@@ -66,12 +67,12 @@ def count_motifs(g, k, *, level="hi", **options):
         counts = dict(run.pattern_map)
     elif k in (3, 4):
         t0 = time.perf_counter()
-        workers = options.get("workers", 1)
+        options = {"workers": 1, **options}
         if k == 3:
-            counts, walk = localcount.mc3_local_counts(g, workers=workers)
+            counts, walk = localcount.mc3_local_counts(g, **options)
             wedges = 0
         else:
-            counts, walk, kernel, _ = localcount.mc4_local_counts(g, workers=workers)
+            counts, walk, kernel, _ = localcount.mc4_local_counts(g, **options)
             wedges = kernel.enumerated
         run = replace(walk, pattern_map=counts, enumerated=walk.enumerated + wedges,
                       accepted=walk.accepted + wedges,

@@ -15,9 +15,9 @@ import threading
 import time
 
 from . import apps, oracle
-from .dfscode import render_code
+from .dfscode import MAX_CODE_EDGES, render_code
 from .engine import ProblemSpec, mine, workers_from_env
-from .fsm import FsmMemoryError
+from .fsm import NODE_OVERHEAD_BYTES, FsmMemoryError
 from .fsm import mine_spec as fsm_mine_spec
 from .graph import GraphParseError, load_edge_list
 from .patterns import canonical_code, load_pattern, motif_name
@@ -53,11 +53,14 @@ def _add_common(parser, *, level=False, pattern=False, fsm=False):
         parser.add_argument("-p", "--pattern", required=True,
                             help="pattern edge-list file (optional 'v id label' lines)")
     if fsm:
-        parser.add_argument("-k", type=int, required=True, help="maximum pattern edges")
+        parser.add_argument("-k", type=int, required=True,
+                            help=f"maximum pattern edges (at most {MAX_CODE_EDGES})")
         parser.add_argument("--minsup", type=int, required=True,
                             help="inclusive support threshold (frequent: support >= minsup)")
         parser.add_argument("--mem-cap", type=int, default=4 * 2 ** 30,
-                            help="embedding-list memory cap in bytes")
+                            help="memory cap in bytes for the embedding arrays of the "
+                                 "patterns alive at once (8 bytes per pattern vertex "
+                                 f"per embedding, plus {NODE_OVERHEAD_BYTES} per pattern)")
 
 
 def _build_parser():

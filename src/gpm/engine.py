@@ -261,6 +261,8 @@ class _PlanBase:
         self.debug = opts.get("debug", False)
         self.use_mnc = opts.get("use_mnc", False)
         self.use_df = opts.get("use_df", True)
+        # source-graph degrees as a list: the degree filter reads one per candidate
+        self.deg = (g.source_degrees if isinstance(g, OrientedGraph) else g.degrees()).tolist()
         self._reduce = spec.reducer()
         self._get_support = spec.get_support
         self._process = spec.process
@@ -272,9 +274,6 @@ class _PlanBase:
 
     def make_state(self):
         return _WorkerState(self.g, self.adj, self.use_mnc)
-
-    def full_degree(self, v):
-        return self.g.degree(v)
 
     def _local_reduce(self, st, depth):
         lr = self.spec.local_reduce
@@ -322,7 +321,8 @@ class _TrianglePlan(_PlanBase):
         spec = self.spec
         emb = st.emb
         df = self.use_df
-        if df and self.full_degree(root) < 2:
+        deg = self.deg
+        if df and deg[root] < 2:
             return
         emb.push(root, 0)
         self._local_reduce(st, 0)
@@ -335,7 +335,7 @@ class _TrianglePlan(_PlanBase):
                 if self.ascending and u <= root:
                     continue
                 st.considered += 1
-                if df and self.full_degree(u) < 2:
+                if df and deg[u] < 2:
                     continue
                 if spec.to_add is not None and not spec.to_add(emb, u):
                     continue
@@ -392,7 +392,7 @@ class _CliquePlan(_PlanBase):
         self.ascending = not isinstance(g, OrientedGraph)
 
     def run_root(self, root, st):
-        if self.use_df and self.full_degree(root) < self.k - 1:
+        if self.use_df and self.deg[root] < self.k - 1:
             return
         st.emb.push(root, 0)
         if st.mnc is not None:
@@ -417,6 +417,7 @@ class _CliquePlan(_PlanBase):
         bits = mnc.bits if mnc is not None else None
         adj = self.adj
         df = self.use_df
+        deg = self.deg
         to_add = spec.to_add
         local_reduce = spec.local_reduce
         ascending = self.ascending
@@ -428,7 +429,7 @@ class _CliquePlan(_PlanBase):
             if ascending and u <= last:
                 continue
             considered += 1
-            if df and self.full_degree(u) < self.k - 1:
+            if df and deg[u] < self.k - 1:
                 continue
             if bits is not None:
                 if bits.get(u, 0) != need:
@@ -512,7 +513,7 @@ class _MatchPlan(_PlanBase):
             self.want_label = [pattern.labels[seq[i]] for i in range(self.k)]
 
     def run_root(self, root, st):
-        if self.use_df and self.full_degree(root) < self.df_thresh[0]:
+        if self.use_df and self.deg[root] < self.df_thresh[0]:
             return
         if self.g_labels is not None and self.g_labels[root] != self.want_label[0]:
             return
@@ -547,6 +548,7 @@ class _MatchPlan(_PlanBase):
         cmask = self.check_mask[depth]
         smaller = self.smaller[depth]
         df_t = self.df_thresh[depth] if self.use_df else 0
+        deg = self.deg
         g_labels = self.g_labels
         want = self.want_label[depth]
         is_last = depth == self.k - 1
@@ -555,7 +557,7 @@ class _MatchPlan(_PlanBase):
             if u in members:
                 continue
             considered += 1
-            if df_t and self.full_degree(u) < df_t:
+            if df_t and deg[u] < df_t:
                 continue
             if g_labels is not None and g_labels[u] != want:
                 continue
@@ -607,7 +609,7 @@ class _MatchPlan(_PlanBase):
         for u in adj[anchor_v]:
             if u in vertices:
                 continue
-            if self.use_df and self.full_degree(u) < self.df_thresh[depth]:
+            if self.use_df and self.deg[u] < self.df_thresh[depth]:
                 continue
             if self.g_labels is not None and self.g_labels[u] != self.want_label[depth]:
                 continue
@@ -854,7 +856,7 @@ class _LocalPlan(_PlanBase):
 
     def run_root(self, root, st):
         spec = self.spec
-        if self.use_df and self.full_degree(root) < self.k - 1:
+        if self.use_df and self.deg[root] < self.k - 1:
             return
         lg = spec.init_local(self.g, root)
         st.emb.push(root, 0)
@@ -876,7 +878,7 @@ class _LocalPlan(_PlanBase):
         last = depth == self.k - 1
         for u in lg.candidates(level):
             st.considered += 1
-            if self.use_df and self.full_degree(u) < self.k - 1:
+            if self.use_df and self.deg[u] < self.k - 1:
                 continue
             if spec.to_add is not None and not spec.to_add(emb, u):
                 continue

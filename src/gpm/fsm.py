@@ -8,10 +8,14 @@ node during extension; support is the minimum image count over pattern
 positions (domain support), which is anti-monotone and drives subtree
 pruning.
 
-Embedding lists hold one vertex assignment per pattern position. Automorphic
-duplicates (two assignments covering the same edge set) are kept: domain
-supports are sets, so duplicates cannot inflate the support, and dropping
-them would shrink the domains.
+A node holds its embeddings as one `(E, positions)` int64 array, one row per
+vertex assignment (structure-of-arrays embedding lists, as in Pangolin).
+Every position's label is fixed by the code, so a child's code edge depends
+only on the extended position and the new vertex's label: extension works
+one rightmost-path position at a time over all rows at once, and domain
+support is a distinct count per column. Automorphic duplicates (two rows
+covering the same edge set) are kept: domains are sets, so duplicates cannot
+inflate the support, and dropping them would shrink the domains.
 """
 from __future__ import annotations
 
@@ -19,17 +23,25 @@ import itertools
 import threading
 from dataclasses import dataclass
 
-from .dfscode import code_vertex_count, is_min_extension, rightmost_path
+import numpy as np
+
+from .dfscode import MAX_CODE_EDGES, code_vertex_count, is_min_extension, rightmost_path
 
 DEFAULT_MEMORY_CAP = 4 * 2 ** 30
+# charged per node on top of its embedding array: the node, the array
+# header and the code tuple
+NODE_OVERHEAD_BYTES = 256
 
 
 class FsmMemoryError(MemoryError):
-    """Embedding lists exceeded the configured memory cap."""
+    """Embedding arrays exceeded the configured memory cap."""
 
 
 class DomainSupport:
-    """Per-position sets of matched graph vertices; value = minimum size."""
+    """Per-position sets of matched graph vertices; value = minimum size.
+
+    Only the `get_support` hook path uses it; the default support is `mni`.
+    """
 
     __slots__ = ("domains",)
 
@@ -76,14 +88,24 @@ class FsmEmbedding:
 
 
 class PatternNode:
-    """A sub-pattern-tree node: DFS code plus its gathered embedding list."""
+    """A sub-pattern-tree node: DFS code plus its gathered embedding array.
 
-    __slots__ = ("code", "embeddings", "_support")
+    `emb` is an `(E, positions)` int64 array; `embeddings` is the same rows
+    as a list of tuples, built on each access for hooks and callers that
+    want Python values.
+    """
+
+    __slots__ = ("code", "emb", "_support")
 
     def __init__(self, code, embeddings):
         self.code = code
-        self.embeddings = embeddings
+        self.emb = np.asarray(embeddings, dtype=np.int64).reshape(
+            -1, code_vertex_count(code))
         self._support = None
+
+    @property
+    def embeddings(self):
+        return list(map(tuple, self.emb.tolist()))
 
     @property
     def edge_count(self):
@@ -96,16 +118,15 @@ class PatternNode:
         return self._support
 
     def __repr__(self):
-        return f"PatternNode(code={self.code}, n_emb={len(self.embeddings)})"
+        return f"PatternNode(code={self.code}, n_emb={len(self.emb)})"
 
 
 def mni(node):
-    """Minimum image support of a node's embedding list."""
-    positions = code_vertex_count(node.code)
-    ds = DomainSupport(positions)
-    for verts in node.embeddings:
-        ds.add(verts)
-    return ds.value()
+    """Minimum image support: the fewest distinct vertices in any position."""
+    cols = np.sort(node.emb, axis=0)
+    if len(cols) == 0:
+        return 0
+    return 1 + int(np.count_nonzero(cols[1:] != cols[:-1], axis=0).min())
 
 
 class _MemoryBudget:
@@ -119,7 +140,7 @@ class _MemoryBudget:
             self.used += nbytes
             if self.used > self.cap:
                 raise FsmMemoryError(
-                    f"embedding lists exceed the {self.cap} byte cap")
+                    f"embedding arrays exceed the {self.cap} byte cap")
 
     def sub(self, nbytes):
         with self.lock:
@@ -127,26 +148,56 @@ class _MemoryBudget:
 
 
 def _node_bytes(node):
-    positions = code_vertex_count(node.code)
-    return len(node.embeddings) * (8 * positions + 56) + 64
+    return node.emb.nbytes + NODE_OVERHEAD_BYTES
+
+
+def _sources(g):
+    """Source vertex of every CSR entry, aligned with `g.neighbors`."""
+    return np.repeat(np.arange(g.vertex_count, dtype=np.int64), np.diff(g.row_offsets))
+
+
+def _graph_index(g):
+    """Sorted keys u * n + v of every directed edge, and the vertex labels in
+    the narrowest type numpy's stable sort handles as a radix sort; built
+    once and cached on the graph."""
+    index = getattr(g, "_fsm_index", None)
+    if index is None:
+        # the CSR is sorted by source, then neighbour, so the keys are too
+        keys = _sources(g) * g.vertex_count + g.neighbors
+        labels = g.labels.astype(np.uint16) if g.labels.max(initial=0) < 2 ** 16 else g.labels
+        index = g._fsm_index = (keys, labels)
+    return index
+
+
+def _runs(sorted_keys):
+    """(start, end) of each run of equal values in a sorted 1-D array."""
+    if not len(sorted_keys):
+        return []
+    cut = (np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1).tolist()
+    return list(zip([0] + cut, cut + [len(sorted_keys)]))
 
 
 def _seed_nodes(g):
     """Frequent-candidate seeds: one node per ordered label pair (a <= b)."""
-    labels = g.labels.tolist()
-    adj = g.adjacency()
-    bins = {}
-    for u in range(g.vertex_count):
-        lu = labels[u]
-        for v in adj[u]:
-            lv = labels[v]
-            if lu <= lv:
-                bins.setdefault((lu, lv), []).append((u, v))
-    seeds = []
-    for (lu, lv) in sorted(bins):
-        code = ((0, 1, lu, lv),)
-        seeds.append(PatternNode(code, bins[(lu, lv)]))
-    return seeds
+    src, dst = _sources(g), g.neighbors
+    lu, lv = g.labels[src], g.labels[dst]
+    keep = lu <= lv
+    src, dst, lu, lv = src[keep], dst[keep], lu[keep], lv[keep]
+    key = lu * (int(lv.max(initial=0)) + 1) + lv
+    # stable, so each bin keeps CSR order: source, then neighbour
+    order = np.argsort(key, kind="stable")
+    pairs = np.stack([src[order], dst[order]], axis=1)
+    return [PatternNode(((0, 1, int(lu[order[a]]), int(lv[order[a]])),), pairs[a:b])
+            for a, b in _runs(key[order])]
+
+
+def _allowed(edge_filter, node, rows, a, b):
+    """`edge_filter`'s verdict on each candidate edge (a[i], b[i]) of a row."""
+    parents = node.emb[rows].tolist()
+    return np.array([edge_filter(FsmEmbedding(tuple(verts), node.code),
+                                 (x, y) if x < y else (y, x))
+                     for verts, x, y in zip(parents, a.tolist(), b.tolist())],
+                    dtype=bool)
 
 
 def rightmost_extensions(node, g, budget=None, edge_filter=None):
@@ -155,48 +206,62 @@ def rightmost_extensions(node, g, budget=None, edge_filter=None):
     Each parent embedding contributes its backward edges (rightmost vertex to
     an earlier rightmost-path vertex, edge unused) and forward edges (new
     vertex hanging off any rightmost-path vertex); extensions are binned by
-    code edge and bins whose extended code is not minimal are dropped before
-    any support computation. `edge_filter(embedding, (a, b))` can veto
-    individual graph edges before they are binned.
+    code edge, rows in parent order and then neighbour order, and bins whose
+    extended code is not minimal are dropped before any support computation.
+    `edge_filter(embedding, (a, b))` can veto individual graph edges before
+    they are binned.
     """
-    labels = g.labels.tolist()
-    adj = g.adjacency()
-    adj_sets = getattr(g, "_fsm_adj_sets", None)
-    if adj_sets is None:
-        adj_sets = [set(a) for a in adj]
-        g._fsm_adj_sets = adj_sets
-
-    code = node.code
+    code, emb = node.code, node.emb
     rmp = rightmost_path(code)
     r = rmp[0]
-    nv = code_vertex_count(code)
-    code_pairs = [(e[0], e[1]) for e in code]
+    nv = emb.shape[1]
+    lab = [0] * nv
+    for i, j, li, lj in code:
+        lab[i], lab[j] = li, lj
     bins = {}
-    for verts in node.embeddings:
-        used = {(verts[i], verts[j]) if verts[i] < verts[j] else (verts[j], verts[i])
-                for i, j in code_pairs}
-        image = set(verts)
-        vr = verts[r]
-        for p in rmp[1:]:
-            vp = verts[p]
-            if vp in adj_sets[vr]:
-                e = (vr, vp) if vr < vp else (vp, vr)
-                if e not in used:
-                    if edge_filter is not None and \
-                            not edge_filter(FsmEmbedding(verts, code), e):
-                        continue
-                    key = (r, p, labels[vr], labels[vp])
-                    bins.setdefault(key, []).append(verts)
-        for p in rmp:
-            vp = verts[p]
-            for w in adj[vp]:
-                if w not in image:
-                    if edge_filter is not None and \
-                            not edge_filter(FsmEmbedding(verts, code),
-                                            (vp, w) if vp < w else (w, vp)):
-                        continue
-                    key = (p, nv, labels[vp], labels[w])
-                    bins.setdefault(key, []).append(verts + (w,))
+
+    # backward edges; rows are injective, so the code uses graph edge
+    # (v_r, v_p) exactly when it has an edge between positions r and p
+    used = {(min(i, j), max(i, j)) for i, j, _, _ in code}
+    keys, labels = _graph_index(g)
+    vr = emb[:, r]
+    for p in rmp[1:]:
+        if (p, r) in used or not len(keys):
+            continue
+        vp = emb[:, p]
+        q = vr * g.vertex_count + vp
+        rows = np.flatnonzero(keys[np.minimum(np.searchsorted(keys, q), len(keys) - 1)] == q)
+        if edge_filter is not None:
+            rows = rows[_allowed(edge_filter, node, rows, vr[rows], vp[rows])]
+        if len(rows):
+            bins[(r, p, lab[r], lab[p])] = emb[rows]
+
+    # forward edges: every neighbour w of v_p outside the row's image
+    offs, nbrs = g.row_offsets, g.neighbors
+    for p in rmp:
+        vp = emb[:, p]
+        start = offs[vp]
+        deg = offs[vp + 1] - start
+        rows = np.repeat(np.arange(len(emb)), deg)
+        first = np.cumsum(deg) - deg
+        w = nbrs[np.arange(len(rows)) + np.repeat(start - first, deg)]
+        parent = emb[rows]
+        keep = parent[:, 0] != w
+        for c in range(1, nv):
+            keep &= parent[:, c] != w
+        if edge_filter is not None:
+            keep[keep] = _allowed(edge_filter, node, rows[keep], vp[rows[keep]], w[keep])
+        sel = np.flatnonzero(keep)
+        wl = labels[w[sel]]
+        # stable, so each label's rows stay in parent order, then neighbour order
+        order = np.argsort(wl, kind="stable")
+        sel, wl = sel[order], wl[order]
+        child = np.empty((len(sel), nv + 1), dtype=np.int64)
+        child[:, :nv] = parent[sel]
+        child[:, nv] = w[sel]
+        for a, b in _runs(wl):
+            bins[(p, nv, lab[p], int(wl[a]))] = child[a:b]
+
     children = []
     for key in sorted(bins):
         child_code = code + (key,)
@@ -210,7 +275,7 @@ def rightmost_extensions(node, g, budget=None, edge_filter=None):
 
 
 def _walk(node, g, k_edges, accept, prune, out, budget, counter, edge_filter=None):
-    counter[0] += len(node.embeddings)
+    counter[0] += len(node.emb)
     frequent = accept(node)
     if prune and not frequent:
         return
@@ -267,6 +332,13 @@ def _run_seed_tasks(g, seeds, k_edges, accept, prune, workers, memory_cap,
     return results, counter[0]
 
 
+def _check_size(k_edges):
+    # the DFS-code minimality check refuses longer codes; fail before mining
+    if k_edges is not None and k_edges > MAX_CODE_EDGES:
+        raise ValueError(f"fsm supports at most {MAX_CODE_EDGES} pattern edges, "
+                         f"got k = {k_edges}")
+
+
 def mine_fsm(g, k_edges, min_sup, *, workers=1, prune=True,
              memory_cap=DEFAULT_MEMORY_CAP):
     """Patterns with at most k_edges edges whose domain support is >= min_sup.
@@ -274,7 +346,9 @@ def mine_fsm(g, k_edges, min_sup, *, workers=1, prune=True,
     The threshold comparison is inclusive (support >= min_sup). `prune=False`
     disables anti-monotone subtree pruning (the full tree up to k_edges is
     enumerated and filtered afterwards); the result is identical and the flag
-    exists for validation. `k_edges=None` removes the size bound.
+    exists for validation. `k_edges` is at most `dfscode.MAX_CODE_EDGES`;
+    `k_edges=None` removes the size bound, and a walk that then reaches a
+    longer code raises `ValueError` from the minimality check.
     """
     if g.labels is None:
         raise ValueError("frequent subgraph mining requires a labeled graph")
@@ -282,6 +356,7 @@ def mine_fsm(g, k_edges, min_sup, *, workers=1, prune=True,
         raise ValueError("min_sup must be >= 1")
     if k_edges is not None and k_edges < 1:
         raise ValueError("k_edges must be >= 1")
+    _check_size(k_edges)
     seeds = _seed_nodes(g)
 
     def accept(node):
@@ -301,6 +376,7 @@ def mine_spec(g, spec, workers=1, memory_cap=DEFAULT_MEMORY_CAP):
     """
     if g.labels is None:
         raise ValueError("edge-induced implicit mining requires a labeled graph")
+    _check_size(spec.k)
     seeds = _seed_nodes(g)
     accept_hook = spec.is_implicit_pattern
     get_support = spec.get_support

@@ -119,16 +119,17 @@ def wedge_kernel(g):
     return terms, run
 
 
-def mc3_local_counts(g, workers=1):
+def mc3_local_counts(g, workers=1, **options):
     """3-motif counts {wedge, triangle} without enumerating wedges.
 
     One triangle enumeration; the wedge total is the star sum Σ C(d, 2) over
-    vertex degrees minus three per triangle.
+    vertex degrees minus three per triangle. `options` (orientation, use_df,
+    use_mnc, ...) go to that walk's `mine` call.
     """
     deg = g.degrees()
     raw_wedge = int(np.sum(deg * (deg - 1) // 2))
     result = mine(g, ProblemSpec(vertex_induced=True, k=3, patterns=(triangle(),)),
-                  workers=workers)
+                  workers=workers, **options)
     tri = result.pattern_map.get(canonical_code(triangle()), 0)
     counts = {
         canonical_code(named_motifs(3)["wedge"]): raw_wedge - MC3_WEDGE_TRIANGLE_FACTOR * tri,
@@ -137,20 +138,21 @@ def mc3_local_counts(g, workers=1):
     return counts, result
 
 
-def mc4_local_counts(g, workers=1):
+def mc4_local_counts(g, workers=1, **options):
     """All six 4-motif counts from one wedge kernel and one 4-clique walk.
 
     `wedge_kernel` gives the non-induced 4-cycle count C4 and the raw
     diamond / tailed-triangle / 4-path / 3-star terms; the 4-clique walk gives
     K4. The frozen corrections turn the raw terms into exact vertex-induced
-    counts, and the induced 4-cycles are C4 - diamond - 3 * K4.
+    counts, and the induced 4-cycles are C4 - diamond - 3 * K4. `options`
+    (orientation, use_df, use_mnc, ...) go to the walk's `mine` call.
 
     Returns `(counts, clique_run, kernel_run, enumerated)`, where
     `enumerated` is the walk's candidates plus the kernel's wedges.
     """
     terms, kernel_run = wedge_kernel(g)
     clique_spec = ProblemSpec(vertex_induced=True, k=4, patterns=(clique(4),))
-    clique_run = mine(g, clique_spec, workers=workers)
+    clique_run = mine(g, clique_spec, workers=workers, **options)
 
     names = named_motifs(4)
     k4 = clique_run.pattern_map.get(canonical_code(names["4-clique"]), 0)

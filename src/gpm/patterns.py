@@ -213,14 +213,18 @@ def canonical_code(p):
     """Canonical byte string: equal codes iff isomorphic (labels respected).
 
     Layout: vertex count, then the minimal upper-triangle adjacency bits
-    (big-endian), then one byte per vertex label when labeled.
+    (big-endian), then the vertex labels when labeled: one byte each when
+    every label is below 256, else four big-endian bytes each. The two label
+    widths give different lengths for one vertex count, so they cannot
+    collide.
     """
     bits, lbl = _canonical_key(p.vertex_count, p.edges, p.labels)
     k = p.vertex_count
     nbytes = max(1, (k * (k - 1) // 2 + 7) // 8)
     out = bytes([k]) + bits.to_bytes(nbytes, "big")
     if p.labels is not None:
-        out += bytes(lbl)
+        width = 1 if all(l < 256 for l in lbl) else 4
+        out += b"".join(int(l).to_bytes(width, "big") for l in lbl)
     return out
 
 

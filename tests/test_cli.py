@@ -142,6 +142,27 @@ class TestSubcommands:
 
 
 class TestErrorsAndToggles:
+    def test_fsm_size_bound(self, files, capsys):
+        assert run(["fsm", "-k", "11", files["two_edges.el"],
+                    "--labels", files["two_edges.lbl"], "--minsup", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gpm: fsm supports at most 10 pattern edges, got k = 11\n"
+
+    def test_motif_lo_honours_mine_flags(self, files, capsys):
+        def stats_run(flags):
+            code, out = _capture(capsys, ["motif", "-k", "4", files["diamond.el"],
+                                          "--level", "lo", "--stats", *flags])
+            assert code == 0
+            rows = json.loads(out)
+            return rows[:-1], rows[-1]["stats"]["enumerated_embeddings"]
+
+        base_rows, base_enumerated = stats_run([])
+        for flags in (["--orient", "none"], ["--no-df"]):
+            rows, enumerated = stats_run(flags)
+            assert rows == base_rows
+            assert enumerated != base_enumerated
+
     def test_no_sb_refused(self, files, capsys):
         assert run(["tc", files["k4.el"], "--no-sb"]) == 2
 

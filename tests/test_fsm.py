@@ -210,3 +210,108 @@ def test_to_add_edge_vetoes_extensions():
     assert len(full) == 1 and len(full[0].embeddings) == 2
     assert len(filtered) == 1 and len(filtered[0].embeddings) == 1
     assert filtered[0].embeddings == [(2, 1, 0)]
+
+
+def _tuple_extensions(node, g, edge_filter=None):
+    """Reference: the per-embedding tuple loop, as (code, rows) per child."""
+    from gpm.dfscode import code_vertex_count, rightmost_path
+    from gpm.fsm import FsmEmbedding
+    labels = g.labels.tolist()
+    adj = g.adjacency()
+    code = node.code
+    rmp = rightmost_path(code)
+    r = rmp[0]
+    nv = code_vertex_count(code)
+    bins = {}
+
+    def allowed(verts, a, b):
+        return edge_filter is None or edge_filter(FsmEmbedding(verts, code),
+                                                  (min(a, b), max(a, b)))
+
+    for verts in node.embeddings:
+        used = {frozenset((verts[i], verts[j])) for i, j, _, _ in code}
+        vr = verts[r]
+        for p in rmp[1:]:
+            vp = verts[p]
+            if vp in adj[vr] and frozenset((vr, vp)) not in used and allowed(verts, vr, vp):
+                bins.setdefault((r, p, labels[vr], labels[vp]), []).append(verts)
+        for p in rmp:
+            vp = verts[p]
+            for w in adj[vp]:
+                if w not in verts and allowed(verts, vp, w):
+                    bins.setdefault((p, nv, labels[vp], labels[w]), []).append(verts + (w,))
+    return [(code + (key,), bins[key]) for key in sorted(bins)
+            if is_min_extension(code + (key,))]
+
+
+def _nodes_to_depth(g, depth):
+    """Every sub-pattern-tree node up to `depth` edges, with no pruning."""
+    nodes, frontier = [], _seeds(g)
+    while frontier:
+        nodes += frontier
+        frontier = [c for n in frontier if n.edge_count < depth
+                    for c in rightmost_extensions(n, g)]
+    return nodes
+
+
+class TestEmbeddingArrays:
+    @given(seed=st.integers(0, 10 ** 6), veto=st.integers(0, 10 ** 6))
+    @settings(max_examples=25, deadline=None)
+    def test_mni_and_edge_filter_against_tuples(self, seed, veto):
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(3, 14), 0.3, labels=rng.randint(1, 3))
+        edges = sorted({tuple(sorted(e)) for n in _seeds(g) for e in n.embeddings})
+        for node in _nodes_to_depth(g, 3):
+            ds = DomainSupport(node.emb.shape[1])
+            for verts in node.embeddings:
+                ds.add(verts)
+            assert mni(node) == ds.value()
+            if node.edge_count == 3:
+                continue
+            # same children, rows in the same order, as the tuple loop
+            assert [(c.code, c.embeddings) for c in rightmost_extensions(node, g)] \
+                == _tuple_extensions(node, g)
+            # vetoing one graph edge removes exactly the child rows whose new
+            # code edge maps onto it, and children left with no rows
+            bad = edges[veto % len(edges)]
+            want = {}
+            for child in rightmost_extensions(node, g):
+                i, j = child.code[-1][:2]
+                rows = [v for v in child.embeddings
+                        if (min(v[i], v[j]), max(v[i], v[j])) != bad]
+                if rows:
+                    want[child.code] = rows
+            keep = lambda emb, e: e != bad  # noqa: E731
+            got = [(c.code, c.embeddings)
+                   for c in rightmost_extensions(node, g, edge_filter=keep)]
+            assert dict(got) == want
+            assert got == _tuple_extensions(node, g, keep)
+
+    def test_graph_without_edges(self):
+        g = labeled(3, [], [0, 1, 0])
+        assert _seeds(g) == []
+        assert mine_fsm(g, 3, 1) == {}
+
+    def test_single_label_graph(self, rng):
+        g = random_graph(rng, 12, 0.35, labels=1)
+        result = mine_fsm(g, 3, 1)
+        assert result == mine_fsm(g, 3, 1, prune=False)
+        assert {len(code) for code in result} == {1, 2, 3}
+        for code, support in result.items():
+            assert support == oracle.mni_oracle(g, decode(code))
+
+    def test_size_bound_checked_before_mining(self, monkeypatch):
+        import gpm.fsm
+        from gpm.dfscode import MAX_CODE_EDGES
+        from gpm.fsm import mine_spec
+
+        def never(*args, **kwargs):
+            raise AssertionError("mining started")
+
+        monkeypatch.setattr(gpm.fsm, "_seed_nodes", never)
+        g = labeled(3, [(0, 1), (1, 2)], [0, 1, 0])
+        with pytest.raises(ValueError, match="at most"):
+            mine_fsm(g, MAX_CODE_EDGES + 1, 1)
+        spec = ProblemSpec(vertex_induced=False, explicit=False, k=MAX_CODE_EDGES + 1)
+        with pytest.raises(ValueError, match="at most"):
+            mine_spec(g, spec)

@@ -65,6 +65,23 @@ class TestCanonicalCode:
         assert canonical_code(a) == canonical_code(b)
         assert canonical_code(a) != canonical_code(c)
 
+    def test_label_width(self):
+        # labels below 256 keep one byte each; any larger label switches the
+        # whole code to four big-endian bytes per label
+        assert canonical_code(Pattern(2, [(0, 1)], labels=(7, 3))) == bytes([2, 1, 3, 7])
+        wide = canonical_code(Pattern(2, [(0, 1)], labels=(300, 3)))
+        assert wide == bytes([2, 1]) + (3).to_bytes(4, "big") + (300).to_bytes(4, "big")
+
+    def test_labels_above_255_in_implicit_mining(self):
+        from gpm.engine import ProblemSpec, mine
+        from gpm.graph import Graph
+        n = 400
+        g = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)], labels=list(range(n)))
+        result = mine(g, ProblemSpec(vertex_induced=True, k=3, explicit=False))
+        # every labelled wedge of the cycle is its own pattern
+        assert len(result.pattern_map) == n
+        assert set(result.pattern_map.values()) == {1}
+
     @given(k=st.integers(3, 6), seed=st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force_isomorphism(self, k, seed):
