@@ -6,7 +6,7 @@ pruning, pattern classification, local counting, and local-graph search.
 """
 
 from .engine import (ConnectivityMap, Embedding, MiningResult, ProblemSpec,
-                     connectivity_query, embedding_code, extend, mine)
+                     embedding_code, extend, mine)
 from .fsm import DomainSupport, PatternNode, mine_fsm, mni, rightmost_extensions
 from .graph import (Graph, OrientedGraph, core_numbers, has_edge, load_csr_cache,
                     load_edge_list, orient, save_csr_cache, validate_graph)
@@ -20,8 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConnectivityMap", "DomainSupport", "Embedding", "Graph", "MatchingOrder",
     "MiningResult", "OrientedGraph", "Pattern", "PatternNode", "ProblemSpec",
-    "all_patterns", "automorphism_orbits", "canonical_code", "connectivity_query",
-    "core_numbers", "embedding_code", "extend", "has_edge", "is_clique",
+    "all_patterns", "automorphism_orbits", "canonical_code", "core_numbers", "embedding_code", "extend", "has_edge", "is_clique",
     "is_min_extension", "load_csr_cache", "load_edge_list", "load_pattern",
     "matching_order", "min_dfs_code", "mine", "mine_fsm", "mni", "orient",
     "rightmost_extensions", "save_csr_cache", "symmetry_orders", "validate_graph",

@@ -9,10 +9,9 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
-from . import localcount
+from . import localcount, localgraph
 from .engine import ProblemSpec, mine
 from .graph import Graph
-from .localgraph import clique_local_hooks
 from .patterns import all_patterns, canonical_code, clique, triangle
 
 
@@ -25,9 +24,9 @@ def clique_spec(k, **hooks):
 
 
 def clique_local_spec(k, **hooks):
-    init_lg, update_lg = clique_local_hooks()
     return ProblemSpec(vertex_induced=True, k=k, patterns=(clique(k),),
-                       init_local=init_lg, update_local=update_lg, **hooks)
+                       init_local=localgraph.init_local_graph,
+                       update_local=localgraph.LocalGraph.shrink, **hooks)
 
 
 def motif_spec(k, **hooks):

@@ -5,20 +5,23 @@ counter (stealing granularity = one task); every piece of mutable scratch
 (embedding stack, connectivity map, partial pattern map) is worker-private
 and merged after the walk, so results are identical for any worker count.
 
-Problem analysis picks one of a few execution plans:
+Problem analysis picks one of a few execution plans. Each plan only filters
+the candidates for the next embedding position; all of them share one
+descend step (`_PlanBase._descend`) that pushes an accepted candidate, runs
+`local_reduce`, then finalizes the embedding at size k or updates the
+connectivity map and extends again, and pops.
 
-* triangle: oriented (or ascending) two-level walk with sorted-list
-  intersection for the closing vertex;
 * clique: oriented walk extending the last vertex, candidates checked for
   adjacency to the whole embedding via the connectivity map;
+* triangle: the clique walk, closing with a sorted-list intersection;
+* local: the clique walk with candidates drawn from a user-maintained
+  shrinking local graph (see `localgraph`);
 * match: matching-order guided search for one explicit pattern with
   per-position adjacency / non-adjacency constraints and symmetry-breaking
   id orders;
 * generic: pattern-oblivious vertex extension for implicit-pattern problems,
   deduplicated by a canonical-sequence filter (exactly one accepted DFS
-  sequence per connected vertex set);
-* local: extension candidates drawn from a user-maintained shrinking local
-  graph (see `localgraph`).
+  sequence per connected vertex set).
 
 Edge-induced implicit problems (frequent subgraph mining) traverse the
 sub-pattern tree instead; see `fsm`.
@@ -226,20 +229,16 @@ class ConnectivityMap:
         return self.bits.get(u, 0)
 
 
-def connectivity_query(mnc, u):
-    """Positions of embedding vertices adjacent to u, as a bit-set."""
-    return mnc.lookup(u)
-
-
 class _WorkerState:
-    __slots__ = ("emb", "mnc", "map", "considered", "accepted")
+    __slots__ = ("emb", "mnc", "map", "considered", "accepted", "lg")
 
-    def __init__(self, graph, adj, use_mnc):
+    def __init__(self, graph, adj=None):
         self.emb = Embedding(graph)
-        self.mnc = ConnectivityMap(adj) if use_mnc else None
+        self.mnc = ConnectivityMap(adj) if adj is not None else None
         self.map = {}
         self.considered = 0
         self.accepted = 0
+        self.lg = None
 
 
 def _list_has(adj, u, v):
@@ -249,12 +248,17 @@ def _list_has(adj, u, v):
 
 
 class _PlanBase:
-    """Shared context: graph views, hooks, counters, finalization."""
+    """Shared context and the descend step every plan's walk goes through.
+
+    A plan supplies `_extend(st, depth)`, which filters the candidates for
+    embedding position `depth` and hands each accepted one to `_descend`.
+    """
+
+    key = None
 
     def __init__(self, g, spec, opts):
         self.g = g
         self.spec = spec
-        self.opts = opts
         self.adj = g.adjacency()
         self.stop = opts["stop"]
         self.term = opts["term"]
@@ -267,18 +271,44 @@ class _PlanBase:
         self._get_support = spec.get_support
         self._process = spec.process
         self._terminate = spec.terminate
+        self._local_reduce = spec.local_reduce
         self._dbg_tick = 0
 
     def n_roots(self):
         return self.g.vertex_count
 
     def make_state(self):
-        return _WorkerState(self.g, self.adj, self.use_mnc)
+        return _WorkerState(self.g, self.adj if self.use_mnc else None)
 
-    def _local_reduce(self, st, depth):
-        lr = self.spec.local_reduce
-        if lr is not None:
-            lr(st.emb, depth, st.map)
+    def run_root(self, root, st):
+        self._descend(st, root, 0, 0)
+
+    def _descend(self, st, u, code, depth):
+        """Push u at position `depth`, then finalize or extend, then pop."""
+        if self.debug:
+            self._debug_check(st, u, code, depth)
+        emb = st.emb
+        # the stack is edited in place: this runs once per accepted candidate
+        emb.vertices.append(u)
+        emb.codes.append(code)
+        emb.members.add(u)
+        try:
+            if self._local_reduce is not None:
+                self._local_reduce(emb, depth, st.map)
+            if depth == self.k - 1:
+                self._finalize(st, self.key)
+            elif st.mnc is None:
+                self._extend(st, depth + 1)
+            else:
+                st.mnc.push(u, depth, emb.members)
+                try:
+                    self._extend(st, depth + 1)
+                finally:
+                    st.mnc.pop(depth)
+        finally:
+            emb.vertices.pop()
+            emb.codes.pop()
+            emb.members.discard(u)
 
     def _finalize(self, st, key):
         emb = st.emb
@@ -308,80 +338,6 @@ class _PlanBase:
                 raise HookMisuseError("connectivity map disagrees with the graph")
 
 
-class _TrianglePlan(_PlanBase):
-    """Explicit triangle: two-level walk closing with a sorted intersection."""
-
-    def __init__(self, g, spec, opts, key):
-        super().__init__(g, spec, opts)
-        self.key = key
-        self.ascending = not isinstance(g, OrientedGraph)
-
-    def run_root(self, root, st):
-        adj = self.adj
-        spec = self.spec
-        emb = st.emb
-        df = self.use_df
-        deg = self.deg
-        if df and deg[root] < 2:
-            return
-        emb.push(root, 0)
-        self._local_reduce(st, 0)
-        try:
-            nroot = adj[root]
-            stop_set = self.stop.is_set
-            for u in nroot:
-                if stop_set():
-                    raise _StopMining
-                if self.ascending and u <= root:
-                    continue
-                st.considered += 1
-                if df and deg[u] < 2:
-                    continue
-                if spec.to_add is not None and not spec.to_add(emb, u):
-                    continue
-                st.accepted += 1
-                emb.push(u, 1)
-                self._local_reduce(st, 1)
-                nu = adj[u]
-                i = j = 0
-                ni, nj = len(nroot), len(nu)
-                while i < ni and j < nj:
-                    a, b = nroot[i], nu[j]
-                    if a < b:
-                        i += 1
-                    elif b < a:
-                        j += 1
-                    else:
-                        i += 1
-                        j += 1
-                        if self.ascending and a <= u:
-                            continue
-                        st.considered += 1
-                        if spec.to_add is not None and not spec.to_add(emb, a):
-                            continue
-                        st.accepted += 1
-                        emb.push(a, 0b11)
-                        self._local_reduce(st, 2)
-                        self._finalize(st, self.key)
-                        emb.pop()
-                emb.pop()
-        finally:
-            emb.pop()
-
-    def extensions_of(self, vertices):
-        """Accepted candidates for a partial embedding (testing aid)."""
-        adj = self.adj
-        if len(vertices) == 1:
-            root = vertices[0]
-            return [u for u in adj[root] if not self.ascending or u > root]
-        root, u = vertices
-        out = []
-        for w in adj[root]:
-            if _list_has(adj, u, w) and (not self.ascending or w > u):
-                out.append(w)
-        return out
-
-
 class _CliquePlan(_PlanBase):
     """Explicit k-clique: extend the last vertex; candidates must touch all."""
 
@@ -394,89 +350,114 @@ class _CliquePlan(_PlanBase):
     def run_root(self, root, st):
         if self.use_df and self.deg[root] < self.k - 1:
             return
-        st.emb.push(root, 0)
-        if st.mnc is not None:
-            st.mnc.push(root, 0, st.emb.members)
-        self._local_reduce(st, 0)
-        try:
-            if self.k == 1:
-                self._finalize(st, self.key)
-            else:
-                self._extend(st, 1)
-        finally:
-            if st.mnc is not None:
-                st.mnc.pop(0)
-            st.emb.pop()
+        self._descend(st, root, 0, 0)
 
     def _extend(self, st, depth):
         if self.stop.is_set():
             raise _StopMining
-        spec = self.spec
         emb = st.emb
-        mnc = st.mnc
-        bits = mnc.bits if mnc is not None else None
+        bits = st.mnc.bits if st.mnc is not None else None
         adj = self.adj
         df = self.use_df
         deg = self.deg
-        to_add = spec.to_add
-        local_reduce = spec.local_reduce
+        to_add = self.spec.to_add
         ascending = self.ascending
         need = (1 << depth) - 1
-        is_last = depth == self.k - 1
-        last = emb.vertices[-1]
+        min_deg = self.k - 1
+        *others, last = emb.vertices
         considered = accepted = 0
         for u in adj[last]:
             if ascending and u <= last:
                 continue
             considered += 1
-            if df and deg[u] < self.k - 1:
+            if df and deg[u] < min_deg:
                 continue
             if bits is not None:
                 if bits.get(u, 0) != need:
                     continue
-            else:
-                verts = emb.vertices
-                ok = True
-                for i in range(depth - 1):
-                    if not _list_has(adj, verts[i], u):
-                        ok = False
-                        break
-                if not ok:
-                    continue
+            elif others and not all(_list_has(adj, v, u) for v in others):
+                continue
             if to_add is not None and not to_add(emb, u):
                 continue
             accepted += 1
-            if self.debug:
-                self._debug_check(st, u, need, depth)
-            emb.push(u, need)
-            if local_reduce is not None:
-                local_reduce(emb, depth, st.map)
-            try:
-                if is_last:
-                    self._finalize(st, self.key)
-                elif mnc is not None:
-                    mnc.push(u, depth, emb.members)
-                    try:
-                        self._extend(st, depth + 1)
-                    finally:
-                        mnc.pop(depth)
-                else:
-                    self._extend(st, depth + 1)
-            finally:
-                emb.pop()
+            self._descend(st, u, need, depth)
         st.considered += considered
         st.accepted += accepted
 
-    def extensions_of(self, vertices):
-        adj = self.adj
-        last = vertices[-1]
-        out = []
-        for u in adj[last]:
-            if self.ascending and u <= last:
-                continue
-            if all(_list_has(adj, v, u) for v in vertices[:-1]):
-                out.append(u)
-        return out
+
+class _TrianglePlan(_CliquePlan):
+    """Explicit triangle: the closing vertex comes from a sorted intersection."""
+
+    def __init__(self, g, spec, opts, key):
+        super().__init__(g, spec, opts, 3, key)
+        self.use_mnc = False
+
+    def _extend(self, st, depth):
+        if depth == 1:
+            return super()._extend(st, depth)
+        if self.stop.is_set():
+            raise _StopMining
+        emb = st.emb
+        to_add = self.spec.to_add
+        ascending = self.ascending
+        root, u = emb.vertices
+        nroot, nu = self.adj[root], self.adj[u]
+        considered = accepted = 0
+        i = j = 0
+        ni, nj = len(nroot), len(nu)
+        while i < ni and j < nj:
+            a, b = nroot[i], nu[j]
+            if a < b:
+                i += 1
+            elif b < a:
+                j += 1
+            else:
+                i += 1
+                j += 1
+                if ascending and a <= u:
+                    continue
+                considered += 1
+                if to_add is not None and not to_add(emb, a):
+                    continue
+                accepted += 1
+                self._descend(st, a, 0b11, 2)
+        st.considered += considered
+        st.accepted += accepted
+
+
+class _LocalPlan(_CliquePlan):
+    """Extension candidates come from a per-root local graph the hooks shrink."""
+
+    def run_root(self, root, st):
+        if self.use_df and self.deg[root] < self.k - 1:
+            return
+        st.lg = self.spec.init_local(self.g, root)
+        self._descend(st, root, 0, 0)
+
+    def _extend(self, st, depth):
+        lg = st.lg
+        if lg is None:
+            return
+        if self.stop.is_set():
+            raise _StopMining
+        spec = self.spec
+        emb = st.emb
+        level = depth - 1
+        if depth >= 2:
+            spec.update_local(lg, level - 1, emb.vertices[-1])
+        try:
+            need = (1 << depth) - 1
+            for u in lg.candidates(level):
+                st.considered += 1
+                if self.use_df and self.deg[u] < self.k - 1:
+                    continue
+                if spec.to_add is not None and not spec.to_add(emb, u):
+                    continue
+                st.accepted += 1
+                self._descend(st, u, need, depth)
+        finally:
+            if depth >= 2:
+                lg.pop_level(level)
 
 
 class _MatchPlan(_PlanBase):
@@ -490,11 +471,9 @@ class _MatchPlan(_PlanBase):
 
     def __init__(self, g, spec, opts, pattern, key):
         super().__init__(g, spec, opts)
-        self.pattern = pattern
         self.key = key
         self.k = pattern.vertex_count
         order = matching_order(pattern)
-        self.order = order
         self.anchors = [min(order.required[i]) if order.required[i] else 0
                         for i in range(self.k)]
         self.req = [sum(1 << j for j in order.required[i]) for i in range(self.k)]
@@ -517,32 +496,17 @@ class _MatchPlan(_PlanBase):
             return
         if self.g_labels is not None and self.g_labels[root] != self.want_label[0]:
             return
-        st.emb.push(root, 0)
-        if st.mnc is not None:
-            st.mnc.push(root, 0, st.emb.members)
-        self._local_reduce(st, 0)
-        try:
-            if self.k == 1:
-                self._finalize(st, self.key)
-            else:
-                self._extend(st, 1)
-        finally:
-            if st.mnc is not None:
-                st.mnc.pop(0)
-            st.emb.pop()
+        self._descend(st, root, 0, 0)
 
     def _extend(self, st, depth):
         if self.stop.is_set():
             raise _StopMining
-        spec = self.spec
         emb = st.emb
         members = emb.members
         verts = emb.vertices
-        mnc = st.mnc
-        bits = mnc.bits if mnc is not None else None
+        bits = st.mnc.bits if st.mnc is not None else None
         adj = self.adj
-        to_add = spec.to_add
-        local_reduce = spec.local_reduce
+        to_add = self.spec.to_add
         anchor_v = verts[self.anchors[depth]]
         req = self.req[depth]
         cmask = self.check_mask[depth]
@@ -551,7 +515,6 @@ class _MatchPlan(_PlanBase):
         deg = self.deg
         g_labels = self.g_labels
         want = self.want_label[depth]
-        is_last = depth == self.k - 1
         considered = accepted = 0
         for u in adj[anchor_v]:
             if u in members:
@@ -580,49 +543,9 @@ class _MatchPlan(_PlanBase):
             if to_add is not None and not to_add(emb, u):
                 continue
             accepted += 1
-            if self.debug:
-                self._debug_check(st, u, mask, depth)
-            emb.push(u, mask & ((1 << depth) - 1))
-            if local_reduce is not None:
-                local_reduce(emb, depth, st.map)
-            try:
-                if is_last:
-                    self._finalize(st, self.key)
-                elif mnc is not None:
-                    mnc.push(u, depth, members)
-                    try:
-                        self._extend(st, depth + 1)
-                    finally:
-                        mnc.pop(depth)
-                else:
-                    self._extend(st, depth + 1)
-            finally:
-                emb.pop()
+            self._descend(st, u, mask, depth)
         st.considered += considered
         st.accepted += accepted
-
-    def extensions_of(self, vertices):
-        depth = len(vertices)
-        out = []
-        adj = self.adj
-        anchor_v = vertices[self.anchors[depth]]
-        for u in adj[anchor_v]:
-            if u in vertices:
-                continue
-            if self.use_df and self.deg[u] < self.df_thresh[depth]:
-                continue
-            if self.g_labels is not None and self.g_labels[u] != self.want_label[depth]:
-                continue
-            mask = 0
-            for i in range(depth):
-                if _list_has(adj, vertices[i], u):
-                    mask |= 1 << i
-            if mask & self.check_mask[depth] != self.req[depth]:
-                continue
-            if any(vertices[j] >= u for j in self.smaller[depth]):
-                continue
-            out.append(u)
-        return out
 
 
 def _is_canonical_extension(verts, codes, u, umask):
@@ -672,7 +595,6 @@ def _is_canonical_extension(verts, codes, u, umask):
         visited |= 1 << step
     return True
 
-
 class _GenericPlan(_PlanBase):
     """Pattern-oblivious vertex extension for implicit-pattern problems.
 
@@ -686,21 +608,6 @@ class _GenericPlan(_PlanBase):
         self.k = spec.k
         self.labels = g.labels.tolist() if g.labels is not None else None
         self._key_cache = {}
-
-    def run_root(self, root, st):
-        st.emb.push(root, 0)
-        if st.mnc is not None:
-            st.mnc.push(root, 0, st.emb.members)
-        self._local_reduce(st, 0)
-        try:
-            if self.k == 1:
-                self._finalize(st, self._classify(st.emb))
-            else:
-                self._extend(st, 1)
-        finally:
-            if st.mnc is not None:
-                st.mnc.pop(0)
-            st.emb.pop()
 
     def _classify(self, emb):
         if self.spec.get_pattern is not None:
@@ -728,25 +635,21 @@ class _GenericPlan(_PlanBase):
             self._key_cache[key_src] = cached
         return cached
 
-    def _finalize(self, st, classified):
-        key, wanted = classified
-        if not wanted:
-            return
-        _PlanBase._finalize(self, st, key)
+    def _finalize(self, st, key):
+        key, wanted = self._classify(st.emb)
+        if wanted:
+            _PlanBase._finalize(self, st, key)
 
     def _extend(self, st, depth):
         if self.stop.is_set():
             raise _StopMining
-        spec = self.spec
         emb = st.emb
         members = emb.members
         verts = emb.vertices
-        mnc = st.mnc
-        bits = mnc.bits if mnc is not None else None
+        bits = st.mnc.bits if st.mnc is not None else None
         adj = self.adj
-        to_extend = spec.to_extend
-        to_add = spec.to_add
-        local_reduce = spec.local_reduce
+        to_extend = self.spec.to_extend
+        to_add = self.spec.to_add
         if to_extend is None:
             positions = range(depth)
             ext_mask = (1 << depth) - 1
@@ -755,12 +658,9 @@ class _GenericPlan(_PlanBase):
             ext_mask = 0
             for p in positions:
                 ext_mask |= 1 << p
-        codes = emb.codes
         depth_mask = (1 << depth) - 1
-        last = depth == self.k - 1
         root = verts[0]
         considered = accepted = 0
-        debug = self.debug
         for p in positions:
             vp = verts[p]
             for u in adj[vp]:
@@ -794,124 +694,29 @@ class _GenericPlan(_PlanBase):
                 if to_add is not None and not to_add(emb, u):
                     continue
                 accepted += 1
-                if debug:
-                    self._debug_check(st, u, mask, depth)
-                emb.push(u, umask)
-                if local_reduce is not None:
-                    local_reduce(emb, depth, st.map)
-                try:
-                    if last:
-                        self._finalize(st, self._classify(emb))
-                    else:
-                        if mnc is not None:
-                            mnc.push(u, depth, members)
-                            try:
-                                self._extend(st, depth + 1)
-                            finally:
-                                mnc.pop(depth)
-                        else:
-                            self._extend(st, depth + 1)
-                finally:
-                    emb.pop()
+                self._descend(st, u, umask, depth)
         st.considered += considered
         st.accepted += accepted
 
-    def extensions_of(self, vertices):
-        adj = self.adj
-        depth = len(vertices)
-        emb_codes = [0]
-        for l in range(1, depth):
-            c = 0
-            for i in range(l):
-                if _list_has(adj, vertices[i], vertices[l]):
-                    c |= 1 << i
-            emb_codes.append(c)
-        out = []
-        seen = set(vertices)
-        for p in range(depth):
-            for u in adj[vertices[p]]:
-                if u in seen:
-                    continue
-                mask = 0
-                for i in range(depth):
-                    if _list_has(adj, vertices[i], u):
-                        mask |= 1 << i
-                if (mask & -mask).bit_length() - 1 != p:
-                    continue
-                if _is_canonical_extension(list(vertices), emb_codes, u, mask):
-                    out.append(u)
-        return out
 
+def run_tasks(n, states, stop, task):
+    """Run `task(i, st)` for every i in range(n), one thread per worker state.
 
-class _LocalPlan(_PlanBase):
-    """Extension candidates come from a per-root local graph the hooks shrink."""
-
-    def __init__(self, g, spec, opts, k, key):
-        super().__init__(g, spec, opts)
-        self.k = k
-        self.key = key
-
-    def make_state(self):
-        return _WorkerState(self.g, self.adj, False)
-
-    def run_root(self, root, st):
-        spec = self.spec
-        if self.use_df and self.deg[root] < self.k - 1:
-            return
-        lg = spec.init_local(self.g, root)
-        st.emb.push(root, 0)
-        self._local_reduce(st, 0)
-        try:
-            if self.k == 1:
-                self._finalize(st, self.key)
-            elif lg is not None:
-                self._extend(st, lg, 1, 0)
-        finally:
-            st.emb.pop()
-
-    def _extend(self, st, lg, depth, level):
-        if self.stop.is_set():
-            raise _StopMining
-        spec = self.spec
-        emb = st.emb
-        need = (1 << depth) - 1
-        last = depth == self.k - 1
-        for u in lg.candidates(level):
-            st.considered += 1
-            if self.use_df and self.deg[u] < self.k - 1:
-                continue
-            if spec.to_add is not None and not spec.to_add(emb, u):
-                continue
-            st.accepted += 1
-            emb.push(u, need)
-            self._local_reduce(st, depth)
-            try:
-                if last:
-                    self._finalize(st, self.key)
-                else:
-                    spec.update_local(lg, level, u)
-                    try:
-                        self._extend(st, lg, depth + 1, level + 1)
-                    finally:
-                        lg.pop_level(level + 1)
-            finally:
-                emb.pop()
-
-
-def _run_plan(plan, workers):
-    n = plan.n_roots()
-    states = [plan.make_state() for _ in range(workers)]
-    stop = plan.stop
-    if workers == 1:
+    Workers take task indices from a shared counter (stealing granularity =
+    one task) until the tasks run out or `stop` is set; the first error sets
+    `stop` and is re-raised here. One state runs inline on the caller's
+    thread.
+    """
+    if len(states) == 1:
         st = states[0]
         try:
             for i in range(n):
                 if stop.is_set():
                     break
-                plan.run_root(i, st)
+                task(i, st)
         except _StopMining:
             pass
-        return states
+        return
     counter = itertools.count()
     errors = []
 
@@ -921,7 +726,7 @@ def _run_plan(plan, workers):
                 i = next(counter)
                 if i >= n:
                     return
-                plan.run_root(i, st)
+                task(i, st)
         except _StopMining:
             pass
         except BaseException as exc:  # propagate to the caller
@@ -935,6 +740,11 @@ def _run_plan(plan, workers):
         t.join()
     if errors:
         raise errors[0]
+
+
+def _run_plan(plan, workers):
+    states = [plan.make_state() for _ in range(workers)]
+    run_tasks(plan.n_roots(), states, plan.stop, plan.run_root)
     return states
 
 
@@ -1059,9 +869,12 @@ def mine(g, spec, *, workers=None, orientation="auto", use_mnc=None, use_df=True
 def extend(g, spec, vertices, *, orientation="auto", use_mo=True, use_df=False):
     """Accepted extension candidates for one partial embedding.
 
-    Replays the same pipeline `mine` uses (dedup, degree filter, symmetry
-    breaking, matching-order constraints) for the plan the spec selects.
-    Exposed for inspection and testing; the miner itself inlines this logic.
+    Pushes `vertices` onto a fresh worker state and runs the selected plan's
+    own extension step one level deep, with the descend step replaced by a
+    sink that records each candidate. The answer is therefore exactly what
+    `mine` would descend into from that prefix (dedup, degree filter,
+    symmetry breaking, matching-order constraints), and the `to_extend` /
+    `to_add` hooks apply. Root checks are not replayed.
     """
     stop = threading.Event()
     term = threading.Event()
@@ -1075,4 +888,11 @@ def extend(g, spec, vertices, *, orientation="auto", use_mo=True, use_df=False):
         if not spec.vertex_induced:
             raise ValueError("extend supports vertex-induced problems")
         plan = _GenericPlan(g, spec, opts)
-    return plan.extensions_of(list(vertices))
+    st = plan.make_state()
+    verts = list(vertices)
+    for depth, v in enumerate(verts):
+        st.emb.push(v, sum(1 << i for i in range(depth) if _list_has(plan.adj, verts[i], v)))
+    found = []
+    plan._descend = lambda st, u, code, depth: found.append(u)
+    plan._extend(st, len(verts))
+    return found

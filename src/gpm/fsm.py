@@ -19,13 +19,13 @@ inflate the support, and dropping them would shrink the domains.
 """
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dfscode import MAX_CODE_EDGES, code_vertex_count, is_min_extension, rightmost_path
+from .engine import _WorkerState, run_tasks
 
 DEFAULT_MEMORY_CAP = 4 * 2 ** 30
 # charged per node on top of its embedding array: the node, the array
@@ -274,18 +274,18 @@ def rightmost_extensions(node, g, budget=None, edge_filter=None):
     return children
 
 
-def _walk(node, g, k_edges, accept, prune, out, budget, counter, edge_filter=None):
-    counter[0] += len(node.emb)
+def _walk(node, g, k_edges, accept, prune, st, budget, edge_filter=None):
+    st.considered += len(node.emb)
     frequent = accept(node)
     if prune and not frequent:
         return
     if frequent:
-        out[node.code] = node.support
-    if k_edges is not None and node.edge_count >= k_edges:
+        st.map[node.code] = node.support
+    if node.edge_count >= k_edges:
         return
     for child in rightmost_extensions(node, g, budget, edge_filter):
         try:
-            _walk(child, g, k_edges, accept, prune, out, budget, counter, edge_filter)
+            _walk(child, g, k_edges, accept, prune, st, budget, edge_filter)
         finally:
             if budget is not None:
                 budget.sub(_node_bytes(child))
@@ -294,47 +294,22 @@ def _walk(node, g, k_edges, accept, prune, out, budget, counter, edge_filter=Non
 def _run_seed_tasks(g, seeds, k_edges, accept, prune, workers, memory_cap,
                     edge_filter=None):
     budget = _MemoryBudget(memory_cap) if memory_cap else None
+    states = [_WorkerState(g) for _ in range(max(workers, 1))]
+
+    def task(i, st):
+        _walk(seeds[i], g, k_edges, accept, prune, st, budget, edge_filter)
+
+    run_tasks(len(seeds), states, threading.Event(), task)
+    # each pattern is owned by exactly one seed task, so the maps are disjoint
     results = {}
-    counter = [0]
-    if workers <= 1:
-        for seed in seeds:
-            _walk(seed, g, k_edges, accept, prune, results, budget, counter,
-                  edge_filter)
-        return results, counter[0]
-
-    task_iter = itertools.count()
-    lock = threading.Lock()
-    errors = []
-
-    def work():
-        local = {}
-        local_counter = [0]
-        try:
-            while True:
-                i = next(task_iter)
-                if i >= len(seeds):
-                    break
-                _walk(seeds[i], g, k_edges, accept, prune, local, budget,
-                      local_counter, edge_filter)
-        except BaseException as exc:
-            errors.append(exc)
-        with lock:
-            results.update(local)
-            counter[0] += local_counter[0]
-
-    threads = [threading.Thread(target=work, daemon=True) for _ in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return results, counter[0]
+    for st in states:
+        results.update(st.map)
+    return results, sum(st.considered for st in states)
 
 
 def _check_size(k_edges):
     # the DFS-code minimality check refuses longer codes; fail before mining
-    if k_edges is not None and k_edges > MAX_CODE_EDGES:
+    if k_edges > MAX_CODE_EDGES:
         raise ValueError(f"fsm supports at most {MAX_CODE_EDGES} pattern edges, "
                          f"got k = {k_edges}")
 
@@ -346,15 +321,17 @@ def mine_fsm(g, k_edges, min_sup, *, workers=1, prune=True,
     The threshold comparison is inclusive (support >= min_sup). `prune=False`
     disables anti-monotone subtree pruning (the full tree up to k_edges is
     enumerated and filtered afterwards); the result is identical and the flag
-    exists for validation. `k_edges` is at most `dfscode.MAX_CODE_EDGES`;
-    `k_edges=None` removes the size bound, and a walk that then reaches a
-    longer code raises `ValueError` from the minimality check.
+    exists for validation. `k_edges` is at most `dfscode.MAX_CODE_EDGES`, the
+    longest code the minimality check handles; `k_edges=None` means that
+    bound.
     """
     if g.labels is None:
         raise ValueError("frequent subgraph mining requires a labeled graph")
     if min_sup < 1:
         raise ValueError("min_sup must be >= 1")
-    if k_edges is not None and k_edges < 1:
+    if k_edges is None:
+        k_edges = MAX_CODE_EDGES
+    if k_edges < 1:
         raise ValueError("k_edges must be >= 1")
     _check_size(k_edges)
     seeds = _seed_nodes(g)

@@ -36,9 +36,6 @@ class LocalGraph:
         verts = self.vertices
         return [verts[i] for i in self.cand[level]]
 
-    def degree_at(self, level, global_v):
-        return self.deg[level][self.index[global_v]]
-
     def neighbors_at(self, level, global_v):
         """Global ids of global_v's neighbors inside the level's candidate set."""
         u = self.index[global_v]
@@ -145,13 +142,3 @@ def init_local_graph(g, root):
         lg.adj[i] = [lg.index[w] for w in inter]
         lg.deg[0][i] = len(inter)
     return lg
-
-
-def update_local_graph(lg, level, chosen_global):
-    """Shrink to level+1 after choosing a vertex; see LocalGraph.shrink."""
-    lg.shrink(level, chosen_global)
-
-
-def clique_local_hooks():
-    """(init, update) hook pair for clique search over an oriented graph."""
-    return init_local_graph, update_local_graph

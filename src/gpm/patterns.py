@@ -228,19 +228,6 @@ def canonical_code(p):
     return out
 
 
-def pattern_from_code_bits(k, bits, labels=None):
-    """Inverse of `_edge_bits` for the identity permutation."""
-    edges = []
-    total = k * (k - 1) // 2
-    i = 0
-    for a in range(k):
-        for b in range(a + 1, k):
-            if (bits >> (total - 1 - i)) & 1:
-                edges.append((a, b))
-            i += 1
-    return Pattern(k, edges, labels=labels)
-
-
 @lru_cache(maxsize=4096)
 def _automorphisms(vertex_count, edges, labels):
     if vertex_count > BRUTE_FORCE_BOUND:

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from gpm import apps, oracle
 from gpm.engine import (ConnectivityMap, Embedding, _is_canonical_extension,
-                        connectivity_query, decode_embedding_code,
-                        embedding_code, extend, mine)
+                        decode_embedding_code, embedding_code, extend, mine)
 from gpm.graph import Graph, has_edge, orient
 from gpm.patterns import canonical_code, clique, named_motifs, triangle, wedge
 
@@ -73,8 +72,8 @@ class TestConnectivityMap:
         for depth, v in enumerate([0, 1, 2]):
             members.add(v)
             mnc.push(v, depth, members)
-        assert connectivity_query(mnc, 3) == 0b101  # positions {0, 2}
-        assert connectivity_query(mnc, 4) == 0b100  # position {2}
+        assert mnc.lookup(3) == 0b101  # positions {0, 2}
+        assert mnc.lookup(4) == 0b100  # position {2}
 
     def test_no_neighbors_empty(self):
         g = Graph.from_edges(3, [(0, 1)])
@@ -440,3 +439,113 @@ class TestLabeledMatching:
             a, _, _ = apps.count_motifs(g, k)
             b, _, _ = apps.count_motifs(plain, k)
             assert a == b
+
+
+def _pinned_graph():
+    # Erdős–Rényi core plus a pendant vertex and a pendant path, so the
+    # degree filters have something to reject
+    rng = random.Random(20260418)
+    edges = [(a, b) for a in range(45) for b in range(a + 1, 45) if rng.random() < 0.18]
+    return Graph.from_edges(48, edges + [(0, 45), (1, 46), (46, 47)])
+
+
+@pytest.mark.parametrize("spec, plan, expect", [
+    (apps.triangle_spec(), "_TrianglePlan", (293, 293, 103)),
+    (apps.clique_spec(4), "_CliquePlan", (770, 304, 12)),
+    (apps.subgraph_listing_spec(named_motifs(4)["4-cycle"]), "_MatchPlan", (6205, 1263, 532)),
+    (apps.motif_spec(4), "_GenericPlan", (29360, 12239, 10699)),
+    (apps.clique_local_spec(4), "_LocalPlan", (304, 304, 12)),
+], ids=["triangle", "clique", "match", "generic", "local"])
+def test_plan_counters_pinned(monkeypatch, spec, plan, expect):
+    import gpm.engine
+    ran = []
+    run_plan = gpm.engine._run_plan
+
+    def record(p, workers):
+        ran.append(type(p).__name__)
+        return run_plan(p, workers)
+
+    monkeypatch.setattr(gpm.engine, "_run_plan", record)
+    g = _pinned_graph()
+    for workers in (1, 2):
+        result = mine(g, spec, workers=workers)
+        assert (result.enumerated, result.accepted, sum(result.pattern_map.values())) == expect
+    assert ran == [plan, plan]
+
+
+def _sequences_by_extend(g, spec, size):
+    seqs = []
+
+    def grow(prefix):
+        if len(prefix) == size:
+            seqs.append(tuple(prefix))
+            return
+        for u in extend(g, spec, prefix):
+            grow(prefix + [u])
+
+    for root in range(g.vertex_count):
+        grow([root])
+    return seqs
+
+
+_EXTEND_CASES = [
+    ("triangle", lambda **h: apps.triangle_spec(**h), 3),
+    ("4-clique", lambda **h: apps.clique_spec(4, **h), 4),
+    ("diamond", lambda **h: apps.subgraph_listing_spec(named_motifs(4)["diamond"], **h), 4),
+    ("4-cycle", lambda **h: apps.subgraph_listing_spec(named_motifs(4)["4-cycle"], **h), 4),
+    ("motif3", lambda **h: apps.motif_spec(3, **h), 3),
+    ("motif4", lambda **h: apps.motif_spec(4, **h), 4),
+]
+
+
+@given(seed=st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_extend_replays_the_walk(seed):
+    # every sequence mine() lists is reached by extend() from its root, in
+    # the same order, and nothing else is
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    g = random_graph(rng, n, rng.uniform(0.15, 0.7))
+    for name, make, size in _EXTEND_CASES:
+        listed = []
+        mine(g, make(process=lambda emb: listed.append(tuple(emb.vertices))),
+             use_df=False, workers=1)
+        assert _sequences_by_extend(g, make(), size) == listed, name
+
+
+@pytest.mark.parametrize("make, graph, prefix, allowed", [
+    (lambda **h: apps.triangle_spec(**h), "k4", [0, 1], [2, 3]),
+    (lambda **h: apps.clique_spec(4, **h), "k4", [0, 1], [2, 3]),
+    (lambda **h: apps.subgraph_listing_spec(named_motifs(4)["diamond"], **h),
+     "diamond_graph", [1], [2, 3]),
+    (lambda **h: apps.motif_spec(3, **h), "path3", [0, 1], [2]),
+], ids=["triangle", "clique", "match", "generic"])
+def test_extend_honours_to_add(request, make, graph, prefix, allowed):
+    g = request.getfixturevalue(graph)
+    assert sorted(extend(g, make(), prefix)) == allowed
+    veto = allowed[-1]
+    seen = []
+
+    def to_add(emb, u):
+        seen.append(list(emb.vertices))
+        return u != veto
+
+    assert sorted(extend(g, make(to_add=to_add), prefix)) == allowed[:-1]
+    assert seen and all(v == prefix for v in seen)
+
+
+def test_run_tasks_stops_after_first_error():
+    import threading
+    import time
+    from gpm.engine import run_tasks
+    started = []
+
+    def task(i, st):
+        started.append(i)
+        if i == 0:
+            raise RuntimeError("boom")
+        time.sleep(0.002)
+
+    with pytest.raises(RuntimeError, match="boom"):
+        run_tasks(200, [object(), object()], threading.Event(), task)
+    assert 0 in started and len(started) < 200

@@ -176,6 +176,15 @@ class TestWorkersAndLimits:
         result = mine_fsm(g, None, 1)
         assert len(result) == 2  # edge and wedge exhaust the graph
 
+    def test_unbounded_k_stops_at_code_bound(self):
+        # a 13-vertex path has paths of every length up to 12 edges; without
+        # a size bound the walk stops at the longest code it can check
+        from gpm.dfscode import MAX_CODE_EDGES
+        g = labeled(13, [(i, i + 1) for i in range(12)], [0] * 13)
+        result = mine_fsm(g, None, 1)
+        assert len(result) == MAX_CODE_EDGES == 10
+        assert result == mine_fsm(g, 10, 1)
+
     def test_validation(self):
         g = labeled(2, [(0, 1)], [0, 1])
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 
 from gpm import apps
 from gpm.graph import Graph, orient
-from gpm.localgraph import init_local_graph, update_local_graph
+from gpm.localgraph import init_local_graph
 
 from conftest import random_graph
 
@@ -48,14 +48,14 @@ class TestShrink:
     def test_k5_edge_root_choose(self, k5):
         lg = init_local_graph(k5, (0, 1))
         assert sorted(lg.candidates(0)) == [2, 3, 4]
-        update_local_graph(lg, 0, 2)
+        lg.shrink(0, 2)
         assert sorted(lg.candidates(1)) == [3, 4]
         assert lg.neighbors_at(1, 3) == [4]
 
     def test_empty_next_level(self):
         g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
         lg = init_local_graph(g, (0, 1))  # members {2, 3, 4}, no edges among them
-        update_local_graph(lg, 0, 2)
+        lg.shrink(0, 2)
         assert lg.candidates(1) == []
 
     def test_push_pop_restores_arrays_exactly(self, rng):
@@ -73,9 +73,9 @@ class TestShrink:
     def test_deep_levels_consistent(self, k5):
         og = orient(k5, "degree")
         lg = init_local_graph(og, 0)
-        update_local_graph(lg, 0, 1)
+        lg.shrink(0, 1)
         assert sorted(lg.candidates(1)) == [2, 3, 4]
-        update_local_graph(lg, 1, 2)
+        lg.shrink(1, 2)
         assert sorted(lg.candidates(2)) == [3, 4]
         lg.pop_level(2)
         lg.pop_level(1)
@@ -88,7 +88,7 @@ def _random_walk(rng, lg, level, depth):
     cands = lg.candidates(level)
     rng.shuffle(cands)
     for u in cands[:2]:
-        update_local_graph(lg, level, u)
+        lg.shrink(level, u)
         _random_walk(rng, lg, level + 1, depth - 1)
         lg.pop_level(level + 1)
 
