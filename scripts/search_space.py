@@ -28,7 +28,6 @@ def main():
     parser.add_argument("-n", type=int, default=10_000, help="vertices")
     parser.add_argument("-m", type=int, default=30_000, help="edges")
     parser.add_argument("-k", type=int, default=6, help="clique size")
-    parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
@@ -36,14 +35,14 @@ def main():
     print(f"graph: n={g.vertex_count} m={g.edge_count} "
           f"avg_deg={g.average_degree():.1f}")
 
-    _, enum_hi, run_hi = apps.count_motifs(g, 4, level="hi", workers=args.threads)
-    _, enum_lo, run_lo = apps.count_motifs(g, 4, level="lo", workers=args.threads)
+    _, enum_hi, run_hi = apps.count_motifs(g, 4, level="hi")
+    _, enum_lo, run_lo = apps.count_motifs(g, 4, level="lo")
     print(f"4-motif  enumerated hi={enum_hi:>12d}  lo={enum_lo:>12d}  "
           f"ratio={enum_hi / max(1, enum_lo):6.2f}  "
           f"wall hi={run_hi.wall_ms:8.0f}ms lo={run_lo.wall_ms:8.0f}ms")
 
-    chi, rhi = apps.count_cliques(g, args.k, level="hi", workers=args.threads)
-    clo, rlo = apps.count_cliques(g, args.k, level="lo", workers=args.threads)
+    chi, rhi = apps.count_cliques(g, args.k, level="hi")
+    clo, rlo = apps.count_cliques(g, args.k, level="lo")
     assert chi == clo
     print(f"{args.k}-clique enumerated hi={rhi.enumerated:>12d}  "
           f"lo={rlo.enumerated:>12d}  "

@@ -4,14 +4,13 @@ Subcommands: tc, clique, match, motif, fsm, oracle. Results go to stdout as
 JSON (an array of {"pattern", "support"} records, plus a trailing {"stats"}
 record with --stats) or TSV ("pattern<TAB>support" lines, stats as '#'
 comment lines). Exit codes: 0 success, 2 usage or input error, 3 resource
-abort (frequent-subgraph memory cap).
+abort (frequent-subgraph memory cap, or a graph too large to allocate).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-import threading
 import time
 
 from . import apps, oracle
@@ -30,7 +29,8 @@ def _add_common(parser, *, level=False, pattern=False, fsm=False):
     parser.add_argument("graph", help="edge-list file ('u v' per line, '#' comments)")
     parser.add_argument("--labels", help="vertex label file ('id label' per line)")
     parser.add_argument("--threads", type=int,
-                        help="worker count (default: env GPM_THREADS, else 1)")
+                        help="worker count, >= 1, echoed as 'workers' in --stats "
+                             "(default: env GPM_THREADS, else 1); every run uses one thread")
     parser.add_argument("--orient", choices=["degree", "core", "none", "auto"],
                         default="auto", help="orientation for clique search")
     parser.add_argument("--format", choices=["json", "tsv"], default="json")
@@ -134,12 +134,9 @@ def _listing_hooks(args):
     if not args.list_path:
         return {}
     sink = open(args.list_path, "w", encoding="utf-8")
-    lock = threading.Lock()
 
     def process(emb):
-        line = " ".join(str(v) for v in emb.vertices)
-        with lock:
-            sink.write(line + "\n")
+        sink.write(" ".join(str(v) for v in emb.vertices) + "\n")
 
     return {"listing": True, "process": process, "_sink": sink}
 
@@ -176,6 +173,8 @@ def run(argv=None):
         g = load_edge_list(args.graph, labels_path=args.labels)
     except (OSError, GraphParseError) as exc:
         return _fail(str(exc))
+    except MemoryError as exc:
+        return _fail(str(exc), RESOURCE_ERROR)
 
     try:
         if args.command == "tc":
@@ -192,6 +191,9 @@ def run(argv=None):
             return _run_oracle(args, g)
     except FsmMemoryError as exc:
         return _fail(str(exc), RESOURCE_ERROR)
+    except MemoryError:
+        return _fail(f"out of memory mining a graph with {g.vertex_count} vertices",
+                     RESOURCE_ERROR)
     except (GraphParseError, OSError) as exc:
         return _fail(str(exc))
     except ValueError as exc:

@@ -1,9 +1,9 @@
-"""Parallel depth-first subgraph mining engine.
+"""Depth-first subgraph mining engine.
 
-One task per root vertex, handed to a small thread pool through a shared
-counter (stealing granularity = one task); every piece of mutable scratch
-(embedding stack, connectivity map, partial pattern map) is worker-private
-and merged after the walk, so results are identical for any worker count.
+The walk runs on one thread, one root vertex after another in id order, on
+one worker state (embedding stack, connectivity map, partial pattern map).
+The `workers` argument is validated and echoed in the result but does not
+start threads: the walk is pure Python, so threads only contend for the GIL.
 
 Problem analysis picks one of a few execution plans. Each plan only filters
 the candidates for the next embedding position; all of them share one
@@ -28,10 +28,8 @@ sub-pattern tree instead; see `fsm`.
 """
 from __future__ import annotations
 
-import itertools
 import operator
 import os
-import threading
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -108,7 +106,8 @@ class MiningResult:
 
     `enumerated` counts extension candidates the walk materialized (the
     search-space measure; unaffected by memoization), `accepted` counts the
-    ones that survived every filter including `to_add`.
+    ones that survived every filter including `to_add`. `workers` echoes the
+    requested worker count; the walk always runs on one thread.
     """
 
     pattern_map: dict
@@ -260,8 +259,7 @@ class _PlanBase:
         self.g = g
         self.spec = spec
         self.adj = g.adjacency()
-        self.stop = opts["stop"]
-        self.term = opts["term"]
+        self.terminated = False
         self.debug = opts.get("debug", False)
         self.use_mnc = opts.get("use_mnc", False)
         self.use_df = opts.get("use_df", True)
@@ -273,9 +271,6 @@ class _PlanBase:
         self._terminate = spec.terminate
         self._local_reduce = spec.local_reduce
         self._dbg_tick = 0
-
-    def n_roots(self):
-        return self.g.vertex_count
 
     def make_state(self):
         return _WorkerState(self.g, self.adj if self.use_mnc else None)
@@ -321,8 +316,6 @@ class _PlanBase:
         if self._process is not None:
             self._process(emb)
         if self._terminate is not None and self._terminate(emb):
-            self.term.set()
-            self.stop.set()
             raise _StopMining
 
     def _debug_check(self, st, u, mask, depth):
@@ -353,8 +346,6 @@ class _CliquePlan(_PlanBase):
         self._descend(st, root, 0, 0)
 
     def _extend(self, st, depth):
-        if self.stop.is_set():
-            raise _StopMining
         emb = st.emb
         bits = st.mnc.bits if st.mnc is not None else None
         adj = self.adj
@@ -395,8 +386,6 @@ class _TrianglePlan(_CliquePlan):
     def _extend(self, st, depth):
         if depth == 1:
             return super()._extend(st, depth)
-        if self.stop.is_set():
-            raise _StopMining
         emb = st.emb
         to_add = self.spec.to_add
         ascending = self.ascending
@@ -438,8 +427,6 @@ class _LocalPlan(_CliquePlan):
         lg = st.lg
         if lg is None:
             return
-        if self.stop.is_set():
-            raise _StopMining
         spec = self.spec
         emb = st.emb
         level = depth - 1
@@ -499,8 +486,6 @@ class _MatchPlan(_PlanBase):
         self._descend(st, root, 0, 0)
 
     def _extend(self, st, depth):
-        if self.stop.is_set():
-            raise _StopMining
         emb = st.emb
         members = emb.members
         verts = emb.vertices
@@ -641,8 +626,6 @@ class _GenericPlan(_PlanBase):
             _PlanBase._finalize(self, st, key)
 
     def _extend(self, st, depth):
-        if self.stop.is_set():
-            raise _StopMining
         emb = st.emb
         members = emb.members
         verts = emb.vertices
@@ -699,70 +682,20 @@ class _GenericPlan(_PlanBase):
         st.accepted += accepted
 
 
-def run_tasks(n, states, stop, task):
-    """Run `task(i, st)` for every i in range(n), one thread per worker state.
-
-    Workers take task indices from a shared counter (stealing granularity =
-    one task) until the tasks run out or `stop` is set; the first error sets
-    `stop` and is re-raised here. One state runs inline on the caller's
-    thread.
-    """
-    if len(states) == 1:
-        st = states[0]
-        try:
-            for i in range(n):
-                if stop.is_set():
-                    break
-                task(i, st)
-        except _StopMining:
-            pass
-        return
-    counter = itertools.count()
-    errors = []
-
-    def work(st):
-        try:
-            while not stop.is_set():
-                i = next(counter)
-                if i >= n:
-                    return
-                task(i, st)
-        except _StopMining:
-            pass
-        except BaseException as exc:  # propagate to the caller
-            errors.append(exc)
-            stop.set()
-
-    threads = [threading.Thread(target=work, args=(st,), daemon=True) for st in states]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-
-
 def _run_plan(plan, workers):
-    states = [plan.make_state() for _ in range(workers)]
-    run_tasks(plan.n_roots(), states, plan.stop, plan.run_root)
-    return states
+    """Walk every root of `plan` in id order on one worker state.
 
-
-def _merge_states(states, reduce_fn, into=None, counters=None):
-    merged = {} if into is None else into
-    considered = accepted = 0
-    for st in states:
-        considered += st.considered
-        accepted += st.accepted
-        for key, val in st.map.items():
-            if key in merged:
-                merged[key] = reduce_fn(merged[key], val)
-            else:
-                merged[key] = val
-    if counters is not None:
-        counters[0] += considered
-        counters[1] += accepted
-    return merged
+    Returns the states the walk used (a list of one; `workers` does not
+    change the walk). A `terminate` hook that fires ends the walk and sets
+    `plan.terminated`.
+    """
+    st = plan.make_state()
+    try:
+        for root in range(plan.g.vertex_count):
+            plan.run_root(root, st)
+    except _StopMining:
+        plan.terminated = True
+    return [st]
 
 
 def _resolve_orientation(g, orientation):
@@ -791,6 +724,32 @@ def _build_explicit_plan(g, pattern, spec, opts, orientation):
     return _MatchPlan(g, spec, opts, pattern, key)
 
 
+def _plans(g, spec, opts, orientation, use_mnc):
+    """The plans that walk a vertex-induced or explicit `spec`, built one at
+    a time: the local-graph plan, one plan per explicit pattern, or the
+    generic plan. `use_mnc` None is the per-plan connectivity-map policy."""
+    if spec.init_local is not None:
+        if not spec.explicit or len(spec.patterns) != 1 or not is_clique(spec.patterns[0]):
+            raise ValueError("local-graph search is wired for single explicit cliques")
+        if orientation == "none":
+            raise ValueError("local-graph clique search requires an orientation")
+        pattern = spec.patterns[0]
+        og = _resolve_orientation(g, orientation if orientation != "auto" else "degree")
+        yield _LocalPlan(og, spec, dict(opts, use_mnc=False), pattern.vertex_count,
+                         canonical_code(pattern))
+    elif spec.explicit:
+        for pattern in spec.patterns:
+            if use_mnc is None:
+                mnc = pattern.vertex_count > 3
+            else:
+                mnc = use_mnc and pattern.vertex_count > 2
+            yield _build_explicit_plan(g, pattern, spec, dict(opts, use_mnc=mnc), orientation)
+    else:
+        if isinstance(g, OrientedGraph):
+            raise TypeError("implicit-pattern problems need the undirected graph")
+        yield _GenericPlan(g, spec, dict(opts, use_mnc=True if use_mnc is None else use_mnc))
+
+
 def workers_from_env():
     """Worker count from the GPM_THREADS environment variable, else 1."""
     raw = os.environ.get("GPM_THREADS", "1")
@@ -804,94 +763,72 @@ def mine(g, spec, *, workers=None, orientation="auto", use_mnc=None, use_df=True
          use_mo=True, debug=False):
     """Run one mining problem to completion and return a `MiningResult`.
 
-    `workers` threads pull per-root-vertex tasks from a shared queue;
-    `orientation` in {"auto", "degree", "core", "none"} controls the acyclic
-    orientation used for clique patterns ("none" falls back to on-the-fly
-    ascending-id symmetry breaking). `use_mnc` toggles the neighborhood
-    connectivity map (None = per-problem policy), `use_df` degree filtering.
-    Results are independent of the worker count.
+    `workers` (default: `GPM_THREADS`, else 1) must be >= 1 and is echoed in
+    the result; every run walks its roots on one thread. `orientation` in
+    {"auto", "degree", "core", "none"} controls the acyclic orientation used
+    for clique patterns ("none" falls back to on-the-fly ascending-id
+    symmetry breaking). `use_mnc` toggles the neighborhood connectivity map
+    (None = per-problem policy), `use_df` degree filtering.
     """
     if workers is None:
         workers = workers_from_env()
     if workers < 1:
         raise ValueError("workers must be >= 1")
     t0 = time.perf_counter()
-    stop = threading.Event()
-    term = threading.Event()
-    opts = {"stop": stop, "term": term, "use_df": use_df, "use_mo": use_mo,
-            "debug": debug}
-    reduce_fn = spec.reducer()
-    counters = [0, 0]
     merged = {}
+    enumerated = accepted = 0
+    terminated = False
 
     if not spec.vertex_induced and not spec.explicit:
         from .fsm import mine_spec as _fsm_mine_spec
-        merged, considered = _fsm_mine_spec(g, spec, workers=workers)
-        counters[0] = considered
-        counters[1] = considered
-    elif spec.init_local is not None:
-        if not spec.explicit or len(spec.patterns) != 1 or not is_clique(spec.patterns[0]):
-            raise ValueError("local-graph search is wired for single explicit cliques")
-        pattern = spec.patterns[0]
-        if orientation == "none":
-            raise ValueError("local-graph clique search requires an orientation")
-        og = _resolve_orientation(g, orientation if orientation != "auto" else "degree")
-        opts["use_mnc"] = False
-        plan = _LocalPlan(og, spec, opts, pattern.vertex_count, canonical_code(pattern))
-        states = _run_plan(plan, workers)
-        _merge_states(states, reduce_fn, into=merged, counters=counters)
-    elif spec.explicit:
-        for pattern in spec.patterns:
-            popts = dict(opts)
-            if use_mnc is None:
-                popts["use_mnc"] = pattern.vertex_count > 3
-            else:
-                popts["use_mnc"] = use_mnc and pattern.vertex_count > 2
-            plan = _build_explicit_plan(g, pattern, spec, popts, orientation)
-            states = _run_plan(plan, workers)
-            _merge_states(states, reduce_fn, into=merged, counters=counters)
-            if stop.is_set() and term.is_set():
-                break
+        merged, enumerated = _fsm_mine_spec(g, spec, workers=workers)
+        accepted = enumerated
     else:
-        if isinstance(g, OrientedGraph):
-            raise TypeError("implicit-pattern problems need the undirected graph")
-        opts["use_mnc"] = True if use_mnc is None else use_mnc
-        plan = _GenericPlan(g, spec, opts)
-        states = _run_plan(plan, workers)
-        _merge_states(states, reduce_fn, into=merged, counters=counters)
+        reduce_fn = spec.reducer()
+        opts = {"use_df": use_df, "use_mo": use_mo, "debug": debug}
+        for plan in _plans(g, spec, opts, orientation, use_mnc):
+            for st in _run_plan(plan, workers):
+                enumerated += st.considered
+                accepted += st.accepted
+                for key, val in st.map.items():
+                    merged[key] = reduce_fn(merged[key], val) if key in merged else val
+            if plan.terminated:
+                terminated = True
+                break
 
     wall = (time.perf_counter() - t0) * 1000.0
-    return MiningResult(pattern_map=merged, enumerated=counters[0],
-                        accepted=counters[1], terminated=term.is_set(),
-                        wall_ms=wall, workers=workers)
+    return MiningResult(pattern_map=merged, enumerated=enumerated, accepted=accepted,
+                        terminated=terminated, wall_ms=wall, workers=workers)
 
 
 def extend(g, spec, vertices, *, orientation="auto", use_mo=True, use_df=False):
     """Accepted extension candidates for one partial embedding.
 
-    Pushes `vertices` onto a fresh worker state and runs the selected plan's
-    own extension step one level deep, with the descend step replaced by a
-    sink that records each candidate. The answer is therefore exactly what
-    `mine` would descend into from that prefix (dedup, degree filter,
-    symmetry breaking, matching-order constraints), and the `to_extend` /
-    `to_add` hooks apply. Root checks are not replayed.
+    Builds the plan `mine` would run, pushes `vertices` onto a fresh worker
+    state (for the local-graph plan, also building the root's local graph
+    and shrinking it for every prefix level below the last) and runs the
+    plan's own extension step one level deep, with the descend step
+    replaced by a sink that records each candidate. The answer is therefore
+    exactly what `mine` would descend into from that prefix (dedup, degree
+    filter, symmetry breaking, matching-order constraints, local graph),
+    and the `to_extend` / `to_add` hooks apply. Root checks are not
+    replayed.
     """
-    stop = threading.Event()
-    term = threading.Event()
-    opts = {"stop": stop, "term": term, "use_df": use_df, "use_mo": use_mo,
-            "use_mnc": False}
-    if spec.explicit:
-        if len(spec.patterns) != 1:
-            raise ValueError("extend needs a single-pattern spec")
-        plan = _build_explicit_plan(g, spec.patterns[0], spec, opts, orientation)
-    else:
-        if not spec.vertex_induced:
-            raise ValueError("extend supports vertex-induced problems")
-        plan = _GenericPlan(g, spec, opts)
+    if spec.explicit and len(spec.patterns) != 1:
+        raise ValueError("extend needs a single-pattern spec")
+    if not spec.explicit and not spec.vertex_induced:
+        raise ValueError("extend supports vertex-induced problems")
+    opts = {"use_df": use_df, "use_mo": use_mo}
+    plan = next(_plans(g, spec, opts, orientation, False))
     st = plan.make_state()
     verts = list(vertices)
     for depth, v in enumerate(verts):
         st.emb.push(v, sum(1 << i for i in range(depth) if _list_has(plan.adj, verts[i], v)))
+    if isinstance(plan, _LocalPlan):
+        st.lg = spec.init_local(plan.g, verts[0])
+        if st.lg is not None:
+            for depth in range(2, len(verts)):
+                spec.update_local(st.lg, depth - 2, verts[depth - 1])
     found = []
     plan._descend = lambda st, u, code, depth: found.append(u)
     plan._extend(st, len(verts))

@@ -3,10 +3,11 @@
 Depth-first walk over the sub-pattern tree: seeds are single-edge label
 pairs, children extend a pattern by one edge along the rightmost path, and
 only extensions whose DFS code is minimal survive (each pattern is therefore
-owned by exactly one task). Embeddings of a pattern are gathered into its
-node during extension; support is the minimum image count over pattern
+reached from exactly one seed). Embeddings of a pattern are gathered into
+its node during extension; support is the minimum image count over pattern
 positions (domain support), which is anti-monotone and drives subtree
-pruning.
+pruning. The seeds are walked in order on one thread; the `workers`
+arguments are accepted and ignored.
 
 A node holds its embeddings as one `(E, positions)` int64 array, one row per
 vertex assignment (structure-of-arrays embedding lists, as in Pangolin).
@@ -19,13 +20,11 @@ inflate the support, and dropping them would shrink the domains.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dfscode import MAX_CODE_EDGES, code_vertex_count, is_min_extension, rightmost_path
-from .engine import _WorkerState, run_tasks
 
 DEFAULT_MEMORY_CAP = 4 * 2 ** 30
 # charged per node on top of its embedding array: the node, the array
@@ -133,18 +132,14 @@ class _MemoryBudget:
     def __init__(self, cap):
         self.cap = cap
         self.used = 0
-        self.lock = threading.Lock()
 
     def add(self, nbytes):
-        with self.lock:
-            self.used += nbytes
-            if self.used > self.cap:
-                raise FsmMemoryError(
-                    f"embedding arrays exceed the {self.cap} byte cap")
+        self.used += nbytes
+        if self.used > self.cap:
+            raise FsmMemoryError(f"embedding arrays exceed the {self.cap} byte cap")
 
     def sub(self, nbytes):
-        with self.lock:
-            self.used -= nbytes
+        self.used -= nbytes
 
 
 def _node_bytes(node):
@@ -274,37 +269,34 @@ def rightmost_extensions(node, g, budget=None, edge_filter=None):
     return children
 
 
-def _walk(node, g, k_edges, accept, prune, st, budget, edge_filter=None):
-    st.considered += len(node.emb)
+def _walk(node, g, k_edges, accept, prune, results, budget, edge_filter=None):
+    """Walk the subtree under `node`, recording frequent codes in `results`;
+    returns the number of embeddings its nodes hold."""
+    considered = len(node.emb)
     frequent = accept(node)
     if prune and not frequent:
-        return
+        return considered
     if frequent:
-        st.map[node.code] = node.support
+        results[node.code] = node.support
     if node.edge_count >= k_edges:
-        return
+        return considered
     for child in rightmost_extensions(node, g, budget, edge_filter):
         try:
-            _walk(child, g, k_edges, accept, prune, st, budget, edge_filter)
+            considered += _walk(child, g, k_edges, accept, prune, results, budget, edge_filter)
         finally:
             if budget is not None:
                 budget.sub(_node_bytes(child))
+    return considered
 
 
-def _run_seed_tasks(g, seeds, k_edges, accept, prune, workers, memory_cap,
-                    edge_filter=None):
+def _walk_seeds(g, seeds, k_edges, accept, prune, memory_cap, edge_filter=None):
+    """Walk the seeds in order; returns ({code: support}, embeddings considered)."""
     budget = _MemoryBudget(memory_cap) if memory_cap else None
-    states = [_WorkerState(g) for _ in range(max(workers, 1))]
-
-    def task(i, st):
-        _walk(seeds[i], g, k_edges, accept, prune, st, budget, edge_filter)
-
-    run_tasks(len(seeds), states, threading.Event(), task)
-    # each pattern is owned by exactly one seed task, so the maps are disjoint
     results = {}
-    for st in states:
-        results.update(st.map)
-    return results, sum(st.considered for st in states)
+    considered = 0
+    for seed in seeds:
+        considered += _walk(seed, g, k_edges, accept, prune, results, budget, edge_filter)
+    return results, considered
 
 
 def _check_size(k_edges):
@@ -339,7 +331,7 @@ def mine_fsm(g, k_edges, min_sup, *, workers=1, prune=True,
     def accept(node):
         return node.support >= min_sup
 
-    results, _ = _run_seed_tasks(g, seeds, k_edges, accept, prune, workers, memory_cap)
+    results, _ = _walk_seeds(g, seeds, k_edges, accept, prune, memory_cap)
     return results
 
 
@@ -379,5 +371,4 @@ def mine_spec(g, spec, workers=1, memory_cap=DEFAULT_MEMORY_CAP):
         return bool(accept_hook(node))
 
     prune = bool(spec.support_anti_monotonic)
-    return _run_seed_tasks(g, seeds, spec.k, accept, prune, workers, memory_cap,
-                           edge_filter)
+    return _walk_seeds(g, seeds, spec.k, accept, prune, memory_cap, edge_filter)

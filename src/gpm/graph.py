@@ -1,11 +1,12 @@
 """Undirected graph storage in compressed sparse row form.
 
 Loading, validation, k-core decomposition, and acyclic orientation live here.
-Graphs are immutable after construction and safe to share across worker threads.
+Graphs are immutable after construction.
 """
 from __future__ import annotations
 
 import struct
+from itertools import islice
 
 import numpy as np
 
@@ -16,8 +17,8 @@ class GraphParseError(ValueError):
     """Edge-list or label file could not be parsed."""
 
 
-class Graph:
-    """Simple undirected graph: sorted neighbor lists, no loops, no duplicates.
+class CSRGraph:
+    """Compressed sparse row storage shared by `Graph` and `OrientedGraph`.
 
     `row_offsets` has length `vertex_count + 1`; the neighbors of v occupy
     `neighbors[row_offsets[v]:row_offsets[v+1]]` in ascending order. Optional
@@ -32,6 +33,21 @@ class Graph:
         self.labels = None if labels is None else np.asarray(labels, dtype=np.int64)
         self.label_names = None if label_names is None else tuple(label_names)
         self._adj = None
+
+    def neighbors_of(self, v):
+        return self.neighbors[self.row_offsets[v]:self.row_offsets[v + 1]]
+
+    def adjacency(self):
+        """Neighbor lists as plain Python lists (cached); used by hot loops."""
+        if self._adj is None:
+            offs = self.row_offsets.tolist()
+            flat = self.neighbors.tolist()
+            self._adj = [flat[offs[v]:offs[v + 1]] for v in range(self.vertex_count)]
+        return self._adj
+
+
+class Graph(CSRGraph):
+    """Simple undirected graph: sorted neighbor lists, no loops, no duplicates."""
 
     @classmethod
     def from_edges(cls, vertex_count, edges, labels=None, label_names=None):
@@ -66,17 +82,6 @@ class Graph:
     def degrees(self):
         return np.diff(self.row_offsets)
 
-    def neighbors_of(self, v):
-        return self.neighbors[self.row_offsets[v]:self.row_offsets[v + 1]]
-
-    def adjacency(self):
-        """Neighbor lists as plain Python lists (cached); used by hot loops."""
-        if self._adj is None:
-            offs = self.row_offsets.tolist()
-            flat = self.neighbors.tolist()
-            self._adj = [flat[offs[v]:offs[v + 1]] for v in range(self.vertex_count)]
-        return self._adj
-
     def average_degree(self):
         return 2.0 * self.edge_count / self.vertex_count if self.vertex_count else 0.0
 
@@ -85,7 +90,7 @@ class Graph:
         return f"Graph(n={self.vertex_count}, m={self.edge_count}{lbl})"
 
 
-class OrientedGraph:
+class OrientedGraph(CSRGraph):
     """Each undirected edge of the source graph stored in one direction only.
 
     Directions follow a total order on vertices, so the digraph is acyclic.
@@ -96,14 +101,9 @@ class OrientedGraph:
 
     def __init__(self, vertex_count, row_offsets, neighbors, source_degrees, labels=None,
                  label_names=None, source=None):
-        self.vertex_count = int(vertex_count)
-        self.row_offsets = np.asarray(row_offsets, dtype=np.int64)
-        self.neighbors = np.asarray(neighbors, dtype=np.int64)
+        super().__init__(vertex_count, row_offsets, neighbors, labels, label_names)
         self.source_degrees = np.asarray(source_degrees, dtype=np.int64)
-        self.labels = None if labels is None else np.asarray(labels, dtype=np.int64)
-        self.label_names = label_names
         self.source = source
-        self._adj = None
 
     @property
     def edge_count(self):
@@ -114,16 +114,6 @@ class OrientedGraph:
 
     def out_degree(self, v):
         return int(self.row_offsets[v + 1] - self.row_offsets[v])
-
-    def neighbors_of(self, v):
-        return self.neighbors[self.row_offsets[v]:self.row_offsets[v + 1]]
-
-    def adjacency(self):
-        if self._adj is None:
-            offs = self.row_offsets.tolist()
-            flat = self.neighbors.tolist()
-            self._adj = [flat[offs[v]:offs[v + 1]] for v in range(self.vertex_count)]
-        return self._adj
 
     def __repr__(self):
         return f"OrientedGraph(n={self.vertex_count}, m={self.edge_count})"
@@ -144,8 +134,10 @@ def load_edge_list(path, labels_path=None):
 
     The loader normalizes rather than rejects: self-loops are dropped,
     duplicate and reversed edges merged, neighbor lists sorted. Vertex count
-    is max id + 1. An optional label file has one "id label" line per vertex
-    and must cover every vertex; label tokens are mapped to dense integers.
+    is max id + 1; a count whose arrays cannot be allocated raises
+    MemoryError naming it. An optional label file has one "id label" line
+    per vertex and must cover every vertex; label tokens are mapped to dense
+    integers.
     """
     edges = []
     max_id = -1
@@ -170,7 +162,11 @@ def load_edge_list(path, labels_path=None):
     labels = label_names = None
     if labels_path is not None:
         labels, label_names = _load_labels(labels_path, n)
-    return Graph.from_edges(n, edges, labels=labels, label_names=label_names)
+    try:
+        return Graph.from_edges(n, edges, labels=labels, label_names=label_names)
+    except MemoryError:
+        raise MemoryError(f"{path}: {n} vertices (largest id + 1) do not fit "
+                          "in memory") from None
 
 
 def _load_labels(path, vertex_count):
@@ -193,8 +189,10 @@ def _load_labels(path, vertex_count):
             if v in raw_labels:
                 raise GraphParseError(f"{path}:{lineno}: duplicate label for vertex {v}")
             raw_labels[v] = parts[1]
-    missing = [v for v in range(vertex_count) if v not in raw_labels]
-    if missing:
+    # ids in the file are distinct and in range, so the count tells; the scan
+    # for the first few missing ids stops early on a huge vertex range
+    if len(raw_labels) < vertex_count:
+        missing = list(islice((v for v in range(vertex_count) if v not in raw_labels), 6))
         raise GraphParseError(f"{path}: missing labels for vertices {missing[:5]}"
                               + ("..." if len(missing) > 5 else ""))
     ids, names = label_ids([raw_labels[v] for v in range(vertex_count)])

@@ -26,6 +26,7 @@ def files(tmp_path):
     write("two_edges.lbl", "0 A\n1 B\n2 A\n3 B\n")
     write("tri.pat", "0 1\n0 2\n1 2\n")
     write("c4.pat", "0 1\n1 2\n2 3\n3 0\n")
+    write("wedge.pat", "0 1\n1 2\n")
     write("tailed.el", "0 1\n1 2\n2 0\n2 3\n")
     write("tailed.lbl", "0 A\n1 B\n2 B\n3 B\n")
     write("bb.pat", "v 0 B\nv 1 B\n0 1\n")
@@ -141,6 +142,20 @@ class TestSubcommands:
             frozenset(s) for s in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]}
 
 
+    def test_listing_is_the_same_for_any_thread_count(self, files, capsys, tmp_path):
+        g = tmp_path / "grid.el"
+        g.write_text("".join(f"{v} {w}\n" for v in range(40)
+                             for w in (v + 1, v + 7, v + 13) if w < 40))
+        written = []
+        for threads in ("1", "2"):
+            out_path = tmp_path / f"wedges-{threads}.txt"
+            code, _ = _capture(capsys, ["match", "-p", files["wedge.pat"], str(g),
+                                        "--list", str(out_path), "--threads", threads])
+            assert code == 0
+            written.append(out_path.read_bytes())
+        assert written[0] == written[1] and written[0].count(b"\n") > 100
+
+
 class TestErrorsAndToggles:
     def test_fsm_size_bound(self, files, capsys):
         assert run(["fsm", "-k", "11", files["two_edges.el"],
@@ -173,6 +188,16 @@ class TestErrorsAndToggles:
         bad = tmp_path / "bad.el"
         bad.write_text("0 x\n")
         assert run(["tc", str(bad)]) == 2
+
+    def test_vertex_count_too_large_to_allocate(self, capsys, tmp_path):
+        # n = 10**12 + 1 needs terabytes of offsets; numpy refuses at once
+        huge = tmp_path / "huge.el"
+        huge.write_text("0 1000000000000\n")
+        assert run(["tc", str(huge)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "1000000000001 vertices" in captured.err
 
     def test_usage_error(self, capsys):
         assert run(["clique"]) == 2

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpm import apps, oracle
+from gpm import apps, localgraph, oracle
 from gpm.engine import (ConnectivityMap, Embedding, _is_canonical_extension,
                         decode_embedding_code, embedding_code, extend, mine)
 from gpm.graph import Graph, has_edge, orient
@@ -283,6 +284,23 @@ class TestHooks:
         assert result.terminated
         assert sum(result.pattern_map.values()) >= 1
 
+    def test_terminate_stops_the_walk_at_once(self, k4):
+        # roots run in order on one thread, so the hook fires exactly once
+        runs = [mine(k4, apps.triangle_spec(terminate=lambda emb: True), workers=w)
+                for w in (1, 2)]
+        for result in runs:
+            assert result.terminated
+            assert result.pattern_map == {canonical_code(triangle()): 1}
+        assert runs[0].enumerated == runs[1].enumerated
+
+    def test_terminate_skips_later_patterns(self, k4):
+        from gpm.engine import ProblemSpec
+        spec = ProblemSpec(vertex_induced=True, k=4, patterns=(triangle(), clique(4)),
+                           terminate=lambda emb: True)
+        result = mine(k4, spec)
+        assert result.terminated
+        assert result.pattern_map == {canonical_code(triangle()): 1}
+
     def test_custom_support_and_reduce_default_equivalence(self, k4):
         default, _ = apps.count_triangles(k4)
         spec = apps.triangle_spec(get_support=lambda emb: 1,
@@ -495,6 +513,7 @@ _EXTEND_CASES = [
     ("4-cycle", lambda **h: apps.subgraph_listing_spec(named_motifs(4)["4-cycle"], **h), 4),
     ("motif3", lambda **h: apps.motif_spec(3, **h), 3),
     ("motif4", lambda **h: apps.motif_spec(4, **h), 4),
+    ("local-4-clique", lambda **h: apps.clique_local_spec(4, **h), 4),
 ]
 
 
@@ -511,6 +530,26 @@ def test_extend_replays_the_walk(seed):
         mine(g, make(process=lambda emb: listed.append(tuple(emb.vertices))),
              use_df=False, workers=1)
         assert _sequences_by_extend(g, make(), size) == listed, name
+
+
+def test_extend_runs_the_local_graph_walk():
+    # local-graph compaction reorders candidates below depth 2, which the
+    # small graphs above rarely reach; extend() must build and shrink the
+    # root's local graph as mine() does
+    g = random_graph(random.Random(3), 30, 0.4)
+    listed = []
+    mine(g, apps.clique_local_spec(4, process=lambda emb: listed.append(tuple(emb.vertices))),
+         use_df=False)
+    roots = []
+
+    def init_local(og, root):
+        roots.append(root)
+        return localgraph.init_local_graph(og, root)
+
+    assert len(listed) == 133
+    spec = replace(apps.clique_local_spec(4), init_local=init_local)
+    assert _sequences_by_extend(g, spec, 4) == listed
+    assert roots and set(roots) == set(range(g.vertex_count))
 
 
 @pytest.mark.parametrize("make, graph, prefix, allowed", [
@@ -534,18 +573,15 @@ def test_extend_honours_to_add(request, make, graph, prefix, allowed):
     assert seen and all(v == prefix for v in seen)
 
 
-def test_run_tasks_stops_after_first_error():
-    import threading
-    import time
-    from gpm.engine import run_tasks
-    started = []
+def test_raising_hook_propagates():
+    # the first error ends the walk and reaches the caller; nothing runs after it
+    calls = []
 
-    def task(i, st):
-        started.append(i)
-        if i == 0:
-            raise RuntimeError("boom")
-        time.sleep(0.002)
+    def to_add(emb, u):
+        calls.append(u)
+        raise RuntimeError("boom")
 
+    g = Graph.from_edges(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
     with pytest.raises(RuntimeError, match="boom"):
-        run_tasks(200, [object(), object()], threading.Event(), task)
-    assert 0 in started and len(started) < 200
+        mine(g, apps.triangle_spec(to_add=to_add), workers=2)
+    assert len(calls) == 1

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpm.graph import (Graph, GraphParseError, core_numbers, has_edge,
-                       load_csr_cache, load_edge_list, orient, save_csr_cache,
+from gpm.graph import (CSRGraph, Graph, GraphParseError, OrientedGraph, core_numbers,
+                       has_edge, load_csr_cache, load_edge_list, orient, save_csr_cache,
                        validate_graph)
 
 from conftest import random_graph
@@ -64,6 +64,13 @@ class TestLoader:
         gpath = _write(tmp_path, "g.el", "0 1\n1 2\n")
         lpath = _write(tmp_path, "g.lbl", "0 A\n1 A\n")
         with pytest.raises(GraphParseError, match="missing labels"):
+            load_edge_list(gpath, labels_path=lpath)
+
+    def test_missing_labels_on_a_huge_id_range(self, tmp_path):
+        # the check names the first missing ids without scanning 10**12 ids
+        gpath = _write(tmp_path, "g.el", "0 1000000000000\n")
+        lpath = _write(tmp_path, "g.lbl", "0 A\n1 A\n")
+        with pytest.raises(GraphParseError, match=r"vertices \[2, 3, 4, 5, 6\]\.\.\.$"):
             load_edge_list(gpath, labels_path=lpath)
 
 
@@ -170,6 +177,18 @@ class TestOrientation:
     def test_unknown_strategy(self, k4):
         with pytest.raises(ValueError):
             orient(k4, "random")
+
+    def test_shares_csr_storage_with_graph_but_is_not_one(self, k4):
+        # the engine tells the two apart by isinstance; storage, neighbor
+        # slices and the cached adjacency come from one base class
+        og = orient(Graph.from_edges(4, [(0, 1), (1, 2), (1, 3), (2, 3)],
+                                     labels=[0, 1, 1, 0], label_names=["A", "B"]))
+        assert not isinstance(og, Graph) and not issubclass(Graph, OrientedGraph)
+        assert isinstance(og, CSRGraph) and isinstance(k4, CSRGraph)
+        assert og.label_names == ("A", "B") and og.labels.tolist() == [0, 1, 1, 0]
+        assert og.adjacency() == [[1], [], [1, 3], [1]]
+        assert og.adjacency() is og.adjacency()
+        assert [list(og.neighbors_of(v)) for v in range(4)] == og.adjacency()
 
 
 def _is_acyclic(og):
