@@ -8,8 +8,8 @@ pruning, pattern classification, local counting, and local-graph search.
 from .engine import (ConnectivityMap, Embedding, MiningResult, ProblemSpec,
                      embedding_code, extend, mine)
 from .fsm import DomainSupport, PatternNode, mine_fsm, mni, rightmost_extensions
-from .graph import (Graph, OrientedGraph, core_numbers, has_edge, load_csr_cache,
-                    load_edge_list, orient, save_csr_cache, validate_graph)
+from .graph import (Graph, OrientedGraph, core_numbers, has_edge, load_edge_list, orient,
+                    validate_graph)
 from .patterns import (MatchingOrder, Pattern, all_patterns, automorphism_orbits,
                        canonical_code, is_clique, load_pattern, matching_order,
                        symmetry_orders)
@@ -21,7 +21,7 @@ __all__ = [
     "ConnectivityMap", "DomainSupport", "Embedding", "Graph", "MatchingOrder",
     "MiningResult", "OrientedGraph", "Pattern", "PatternNode", "ProblemSpec",
     "all_patterns", "automorphism_orbits", "canonical_code", "core_numbers", "embedding_code", "extend", "has_edge", "is_clique",
-    "is_min_extension", "load_csr_cache", "load_edge_list", "load_pattern",
+    "is_min_extension", "load_edge_list", "load_pattern",
     "matching_order", "min_dfs_code", "mine", "mine_fsm", "mni", "orient",
-    "rightmost_extensions", "save_csr_cache", "symmetry_orders", "validate_graph",
+    "rightmost_extensions", "symmetry_orders", "validate_graph",
 ]

@@ -56,10 +56,10 @@ def _add_common(parser, *, level=False, pattern=False, fsm=False):
         parser.add_argument("-k", type=int, required=True,
                             help=f"maximum pattern edges (at most {MAX_CODE_EDGES})")
         parser.add_argument("--minsup", type=int, required=True,
-                            help="inclusive support threshold (frequent: support >= minsup)")
+                            help="support threshold, at least 1 (frequent: support >= minsup)")
         parser.add_argument("--mem-cap", type=int, default=4 * 2 ** 30,
-                            help="memory cap in bytes for the embedding arrays of the "
-                                 "patterns alive at once (8 bytes per pattern vertex "
+                            help="memory cap in bytes, at least 1, for the embedding arrays "
+                                 "of the patterns alive at once (8 bytes per pattern vertex "
                                  f"per embedding, plus {NODE_OVERHEAD_BYTES} per pattern)")
 
 
@@ -258,6 +258,8 @@ def _run_motif(args, g):
 
 
 def _run_fsm(args, g):
+    if args.minsup < 1:
+        return _fail("--minsup must be at least 1")
     if g.labels is None:
         return _fail("fsm requires --labels")
     minsup = args.minsup

@@ -96,9 +96,6 @@ class ProblemSpec:
     def reducer(self):
         return self.reduce if self.reduce is not None else operator.add
 
-    def support_of(self, emb):
-        return self.get_support(emb) if self.get_support is not None else 1
-
 
 @dataclass
 class MiningResult:
@@ -251,6 +248,7 @@ class _PlanBase:
 
     A plan supplies `_extend(st, depth)`, which filters the candidates for
     embedding position `depth` and hands each accepted one to `_descend`.
+    It adds its counters to the state in a `finally`, as `terminate` may raise.
     """
 
     key = None
@@ -357,23 +355,25 @@ class _CliquePlan(_PlanBase):
         min_deg = self.k - 1
         *others, last = emb.vertices
         considered = accepted = 0
-        for u in adj[last]:
-            if ascending and u <= last:
-                continue
-            considered += 1
-            if df and deg[u] < min_deg:
-                continue
-            if bits is not None:
-                if bits.get(u, 0) != need:
+        try:
+            for u in adj[last]:
+                if ascending and u <= last:
                     continue
-            elif others and not all(_list_has(adj, v, u) for v in others):
-                continue
-            if to_add is not None and not to_add(emb, u):
-                continue
-            accepted += 1
-            self._descend(st, u, need, depth)
-        st.considered += considered
-        st.accepted += accepted
+                considered += 1
+                if df and deg[u] < min_deg:
+                    continue
+                if bits is not None:
+                    if bits.get(u, 0) != need:
+                        continue
+                elif others and not all(_list_has(adj, v, u) for v in others):
+                    continue
+                if to_add is not None and not to_add(emb, u):
+                    continue
+                accepted += 1
+                self._descend(st, u, need, depth)
+        finally:
+            st.considered += considered
+            st.accepted += accepted
 
 
 class _TrianglePlan(_CliquePlan):
@@ -394,24 +394,26 @@ class _TrianglePlan(_CliquePlan):
         considered = accepted = 0
         i = j = 0
         ni, nj = len(nroot), len(nu)
-        while i < ni and j < nj:
-            a, b = nroot[i], nu[j]
-            if a < b:
-                i += 1
-            elif b < a:
-                j += 1
-            else:
-                i += 1
-                j += 1
-                if ascending and a <= u:
-                    continue
-                considered += 1
-                if to_add is not None and not to_add(emb, a):
-                    continue
-                accepted += 1
-                self._descend(st, a, 0b11, 2)
-        st.considered += considered
-        st.accepted += accepted
+        try:
+            while i < ni and j < nj:
+                a, b = nroot[i], nu[j]
+                if a < b:
+                    i += 1
+                elif b < a:
+                    j += 1
+                else:
+                    i += 1
+                    j += 1
+                    if ascending and a <= u:
+                        continue
+                    considered += 1
+                    if to_add is not None and not to_add(emb, a):
+                        continue
+                    accepted += 1
+                    self._descend(st, a, 0b11, 2)
+        finally:
+            st.considered += considered
+            st.accepted += accepted
 
 
 class _LocalPlan(_CliquePlan):
@@ -501,36 +503,38 @@ class _MatchPlan(_PlanBase):
         g_labels = self.g_labels
         want = self.want_label[depth]
         considered = accepted = 0
-        for u in adj[anchor_v]:
-            if u in members:
-                continue
-            considered += 1
-            if df_t and deg[u] < df_t:
-                continue
-            if g_labels is not None and g_labels[u] != want:
-                continue
-            if bits is not None:
-                mask = bits.get(u, 0)
-            else:
-                mask = 0
-                for i in range(depth):
-                    if _list_has(adj, verts[i], u):
-                        mask |= 1 << i
-            if mask & cmask != req:
-                continue
-            ok = True
-            for j in smaller:
-                if verts[j] >= u:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if to_add is not None and not to_add(emb, u):
-                continue
-            accepted += 1
-            self._descend(st, u, mask, depth)
-        st.considered += considered
-        st.accepted += accepted
+        try:
+            for u in adj[anchor_v]:
+                if u in members:
+                    continue
+                considered += 1
+                if df_t and deg[u] < df_t:
+                    continue
+                if g_labels is not None and g_labels[u] != want:
+                    continue
+                if bits is not None:
+                    mask = bits.get(u, 0)
+                else:
+                    mask = 0
+                    for i in range(depth):
+                        if _list_has(adj, verts[i], u):
+                            mask |= 1 << i
+                if mask & cmask != req:
+                    continue
+                ok = True
+                for j in smaller:
+                    if verts[j] >= u:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                if to_add is not None and not to_add(emb, u):
+                    continue
+                accepted += 1
+                self._descend(st, u, mask, depth)
+        finally:
+            st.considered += considered
+            st.accepted += accepted
 
 
 def _is_canonical_extension(verts, codes, u, umask):
@@ -644,42 +648,44 @@ class _GenericPlan(_PlanBase):
         depth_mask = (1 << depth) - 1
         root = verts[0]
         considered = accepted = 0
-        for p in positions:
-            vp = verts[p]
-            for u in adj[vp]:
-                if u in members:
-                    continue
-                if bits is not None:
-                    mask = bits.get(u, 0)
-                else:
-                    mask = 0
-                    for i in range(depth):
-                        if _list_has(adj, verts[i], u):
-                            mask |= 1 << i
-                pmask = mask & ext_mask
-                if (pmask & -pmask).bit_length() - 1 != p:
-                    continue
-                considered += 1
-                # canonical-sequence filter, incremental form: the prefix is
-                # already greedy for its own set, so the extended sequence is
-                # greedy iff u neither undercuts the root nor displaces any
-                # earlier choice it would have been eligible for
-                if u < root:
-                    continue
-                umask = mask & depth_mask
-                reject = False
-                for i in range(1, depth):
-                    if u < verts[i] and umask & ((1 << i) - 1):
-                        reject = True
-                        break
-                if reject:
-                    continue
-                if to_add is not None and not to_add(emb, u):
-                    continue
-                accepted += 1
-                self._descend(st, u, umask, depth)
-        st.considered += considered
-        st.accepted += accepted
+        try:
+            for p in positions:
+                vp = verts[p]
+                for u in adj[vp]:
+                    if u in members:
+                        continue
+                    if bits is not None:
+                        mask = bits.get(u, 0)
+                    else:
+                        mask = 0
+                        for i in range(depth):
+                            if _list_has(adj, verts[i], u):
+                                mask |= 1 << i
+                    pmask = mask & ext_mask
+                    if (pmask & -pmask).bit_length() - 1 != p:
+                        continue
+                    considered += 1
+                    # canonical-sequence filter, incremental form: the prefix is
+                    # already greedy for its own set, so the extended sequence is
+                    # greedy iff u neither undercuts the root nor displaces any
+                    # earlier choice it would have been eligible for
+                    if u < root:
+                        continue
+                    umask = mask & depth_mask
+                    reject = False
+                    for i in range(1, depth):
+                        if u < verts[i] and umask & ((1 << i) - 1):
+                            reject = True
+                            break
+                    if reject:
+                        continue
+                    if to_add is not None and not to_add(emb, u):
+                        continue
+                    accepted += 1
+                    self._descend(st, u, umask, depth)
+        finally:
+            st.considered += considered
+            st.accepted += accepted
 
 
 def _run_plan(plan, workers):

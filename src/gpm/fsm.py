@@ -13,10 +13,12 @@ A node holds its embeddings as one `(E, positions)` int64 array, one row per
 vertex assignment (structure-of-arrays embedding lists, as in Pangolin).
 Every position's label is fixed by the code, so a child's code edge depends
 only on the extended position and the new vertex's label: extension works
-one rightmost-path position at a time over all rows at once, and domain
-support is a distinct count per column. Automorphic duplicates (two rows
-covering the same edge set) are kept: domains are sets, so duplicates cannot
-inflate the support, and dropping them would shrink the domains.
+one rightmost-path position at a time over all rows at once (backward edges
+are looked up in the graph's edge-key index, forward edges gathered from its
+CSR ranges), and domain support is a distinct count per column. Automorphic
+duplicates (two rows covering the same edge set) are kept: domains are sets,
+so duplicates cannot inflate the support, and dropping them would shrink the
+domains.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dfscode import MAX_CODE_EDGES, code_vertex_count, is_min_extension, rightmost_path
+from .graph import gather
 
 DEFAULT_MEMORY_CAP = 4 * 2 ** 30
 # charged per node on top of its embedding array: the node, the array
@@ -146,22 +149,12 @@ def _node_bytes(node):
     return node.emb.nbytes + NODE_OVERHEAD_BYTES
 
 
-def _sources(g):
-    """Source vertex of every CSR entry, aligned with `g.neighbors`."""
-    return np.repeat(np.arange(g.vertex_count, dtype=np.int64), np.diff(g.row_offsets))
-
-
-def _graph_index(g):
-    """Sorted keys u * n + v of every directed edge, and the vertex labels in
-    the narrowest type numpy's stable sort handles as a radix sort; built
-    once and cached on the graph."""
-    index = getattr(g, "_fsm_index", None)
-    if index is None:
-        # the CSR is sorted by source, then neighbour, so the keys are too
-        keys = _sources(g) * g.vertex_count + g.neighbors
-        labels = g.labels.astype(np.uint16) if g.labels.max(initial=0) < 2 ** 16 else g.labels
-        index = g._fsm_index = (keys, labels)
-    return index
+def _stable_order(values):
+    """Stable argsort of non-negative values; narrowed to 16 bits where they
+    fit, so that numpy sorts them as a radix sort."""
+    if values.max(initial=0) < 2 ** 16:
+        values = values.astype(np.uint16)
+    return np.argsort(values, kind="stable")
 
 
 def _runs(sorted_keys):
@@ -174,13 +167,13 @@ def _runs(sorted_keys):
 
 def _seed_nodes(g):
     """Frequent-candidate seeds: one node per ordered label pair (a <= b)."""
-    src, dst = _sources(g), g.neighbors
+    src, dst = g.sources(), g.neighbors
     lu, lv = g.labels[src], g.labels[dst]
     keep = lu <= lv
     src, dst, lu, lv = src[keep], dst[keep], lu[keep], lv[keep]
     key = lu * (int(lv.max(initial=0)) + 1) + lv
     # stable, so each bin keeps CSR order: source, then neighbour
-    order = np.argsort(key, kind="stable")
+    order = _stable_order(key)
     pairs = np.stack([src[order], dst[order]], axis=1)
     return [PatternNode(((0, 1, int(lu[order[a]]), int(lv[order[a]])),), pairs[a:b])
             for a, b in _runs(key[order])]
@@ -218,7 +211,7 @@ def rightmost_extensions(node, g, budget=None, edge_filter=None):
     # backward edges; rows are injective, so the code uses graph edge
     # (v_r, v_p) exactly when it has an edge between positions r and p
     used = {(min(i, j), max(i, j)) for i, j, _, _ in code}
-    keys, labels = _graph_index(g)
+    keys = g.edge_keys()
     vr = emb[:, r]
     for p in rmp[1:]:
         if (p, r) in used or not len(keys):
@@ -232,14 +225,11 @@ def rightmost_extensions(node, g, budget=None, edge_filter=None):
             bins[(r, p, lab[r], lab[p])] = emb[rows]
 
     # forward edges: every neighbour w of v_p outside the row's image
-    offs, nbrs = g.row_offsets, g.neighbors
+    offs = g.row_offsets
     for p in rmp:
         vp = emb[:, p]
-        start = offs[vp]
-        deg = offs[vp + 1] - start
-        rows = np.repeat(np.arange(len(emb)), deg)
-        first = np.cumsum(deg) - deg
-        w = nbrs[np.arange(len(rows)) + np.repeat(start - first, deg)]
+        rows, at = gather(offs[vp], offs[vp + 1] - offs[vp])
+        w = g.neighbors[at]
         parent = emb[rows]
         keep = parent[:, 0] != w
         for c in range(1, nv):
@@ -247,9 +237,9 @@ def rightmost_extensions(node, g, budget=None, edge_filter=None):
         if edge_filter is not None:
             keep[keep] = _allowed(edge_filter, node, rows[keep], vp[rows[keep]], w[keep])
         sel = np.flatnonzero(keep)
-        wl = labels[w[sel]]
+        wl = g.labels[w[sel]]
         # stable, so each label's rows stay in parent order, then neighbour order
-        order = np.argsort(wl, kind="stable")
+        order = _stable_order(wl)
         sel, wl = sel[order], wl[order]
         child = np.empty((len(sel), nv + 1), dtype=np.int64)
         child[:, :nv] = parent[sel]
@@ -284,14 +274,13 @@ def _walk(node, g, k_edges, accept, prune, results, budget, edge_filter=None):
         try:
             considered += _walk(child, g, k_edges, accept, prune, results, budget, edge_filter)
         finally:
-            if budget is not None:
-                budget.sub(_node_bytes(child))
+            budget.sub(_node_bytes(child))
     return considered
 
 
 def _walk_seeds(g, seeds, k_edges, accept, prune, memory_cap, edge_filter=None):
     """Walk the seeds in order; returns ({code: support}, embeddings considered)."""
-    budget = _MemoryBudget(memory_cap) if memory_cap else None
+    budget = _MemoryBudget(memory_cap)
     results = {}
     considered = 0
     for seed in seeds:
@@ -299,11 +288,13 @@ def _walk_seeds(g, seeds, k_edges, accept, prune, memory_cap, edge_filter=None):
     return results, considered
 
 
-def _check_size(k_edges):
+def _check_limits(k_edges, memory_cap):
     # the DFS-code minimality check refuses longer codes; fail before mining
     if k_edges > MAX_CODE_EDGES:
         raise ValueError(f"fsm supports at most {MAX_CODE_EDGES} pattern edges, "
                          f"got k = {k_edges}")
+    if memory_cap < 1:
+        raise ValueError(f"the memory cap must be at least 1 byte, got {memory_cap}")
 
 
 def mine_fsm(g, k_edges, min_sup, *, workers=1, prune=True,
@@ -315,7 +306,7 @@ def mine_fsm(g, k_edges, min_sup, *, workers=1, prune=True,
     enumerated and filtered afterwards); the result is identical and the flag
     exists for validation. `k_edges` is at most `dfscode.MAX_CODE_EDGES`, the
     longest code the minimality check handles; `k_edges=None` means that
-    bound.
+    bound. `memory_cap`, at least 1, caps the live embedding arrays' bytes.
     """
     if g.labels is None:
         raise ValueError("frequent subgraph mining requires a labeled graph")
@@ -325,7 +316,7 @@ def mine_fsm(g, k_edges, min_sup, *, workers=1, prune=True,
         k_edges = MAX_CODE_EDGES
     if k_edges < 1:
         raise ValueError("k_edges must be >= 1")
-    _check_size(k_edges)
+    _check_limits(k_edges, memory_cap)
     seeds = _seed_nodes(g)
 
     def accept(node):
@@ -345,7 +336,7 @@ def mine_spec(g, spec, workers=1, memory_cap=DEFAULT_MEMORY_CAP):
     """
     if g.labels is None:
         raise ValueError("edge-induced implicit mining requires a labeled graph")
-    _check_size(spec.k)
+    _check_limits(spec.k, memory_cap)
     seeds = _seed_nodes(g)
     accept_hook = spec.is_implicit_pattern
     get_support = spec.get_support

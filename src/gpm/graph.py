@@ -1,16 +1,15 @@
 """Undirected graph storage in compressed sparse row form.
 
-Loading, validation, k-core decomposition, and acyclic orientation live here.
-Graphs are immutable after construction.
+Loading, validation, k-core decomposition, and acyclic orientation live here,
+and so does what the numpy kernels derive from the CSR: the source of every
+entry (`CSRGraph.sources`), the cached edge-key index (`CSRGraph.edge_keys`)
+and the range gather (`gather`). Graphs are immutable after construction.
 """
 from __future__ import annotations
 
-import struct
 from itertools import islice
 
 import numpy as np
-
-_CACHE_MAGIC = b"GPMCSR01"
 
 
 class GraphParseError(ValueError):
@@ -33,9 +32,21 @@ class CSRGraph:
         self.labels = None if labels is None else np.asarray(labels, dtype=np.int64)
         self.label_names = None if label_names is None else tuple(label_names)
         self._adj = None
+        self._keys = None
 
     def neighbors_of(self, v):
         return self.neighbors[self.row_offsets[v]:self.row_offsets[v + 1]]
+
+    def sources(self):
+        """Source vertex of every CSR entry, aligned with `neighbors`."""
+        return np.repeat(np.arange(self.vertex_count), np.diff(self.row_offsets))
+
+    def edge_keys(self):
+        """Keys u * n + v of the CSR entries (u, v), cached; ascending, as the
+        CSR is sorted by source, then neighbor."""
+        if self._keys is None:
+            self._keys = self.sources() * self.vertex_count + self.neighbors
+        return self._keys
 
     def adjacency(self):
         """Neighbor lists as plain Python lists (cached); used by hot loops."""
@@ -60,17 +71,10 @@ class Graph(CSRGraph):
         for u, v in pairs:
             if u < 0 or v >= vertex_count:
                 raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{vertex_count - 1}")
-        if pairs:
-            arr = np.array(sorted(pairs), dtype=np.int64)
-            src = np.concatenate([arr[:, 0], arr[:, 1]])
-            dst = np.concatenate([arr[:, 1], arr[:, 0]])
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
-        else:
-            src = dst = np.zeros(0, dtype=np.int64)
-        offsets = np.zeros(vertex_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=vertex_count), out=offsets[1:])
-        return cls(vertex_count, offsets, dst, labels=labels, label_names=label_names)
+        arr = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+        offsets, nbrs = _build_csr(vertex_count, np.concatenate([arr[:, 0], arr[:, 1]]),
+                                   np.concatenate([arr[:, 1], arr[:, 0]]))
+        return cls(vertex_count, offsets, nbrs, labels=labels, label_names=label_names)
 
     @property
     def edge_count(self):
@@ -117,6 +121,21 @@ class OrientedGraph(CSRGraph):
 
     def __repr__(self):
         return f"OrientedGraph(n={self.vertex_count}, m={self.edge_count})"
+
+
+def _build_csr(n, src, dst):
+    """CSR row offsets and sorted neighbors of the directed edges (src[i], dst[i])."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return offsets, dst[np.lexsort((dst, src))]
+
+
+def gather(starts, counts):
+    """`(range index, position)` of every element of the concatenated ranges
+    `[starts[i], starts[i] + counts[i])`, range by range, in order."""
+    ranges = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    return ranges, np.arange(len(ranges)) + np.repeat(starts - first, counts)
 
 
 def has_edge(g, u, v):
@@ -305,44 +324,9 @@ def orient(g, strategy="degree"):
     rank = np.empty(n, dtype=np.int64)
     rank[order] = ids
 
-    src = np.repeat(ids, deg)
-    dst = g.neighbors
+    src, dst = g.sources(), g.neighbors
     keep = rank[src] < rank[dst]
-    out_src, out_dst = src[keep], dst[keep]
-    sort = np.lexsort((out_dst, out_src))
-    out_src, out_dst = out_src[sort], out_dst[sort]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(out_src, minlength=n), out=offsets[1:])
-    return OrientedGraph(n, offsets, out_dst, deg, labels=g.labels,
+    offsets, nbrs = _build_csr(n, src[keep], dst[keep])
+    return OrientedGraph(n, offsets, nbrs, deg, labels=g.labels,
                          label_names=g.label_names, source=g)
 
-
-def save_csr_cache(g, path):
-    """Write a binary CSR snapshot: magic + little-endian 64-bit arrays."""
-    names_blob = b""
-    if g.label_names:
-        names_blob = "\n".join(g.label_names).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_CACHE_MAGIC)
-        f.write(struct.pack("<qqqq", g.vertex_count, len(g.neighbors),
-                            1 if g.labels is not None else 0, len(names_blob)))
-        g.row_offsets.astype("<i8").tofile(f)
-        g.neighbors.astype("<i8").tofile(f)
-        if g.labels is not None:
-            g.labels.astype("<i8").tofile(f)
-        f.write(names_blob)
-
-
-def load_csr_cache(path):
-    with open(path, "rb") as f:
-        magic = f.read(len(_CACHE_MAGIC))
-        if magic != _CACHE_MAGIC:
-            raise GraphParseError(f"{path}: not a CSR cache file")
-        n, m2, has_labels, names_len = struct.unpack("<qqqq", f.read(32))
-        offsets = np.fromfile(f, dtype="<i8", count=n + 1)
-        neighbors = np.fromfile(f, dtype="<i8", count=m2)
-        labels = np.fromfile(f, dtype="<i8", count=n) if has_labels else None
-        names = None
-        if names_len:
-            names = tuple(f.read(names_len).decode("utf-8").split("\n"))
-    return Graph(n, offsets, neighbors, labels=labels, label_names=names)

@@ -4,10 +4,10 @@ Instead of enumerating every motif, count per-vertex and per-edge quantities
 and recover the motif counts with closed-form corrections. For 3-motifs the
 wedge total is Σ C(d, 2) over vertex degrees and only triangles are
 enumerated. For 4-motifs one numpy wedge kernel (`wedge_kernel`) computes,
-from the CSR arrays alone, every pair's co-degree and every edge's triangle
-count: the co-degrees give the non-induced 4-cycle count, the triangle counts
-give the raw diamond / tailed-triangle / 4-path / 3-star terms (the closed
-forms of ESCAPE and PGD). Only 4-cliques are enumerated. The correction
+from the graph's CSR ranges and edge-key index, every pair's co-degree and
+every edge's triangle count: the co-degrees give the non-induced 4-cycle
+count, the triangle counts give the raw diamond / tailed-triangle / 4-path /
+3-star terms (the closed forms of ESCAPE and PGD). Only 4-cliques are enumerated. The correction
 constants are calibrated once against the brute-force oracle on a basis of
 small graphs (see `calibrate_corrections` and scripts/calibrate_mc4.py) and
 frozen below; tests re-derive and assert them.
@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .engine import MiningResult, ProblemSpec, mine
+from .graph import gather
 from .patterns import canonical_code, clique, named_motifs, triangle
 
 # Wedges one `wedge_kernel` chunk may hold. Each wedge costs a few int64 words
@@ -73,9 +74,9 @@ def wedge_kernel(g):
     n = g.vertex_count
     offs, nbr = g.row_offsets, g.neighbors
     deg = np.diff(offs)
-    src = np.repeat(np.arange(n, dtype=np.int64), deg)
+    src, edge_keys = g.sources(), g.edge_keys()
     # directed edge (a, w) -> the neighbors b > a of w, the slice nbr[lo:offs[w + 1]]
-    lo = np.searchsorted(src * n + nbr, nbr * n + src, side="right")
+    lo = np.searchsorted(edge_keys, nbr * n + src, side="right")
     span = offs[nbr + 1] - lo
     edge_prefix = np.concatenate(([0], np.cumsum(span)))
     vertex_prefix = edge_prefix[offs]
@@ -88,22 +89,19 @@ def wedge_kernel(g):
         a1 = min(max(a1, a0 + 1), n)
         e0, e1 = int(offs[a0]), int(offs[a1])
         a0 = a1
-        s = span[e0:e1]
-        # flat indices of every wedge's far endpoint b, slice by slice
-        shift = np.repeat(lo[e0:e1] - (edge_prefix[e0:e1] - edge_prefix[e0]), s)
-        far = nbr[shift + np.arange(edge_prefix[e1] - edge_prefix[e0])]
-        keys, codeg = np.unique(np.repeat(src[e0:e1], s) * n + far, return_counts=True)
+        # every wedge a-w-b of the chunk: edge (a, w), far endpoint b
+        edge, far = gather(lo[e0:e1], span[e0:e1])
+        keys, codeg = np.unique(src[e0 + edge] * n + nbr[far], return_counts=True)
         # each 4-cycle is counted once per diagonal
         cycle_diagonals += int(np.sum(codeg * (codeg - 1) // 2))
 
         u, v = src[e0:e1], nbr[e0:e1]
         up = v > u
-        u, v = u[up], v[up]
+        u, v, uv = u[up], v[up], edge_keys[e0:e1][up]
         t = np.zeros(len(u), dtype=np.int64)
         if len(keys):
-            edge_keys = u * n + v
-            at = np.minimum(np.searchsorted(keys, edge_keys), len(keys) - 1)
-            t = np.where(keys[at] == edge_keys, codeg[at], 0)
+            at = np.minimum(np.searchsorted(keys, uv), len(keys) - 1)
+            t = np.where(keys[at] == uv, codeg[at], 0)
         su = deg[u] - t - 1
         sv = deg[v] - t - 1
         diamond += int(np.sum(t * (t - 1)))

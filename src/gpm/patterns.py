@@ -351,7 +351,8 @@ def matching_order(p):
     """Choose a matching order greedily: prefer prefixes that pick up
     symmetry-breaking constraints early, then denser prefixes, then the
     smallest canonical code; ties finally fall back to vertex id. All start
-    vertices are tried and the best score vector wins.
+    vertices are tried and the best score vector wins. Scores are kept
+    negated (constraints and edges) so that the best is the smallest.
 
     The constraint count for a candidate is the number of stabilizer-chain
     orbits of earlier picks that contain it (the constraints symmetry_orders
@@ -366,28 +367,27 @@ def matching_order(p):
         group = list(automorphisms(p))
         orbits = [{perm[start] for perm in group}]
         group = [perm for perm in group if perm[start] == start]
-        score = [(0, 0, _NegBytes(canonical_code(Pattern(1, []))))]
+        score = []
         while len(seq) < k:
             prefix = set(seq)
             cands = sorted({u for v in seq for u in adj[v]} - prefix)
-            best = None
+            keys = []
             for c in cands:
-                n_cons = sum(1 for ob in orbits if c in ob)
                 sub = _induced(p, seq + [c])
-                key = (n_cons, sub.edge_count(), _neg_code(sub), -c)
-                if best is None or key > best[0]:
-                    best = (key, c)
-            key, c = best
+                keys.append((-sum(1 for ob in orbits if c in ob), -sub.edge_count(),
+                             canonical_code(sub), c))
+            key = min(keys)
+            c = key[3]
             seq.append(c)
             orbits.append({perm[c] for perm in group})
             group = [perm for perm in group if perm[c] == c]
-            score.append((key[0], key[1], key[2]))
+            score.append(key[:3])
         return tuple(seq), tuple(score)
 
     best_seq = best_score = None
     for start in range(k):
         seq, score = grow(start)
-        if best_score is None or score > best_score or (score == best_score and seq < best_seq):
+        if best_score is None or score < best_score or (score == best_score and seq < best_seq):
             best_seq, best_score = seq, score
 
     seq = best_seq
@@ -407,34 +407,6 @@ def _induced(p, verts):
     sub_edges = [(index[u], index[v]) for u, v in p.edges if u in index and v in index]
     labels = tuple(p.labels[v] for v in verts) if p.labels is not None else None
     return Pattern(len(verts), sub_edges, labels=labels)
-
-
-class _NegBytes:
-    """Reverses byte-string comparison so 'smaller code' wins a max()."""
-
-    __slots__ = ("b",)
-
-    def __init__(self, b):
-        self.b = b
-
-    def __lt__(self, other):
-        return self.b > other.b
-
-    def __eq__(self, other):
-        return self.b == other.b
-
-    def __gt__(self, other):
-        return self.b < other.b
-
-    def __le__(self, other):
-        return self.b >= other.b
-
-    def __ge__(self, other):
-        return self.b <= other.b
-
-
-def _neg_code(sub):
-    return _NegBytes(canonical_code(sub))
 
 
 # -- pattern enumeration ----------------------------------------------------------

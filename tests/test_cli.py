@@ -164,6 +164,22 @@ class TestErrorsAndToggles:
         assert captured.out == ""
         assert captured.err == "gpm: fsm supports at most 10 pattern edges, got k = 11\n"
 
+    @pytest.mark.parametrize("minsup", ["0", "-5"])
+    def test_fsm_minsup_below_one(self, files, capsys, minsup):
+        assert run(["fsm", "-k", "2", files["two_edges.el"],
+                    "--labels", files["two_edges.lbl"], "--minsup", minsup]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gpm: --minsup must be at least 1\n"
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_fsm_mem_cap_below_one(self, files, capsys, cap):
+        assert run(["fsm", "-k", "2", files["two_edges.el"], "--labels", files["two_edges.lbl"],
+                    "--minsup", "1", "--mem-cap", cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gpm: the memory cap must be at least 1 byte, got {cap}\n"
+
     def test_motif_lo_honours_mine_flags(self, files, capsys):
         def stats_run(flags):
             code, out = _capture(capsys, ["motif", "-k", "4", files["diamond.el"],

@@ -301,6 +301,18 @@ class TestHooks:
         assert result.terminated
         assert result.pattern_map == {canonical_code(triangle()): 1}
 
+    @pytest.mark.parametrize("make", [
+        apps.triangle_spec,
+        lambda **hooks: apps.clique_spec(4, **hooks),
+        lambda **hooks: apps.subgraph_listing_spec(named_motifs(4)["diamond"], **hooks),
+        lambda **hooks: apps.motif_spec(3, **hooks),
+    ], ids=["triangle", "4-clique", "diamond-match", "motif-3"])
+    def test_terminate_keeps_the_counters(self, k4, make):
+        # every level below the first embedding has accepted a candidate
+        result = mine(k4, make(terminate=lambda emb: True))
+        assert result.terminated
+        assert result.enumerated >= result.accepted >= 2
+
     def test_custom_support_and_reduce_default_equivalence(self, k4):
         default, _ = apps.count_triangles(k4)
         spec = apps.triangle_spec(get_support=lambda emb: 1,

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpm.graph import (CSRGraph, Graph, GraphParseError, OrientedGraph, core_numbers,
-                       has_edge, load_csr_cache, load_edge_list, orient, save_csr_cache,
-                       validate_graph)
+from gpm.graph import (CSRGraph, Graph, GraphParseError, OrientedGraph, core_numbers, gather,
+                       has_edge, load_edge_list, orient, validate_graph)
 
 from conftest import random_graph
 
@@ -210,29 +209,6 @@ def _is_acyclic(og):
     return seen == n
 
 
-def test_csr_cache_roundtrip(tmp_path, rng):
-    g = random_graph(rng, 40, 0.15, labels=3)
-    g.label_names = None  # from_edges does not set names; attach some
-    g = Graph(g.vertex_count, g.row_offsets, g.neighbors, labels=g.labels,
-              label_names=("x", "y", "z"))
-    path = tmp_path / "g.csr"
-    save_csr_cache(g, str(path))
-    h = load_csr_cache(str(path))
-    assert h.vertex_count == g.vertex_count
-    assert np.array_equal(h.row_offsets, g.row_offsets)
-    assert np.array_equal(h.neighbors, g.neighbors)
-    assert np.array_equal(h.labels, g.labels)
-    assert h.label_names == ("x", "y", "z")
-    assert validate_graph(h)
-
-
-def test_cache_rejects_other_files(tmp_path):
-    p = tmp_path / "not.csr"
-    p.write_bytes(b"garbage!")
-    with pytest.raises(GraphParseError):
-        load_csr_cache(str(p))
-
-
 def test_vertex_ids_define_count(tmp_path):
     # ids need not be dense: n = max id + 1, gaps become isolated vertices
     p = tmp_path / "gap.el"
@@ -241,3 +217,50 @@ def test_vertex_ids_define_count(tmp_path):
     assert g.vertex_count == 6
     assert g.degree(3) == 0
     assert validate_graph(g)
+
+
+class TestCsrIndex:
+    """The arrays every CSR kernel shares: sources, edge keys, range gather."""
+
+    @pytest.mark.parametrize("starts, counts", [
+        ([], []),
+        ([5], [0]),
+        ([3, 0, 7, 2], [2, 0, 3, 0]),
+        ([0, 0, 4], [1, 1, 4]),
+    ])
+    def test_gather_matches_a_loop_over_ranges(self, starts, counts):
+        assert _gathered(starts, counts) == _gathered_by_loop(starts, counts)
+
+    def test_gather_random_ranges(self, rng):
+        for _ in range(20):
+            counts = [rng.choice([0, 0, 1, rng.randint(2, 9)]) for _ in range(rng.randint(0, 30))]
+            starts = [rng.randint(0, 100) for _ in counts]
+            assert _gathered(starts, counts) == _gathered_by_loop(starts, counts)
+
+    @pytest.mark.parametrize("strategy", [None, "degree", "core"])
+    def test_edge_keys_are_the_sorted_edges(self, rng, strategy):
+        for _ in range(10):
+            g = random_graph(rng, rng.randint(1, 40), 0.2)
+            if strategy is not None:
+                g = orient(g, strategy)
+            n = g.vertex_count
+            adj = g.adjacency()
+            edges = [(u, v) for u in range(n) for v in adj[u]]
+            assert g.sources().tolist() == [u for u, _ in edges]
+            keys = g.edge_keys()
+            assert keys.tolist() == sorted(u * n + v for u, v in edges)
+            assert np.all(np.diff(keys) > 0)
+            assert g.edge_keys() is keys
+
+    def test_edge_keys_of_an_edgeless_graph(self):
+        g = Graph.from_edges(3, [])
+        assert g.sources().tolist() == [] and g.edge_keys().tolist() == []
+
+
+def _gathered(starts, counts):
+    ranges, positions = gather(np.array(starts, dtype=np.int64), np.array(counts, dtype=np.int64))
+    return list(zip(ranges.tolist(), positions.tolist()))
+
+
+def _gathered_by_loop(starts, counts):
+    return [(i, s + j) for i, (s, c) in enumerate(zip(starts, counts)) for j in range(c)]
