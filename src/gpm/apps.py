@@ -38,13 +38,15 @@ def subgraph_listing_spec(pattern, **hooks):
                        patterns=(pattern,), **hooks)
 
 
-def count_triangles(g, **options):
-    result = mine(g, triangle_spec(), **options)
+def count_triangles(g, *, process=None, **options):
+    """`(count, MiningResult)`. `process(emb)`, when given, is called on each
+    embedding counted; `count_cliques` and `count_subgraphs` take it too."""
+    result = mine(g, triangle_spec(process=process), **options)
     return result.pattern_map.get(canonical_code(triangle()), 0), result
 
 
-def count_cliques(g, k, *, level="hi", **options):
-    spec = clique_spec(k) if level == "hi" else clique_local_spec(k)
+def count_cliques(g, k, *, level="hi", process=None, **options):
+    spec = (clique_spec if level == "hi" else clique_local_spec)(k, process=process)
     result = mine(g, spec, **options)
     return result.pattern_map.get(canonical_code(clique(k)), 0), result
 
@@ -83,7 +85,7 @@ def count_motifs(g, k, *, level="hi", **options):
     return counts, run.enumerated, run
 
 
-def count_subgraphs(g, pattern, **options):
-    spec = subgraph_listing_spec(pattern)
+def count_subgraphs(g, pattern, *, process=None, **options):
+    spec = subgraph_listing_spec(pattern, process=process)
     result = mine(g, spec, **options)
     return result.pattern_map.get(canonical_code(pattern), 0), result

@@ -12,10 +12,11 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 
 from . import apps, oracle
 from .dfscode import MAX_CODE_EDGES, render_code
-from .engine import ProblemSpec, mine, workers_from_env
+from .engine import MiningResult, ProblemSpec, workers_from_env
 from .fsm import NODE_OVERHEAD_BYTES, FsmMemoryError
 from .fsm import mine_spec as fsm_mine_spec
 from .graph import GraphParseError, load_edge_list
@@ -25,42 +26,43 @@ USAGE_ERROR = 2
 RESOURCE_ERROR = 3
 
 
-def _add_common(parser, *, level=False, pattern=False, fsm=False):
+def _add_input(parser, *, pattern=False):
     parser.add_argument("graph", help="edge-list file ('u v' per line, '#' comments)")
     parser.add_argument("--labels", help="vertex label file ('id label' per line)")
-    parser.add_argument("--threads", type=int,
-                        help="worker count, >= 1, echoed as 'workers' in --stats "
-                             "(default: env GPM_THREADS, else 1); every run uses one thread")
-    parser.add_argument("--orient", choices=["degree", "core", "none", "auto"],
-                        default="auto", help="orientation for clique search")
     parser.add_argument("--format", choices=["json", "tsv"], default="json")
-    parser.add_argument("--stats", action="store_true",
-                        help="also report enumerated embeddings, wall time, workers")
-    parser.add_argument("--list", dest="list_path",
-                        help="write one matched embedding per line to this file")
-    parser.add_argument("--no-mnc", action="store_true",
-                        help="disable connectivity-map memoization (ablation)")
-    parser.add_argument("--no-df", action="store_true",
-                        help="disable degree filtering (ablation)")
-    parser.add_argument("--no-mo", action="store_true",
-                        help="disable matching-order guidance (ablation)")
-    parser.add_argument("--no-sb", action="store_true",
-                        help="refused: disabling symmetry breaking changes counts")
-    if level:
-        parser.add_argument("--level", choices=["hi", "lo"], default="hi",
-                            help="hi: automatic plan; lo: algorithm-specific hooks")
     if pattern:
         parser.add_argument("-p", "--pattern", required=True,
                             help="pattern edge-list file (optional 'v id label' lines)")
-    if fsm:
-        parser.add_argument("-k", type=int, required=True,
-                            help=f"maximum pattern edges (at most {MAX_CODE_EDGES})")
-        parser.add_argument("--minsup", type=int, required=True,
-                            help="support threshold, at least 1 (frequent: support >= minsup)")
-        parser.add_argument("--mem-cap", type=int, default=4 * 2 ** 30,
-                            help="memory cap in bytes, at least 1, for the embedding arrays "
-                                 "of the patterns alive at once (8 bytes per pattern vertex "
-                                 f"per embedding, plus {NODE_OVERHEAD_BYTES} per pattern)")
+
+
+def _add_run(parser):
+    parser.add_argument("--threads", type=int,
+                        help="worker count, >= 1, echoed as 'workers' in --stats "
+                             "(default: env GPM_THREADS, else 1); every run uses one thread")
+    parser.add_argument("--stats", action="store_true",
+                        help="also report enumerated embeddings, wall time, workers")
+
+
+def _add_walk(parser, *, mnc=True):
+    parser.add_argument("--orient", choices=["degree", "core", "none", "auto"],
+                        default="auto", help="orientation for clique search")
+    if mnc:
+        parser.add_argument("--no-mnc", action="store_true",
+                            help="disable connectivity-map memoization (ablation)")
+    parser.add_argument("--no-df", action="store_true",
+                        help="disable degree filtering (ablation)")
+    parser.add_argument("--no-sb", action="store_true",
+                        help="refused: disabling symmetry breaking changes counts")
+
+
+def _add_list(parser):
+    parser.add_argument("--list", dest="list_path",
+                        help="write one matched embedding per line to this file")
+
+
+def _add_level(parser):
+    parser.add_argument("--level", choices=["hi", "lo"], default="hi",
+                        help="hi: automatic plan; lo: algorithm-specific hooks")
 
 
 def _build_parser():
@@ -69,31 +71,54 @@ def _build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tc", help="triangle counting")
-    _add_common(p)
+    _add_input(p)
+    _add_run(p)
+    # the triangle walk closes with a list intersection and keeps no map
+    _add_walk(p, mnc=False)
+    _add_list(p)
 
     p = sub.add_parser("clique", help="k-clique counting")
     p.add_argument("-k", type=int, required=True)
-    _add_common(p, level=True)
+    _add_input(p)
+    _add_run(p)
+    _add_walk(p)
+    _add_list(p)
+    _add_level(p)
 
     p = sub.add_parser("match", help="edge-induced subgraph listing for a pattern")
-    _add_common(p, pattern=True)
+    _add_input(p, pattern=True)
+    _add_run(p)
+    _add_walk(p)
+    _add_list(p)
 
     p = sub.add_parser("motif", help="vertex-induced k-motif counting")
     p.add_argument("-k", type=int, required=True, choices=[3, 4, 5])
-    _add_common(p, level=True)
+    _add_input(p)
+    _add_run(p)
+    _add_walk(p)
+    _add_level(p)
 
     p = sub.add_parser("fsm", help="frequent subgraph mining (domain support)")
-    _add_common(p, fsm=True)
+    p.add_argument("-k", type=int, required=True,
+                   help=f"maximum pattern edges (at most {MAX_CODE_EDGES})")
+    p.add_argument("--minsup", type=int, required=True,
+                   help="support threshold, at least 1 (frequent: support >= minsup)")
+    p.add_argument("--mem-cap", type=int, default=4 * 2 ** 30,
+                   help="memory cap in bytes, at least 1, for the embedding arrays "
+                        "of the patterns alive at once (8 bytes per pattern vertex "
+                        f"per embedding, plus {NODE_OVERHEAD_BYTES} per pattern)")
+    _add_input(p)
+    _add_run(p)
 
     o = sub.add_parser("oracle", help="brute-force reference counters")
     osub = o.add_subparsers(dest="oracle_command", required=True)
     om = osub.add_parser("motif", help="vertex-induced motif counts by enumeration")
     om.add_argument("-k", type=int, required=True)
-    _add_common(om)
-    op = osub.add_parser("match", help="edge-induced embedding count by enumeration")
-    _add_common(op, pattern=True)
-    on = osub.add_parser("mni", help="domain support of a labeled pattern")
-    _add_common(on, pattern=True)
+    _add_input(om)
+    _add_input(osub.add_parser("match", help="edge-induced embedding count by enumeration"),
+               pattern=True)
+    _add_input(osub.add_parser("mni", help="domain support of a labeled pattern"),
+               pattern=True)
     return top
 
 
@@ -102,13 +127,12 @@ def _fail(msg, code=USAGE_ERROR):
     return code
 
 
-def _emit(rows, args, result=None, stats=None):
-    if args.stats and stats is None and result is not None:
+def _emit(rows, args, result=None):
+    stats = None
+    if result is not None and args.stats:
         stats = {"enumerated_embeddings": result.enumerated,
                  "wall_ms": round(result.wall_ms, 3),
                  "workers": result.workers}
-    if not args.stats:
-        stats = None
     if args.format == "json":
         payload = [{"pattern": p, "support": s} for p, s in rows]
         if stats:
@@ -130,25 +154,24 @@ def _sorted_rows(counts, render=motif_name):
     return rows
 
 
-def _listing_hooks(args):
-    if not args.list_path:
-        return {}
-    sink = open(args.list_path, "w", encoding="utf-8")
-
-    def process(emb):
-        sink.write(" ".join(str(v) for v in emb.vertices) + "\n")
-
-    return {"listing": True, "process": process, "_sink": sink}
-
-
 def _mine_options(args):
     return {
         "workers": args.threads,
         "orientation": args.orient,
-        "use_mnc": False if args.no_mnc else None,
+        "use_mnc": False if getattr(args, "no_mnc", False) else None,
         "use_df": not args.no_df,
-        "use_mo": not args.no_mo,
     }
+
+
+def _count_listed(args, count, *count_args, **count_kwargs):
+    """Run one `apps.count_*` with the walk flags, writing each embedding it
+    counts to the --list file; returns its `(count, result)`."""
+    with open(args.list_path, "w", encoding="utf-8") if args.list_path else nullcontext() as sink:
+        process = None
+        if sink is not None:
+            def process(emb):
+                sink.write(" ".join(str(v) for v in emb.vertices) + "\n")
+        return count(*count_args, **count_kwargs, **_mine_options(args), process=process)
 
 
 def run(argv=None):
@@ -161,13 +184,14 @@ def run(argv=None):
     if getattr(args, "no_sb", False):
         return _fail("--no-sb is refused: every subcommand reports counts and "
                      "disabling symmetry breaking changes them")
-    if args.threads is None:
-        try:
-            args.threads = workers_from_env()
-        except ValueError as exc:
-            return _fail(str(exc))
-    if args.threads < 1:
-        return _fail("--threads must be >= 1")
+    if args.command != "oracle":
+        if args.threads is None:
+            try:
+                args.threads = workers_from_env()
+            except ValueError as exc:
+                return _fail(str(exc))
+        if args.threads < 1:
+            return _fail("--threads must be >= 1")
 
     try:
         g = load_edge_list(args.graph, labels_path=args.labels)
@@ -176,118 +200,66 @@ def run(argv=None):
     except MemoryError as exc:
         return _fail(str(exc), RESOURCE_ERROR)
 
+    runner = {"tc": _run_tc, "clique": _run_clique, "match": _run_match,
+              "motif": _run_motif, "fsm": _run_fsm, "oracle": _run_oracle}[args.command]
     try:
-        if args.command == "tc":
-            return _run_tc(args, g)
-        if args.command == "clique":
-            return _run_clique(args, g)
-        if args.command == "match":
-            return _run_match(args, g)
-        if args.command == "motif":
-            return _run_motif(args, g)
-        if args.command == "fsm":
-            return _run_fsm(args, g)
-        if args.command == "oracle":
-            return _run_oracle(args, g)
+        return runner(args, g)
     except FsmMemoryError as exc:
         return _fail(str(exc), RESOURCE_ERROR)
     except MemoryError:
         return _fail(f"out of memory mining a graph with {g.vertex_count} vertices",
                      RESOURCE_ERROR)
-    except (GraphParseError, OSError) as exc:
+    except (GraphParseError, OSError, ValueError) as exc:
         return _fail(str(exc))
-    except ValueError as exc:
-        return _fail(str(exc))
-    return _fail(f"unknown command {args.command!r}")
 
 
 def _run_tc(args, g):
-    hooks = _listing_hooks(args)
-    sink = hooks.pop("_sink", None)
-    spec = apps.triangle_spec(**hooks)
-    try:
-        result = mine(g, spec, **_mine_options(args))
-    finally:
-        if sink:
-            sink.close()
-    count = next(iter(result.pattern_map.values()), 0)
+    count, result = _count_listed(args, apps.count_triangles, g)
     return _emit([("triangle", count)], args, result)
 
 
 def _run_clique(args, g):
     if args.k < 2:
         return _fail("clique size must be >= 2")
-    hooks = _listing_hooks(args)
-    sink = hooks.pop("_sink", None)
-    if args.level == "lo":
-        if args.orient == "none":
-            return _fail("--level lo requires an orientation")
-        spec = apps.clique_local_spec(args.k, **hooks)
-    else:
-        spec = apps.clique_spec(args.k, **hooks)
-    try:
-        result = mine(g, spec, **_mine_options(args))
-    finally:
-        if sink:
-            sink.close()
-    count = next(iter(result.pattern_map.values()), 0)
+    count, result = _count_listed(args, apps.count_cliques, g, args.k, level=args.level)
     return _emit([(f"{args.k}-clique", count)], args, result)
 
 
 def _run_match(args, g):
-    if args.no_mo:
-        return _fail("--no-mo is not supported for edge-induced matching")
     pattern = load_pattern(args.pattern, g.label_names)
-    hooks = _listing_hooks(args)
-    sink = hooks.pop("_sink", None)
-    spec = apps.subgraph_listing_spec(pattern, **hooks)
-    try:
-        result = mine(g, spec, **_mine_options(args))
-    finally:
-        if sink:
-            sink.close()
-    count = result.pattern_map.get(canonical_code(pattern), 0)
+    count, result = _count_listed(args, apps.count_subgraphs, g, pattern)
     return _emit([(motif_name(canonical_code(pattern)), count)], args, result)
 
 
 def _run_motif(args, g):
-    if args.level == "lo" and args.k == 5:
-        return _fail("--level lo supports k in {3, 4}")
-    counts, _, run = apps.count_motifs(g, args.k, level=args.level, **_mine_options(args))
-    return _emit(_sorted_rows(counts), args, run)
+    counts, _, result = apps.count_motifs(g, args.k, level=args.level, **_mine_options(args))
+    return _emit(_sorted_rows(counts), args, result)
 
 
 def _run_fsm(args, g):
     if args.minsup < 1:
         return _fail("--minsup must be at least 1")
-    if g.labels is None:
-        return _fail("fsm requires --labels")
     minsup = args.minsup
     spec = ProblemSpec(vertex_induced=False, explicit=False, k=args.k,
                        is_implicit_pattern=lambda node: node.support >= minsup)
     t0 = time.perf_counter()
     results, considered = fsm_mine_spec(g, spec, workers=args.threads,
                                         memory_cap=args.mem_cap)
-    wall = (time.perf_counter() - t0) * 1000.0
-    rows = sorted((render_code(code, g.label_names), support)
-                  for code, support in results.items())
-    stats = {"enumerated_embeddings": considered, "wall_ms": round(wall, 3),
-             "workers": args.threads}
-    return _emit(rows, args, stats=stats)
+    result = MiningResult(results, enumerated=considered, accepted=considered,
+                          wall_ms=(time.perf_counter() - t0) * 1000.0, workers=args.threads)
+    return _emit(_sorted_rows(results, lambda code: render_code(code, g.label_names)),
+                 args, result)
 
 
 def _run_oracle(args, g):
     if args.oracle_command == "motif":
-        counts = oracle.count_vertex_induced(g, args.k)
-        return _emit(_sorted_rows(counts), args)
+        return _emit(_sorted_rows(oracle.count_vertex_induced(g, args.k)), args)
     pattern = load_pattern(args.pattern, g.label_names)
     if args.oracle_command == "match":
         count = oracle.count_edge_induced(g, pattern)
-        return _emit([(motif_name(canonical_code(pattern)), count)], args)
-    if args.oracle_command == "mni":
-        support = oracle.mni_oracle(g, pattern)
-        return _emit([(motif_name(canonical_code(pattern)), support)], args)
-    return _fail("unknown oracle subcommand")
+    else:
+        count = oracle.mni_oracle(g, pattern)
+    return _emit([(motif_name(canonical_code(pattern)), count)], args)
 
 
 def main():

@@ -50,11 +50,12 @@ class _StopMining(Exception):
 class ProblemSpec:
     """Declarative description of one mining run plus optional hooks.
 
-    Flags: `vertex_induced` picks vertex or edge extension; `listing` asks for
-    every embedding to be delivered to `process`; `explicit` means `patterns`
-    enumerates the targets, otherwise `is_implicit_pattern` (default: accept
-    all) selects patterns on the fly. `k` is the maximum embedding size:
-    vertices when vertex-induced, edges when edge-induced.
+    Flags: `vertex_induced` picks vertex or edge extension; `explicit` means
+    `patterns` enumerates the targets, otherwise `is_implicit_pattern`
+    (default: accept all) selects patterns on the fly. `k` is the maximum
+    embedding size: vertices when vertex-induced, edges when edge-induced.
+    The vertex walk calls `process(emb)` on each embedding it counts, then
+    `terminate(emb)`, which can end the run.
 
     Support handling: `get_support` maps an embedding to a support value
     (default 1) and `reduce` combines two values (default +). The low-level
@@ -68,7 +69,6 @@ class ProblemSpec:
 
     vertex_induced: bool
     k: int
-    listing: bool = False
     explicit: bool = True
     patterns: tuple = None
     is_implicit_pattern: callable = None
@@ -141,21 +141,9 @@ class Embedding:
         self.members.discard(v)
         return v
 
-    def size(self):
-        return len(self.vertices)
-
     @property
     def depth(self):
         return len(self.vertices) - 1
-
-    def last(self):
-        return self.vertices[-1]
-
-    def history(self, level):
-        return self.vertices[level]
-
-    def connectivity_code(self, level):
-        return self.codes[level]
 
     def __repr__(self):
         return f"Embedding({self.vertices})"
@@ -725,8 +713,6 @@ def _build_explicit_plan(g, pattern, spec, opts, orientation):
         return _CliquePlan(og, spec, opts, pattern.vertex_count, key)
     if isinstance(g, OrientedGraph):
         raise TypeError("non-clique patterns need the undirected graph")
-    if not opts.get("use_mo", True):
-        raise ValueError("matching order cannot be disabled for explicit non-clique patterns")
     return _MatchPlan(g, spec, opts, pattern, key)
 
 
@@ -740,7 +726,7 @@ def _plans(g, spec, opts, orientation, use_mnc):
         if orientation == "none":
             raise ValueError("local-graph clique search requires an orientation")
         pattern = spec.patterns[0]
-        og = _resolve_orientation(g, orientation if orientation != "auto" else "degree")
+        og = _resolve_orientation(g, orientation)
         yield _LocalPlan(og, spec, dict(opts, use_mnc=False), pattern.vertex_count,
                          canonical_code(pattern))
     elif spec.explicit:
@@ -766,7 +752,7 @@ def workers_from_env():
 
 
 def mine(g, spec, *, workers=None, orientation="auto", use_mnc=None, use_df=True,
-         use_mo=True, debug=False):
+         debug=False):
     """Run one mining problem to completion and return a `MiningResult`.
 
     `workers` (default: `GPM_THREADS`, else 1) must be >= 1 and is echoed in
@@ -791,7 +777,7 @@ def mine(g, spec, *, workers=None, orientation="auto", use_mnc=None, use_df=True
         accepted = enumerated
     else:
         reduce_fn = spec.reducer()
-        opts = {"use_df": use_df, "use_mo": use_mo, "debug": debug}
+        opts = {"use_df": use_df, "debug": debug}
         for plan in _plans(g, spec, opts, orientation, use_mnc):
             for st in _run_plan(plan, workers):
                 enumerated += st.considered
@@ -807,7 +793,7 @@ def mine(g, spec, *, workers=None, orientation="auto", use_mnc=None, use_df=True
                         terminated=terminated, wall_ms=wall, workers=workers)
 
 
-def extend(g, spec, vertices, *, orientation="auto", use_mo=True, use_df=False):
+def extend(g, spec, vertices, *, orientation="auto", use_df=False):
     """Accepted extension candidates for one partial embedding.
 
     Builds the plan `mine` would run, pushes `vertices` onto a fresh worker
@@ -824,7 +810,7 @@ def extend(g, spec, vertices, *, orientation="auto", use_mo=True, use_df=False):
         raise ValueError("extend needs a single-pattern spec")
     if not spec.explicit and not spec.vertex_induced:
         raise ValueError("extend supports vertex-induced problems")
-    opts = {"use_df": use_df, "use_mo": use_mo}
+    opts = {"use_df": use_df}
     plan = next(_plans(g, spec, opts, orientation, False))
     st = plan.make_state()
     verts = list(vertices)

@@ -278,23 +278,23 @@ def _walk(node, g, k_edges, accept, prune, results, budget, edge_filter=None):
     return considered
 
 
-def _walk_seeds(g, seeds, k_edges, accept, prune, memory_cap, edge_filter=None):
-    """Walk the seeds in order; returns ({code: support}, embeddings considered)."""
-    budget = _MemoryBudget(memory_cap)
-    results = {}
-    considered = 0
-    for seed in seeds:
-        considered += _walk(seed, g, k_edges, accept, prune, results, budget, edge_filter)
-    return results, considered
-
-
-def _check_limits(k_edges, memory_cap):
+def _mine(g, k_edges, accept, prune, memory_cap, edge_filter=None):
+    """Check the input, then walk the seeds in order; returns
+    ({code: support}, embeddings considered)."""
+    if g.labels is None:
+        raise ValueError("frequent subgraph mining requires a labeled graph")
     # the DFS-code minimality check refuses longer codes; fail before mining
     if k_edges > MAX_CODE_EDGES:
         raise ValueError(f"fsm supports at most {MAX_CODE_EDGES} pattern edges, "
                          f"got k = {k_edges}")
     if memory_cap < 1:
         raise ValueError(f"the memory cap must be at least 1 byte, got {memory_cap}")
+    budget = _MemoryBudget(memory_cap)
+    results = {}
+    considered = 0
+    for seed in _seed_nodes(g):
+        considered += _walk(seed, g, k_edges, accept, prune, results, budget, edge_filter)
+    return results, considered
 
 
 def mine_fsm(g, k_edges, min_sup, *, workers=1, prune=True,
@@ -308,21 +308,13 @@ def mine_fsm(g, k_edges, min_sup, *, workers=1, prune=True,
     longest code the minimality check handles; `k_edges=None` means that
     bound. `memory_cap`, at least 1, caps the live embedding arrays' bytes.
     """
-    if g.labels is None:
-        raise ValueError("frequent subgraph mining requires a labeled graph")
     if min_sup < 1:
         raise ValueError("min_sup must be >= 1")
     if k_edges is None:
         k_edges = MAX_CODE_EDGES
     if k_edges < 1:
         raise ValueError("k_edges must be >= 1")
-    _check_limits(k_edges, memory_cap)
-    seeds = _seed_nodes(g)
-
-    def accept(node):
-        return node.support >= min_sup
-
-    results, _ = _walk_seeds(g, seeds, k_edges, accept, prune, memory_cap)
+    results, _ = _mine(g, k_edges, lambda node: node.support >= min_sup, prune, memory_cap)
     return results
 
 
@@ -334,13 +326,9 @@ def mine_spec(g, spec, workers=1, memory_cap=DEFAULT_MEMORY_CAP):
     subtrees. Custom `get_support` / `reduce` hooks replace the default
     domain-support computation, and `to_add_edge` vetoes extension edges.
     """
-    if g.labels is None:
-        raise ValueError("edge-induced implicit mining requires a labeled graph")
-    _check_limits(spec.k, memory_cap)
-    seeds = _seed_nodes(g)
     accept_hook = spec.is_implicit_pattern
     get_support = spec.get_support
-    reduce_fn = spec.reduce
+    reduce_fn = spec.reducer()
     edge_filter = spec.to_add_edge
 
     def node_support(node):
@@ -361,5 +349,4 @@ def mine_spec(g, spec, workers=1, memory_cap=DEFAULT_MEMORY_CAP):
             return True
         return bool(accept_hook(node))
 
-    prune = bool(spec.support_anti_monotonic)
-    return _walk_seeds(g, seeds, spec.k, accept, prune, memory_cap, edge_filter)
+    return _mine(g, spec.k, accept, bool(spec.support_anti_monotonic), memory_cap, edge_filter)

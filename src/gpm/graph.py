@@ -86,9 +86,6 @@ class Graph(CSRGraph):
     def degrees(self):
         return np.diff(self.row_offsets)
 
-    def average_degree(self):
-        return 2.0 * self.edge_count / self.vertex_count if self.vertex_count else 0.0
-
     def __repr__(self):
         lbl = ", labeled" if self.labels is not None else ""
         return f"Graph(n={self.vertex_count}, m={self.edge_count}{lbl})"
@@ -104,10 +101,9 @@ class OrientedGraph(CSRGraph):
     """
 
     def __init__(self, vertex_count, row_offsets, neighbors, source_degrees, labels=None,
-                 label_names=None, source=None):
+                 label_names=None):
         super().__init__(vertex_count, row_offsets, neighbors, labels, label_names)
         self.source_degrees = np.asarray(source_degrees, dtype=np.int64)
-        self.source = source
 
     @property
     def edge_count(self):
@@ -327,6 +323,5 @@ def orient(g, strategy="degree"):
     src, dst = g.sources(), g.neighbors
     keep = rank[src] < rank[dst]
     offsets, nbrs = _build_csr(n, src[keep], dst[keep])
-    return OrientedGraph(n, offsets, nbrs, deg, labels=g.labels,
-                         label_names=g.label_names, source=g)
+    return OrientedGraph(n, offsets, nbrs, deg, labels=g.labels, label_names=g.label_names)
 

@@ -9,7 +9,7 @@ every edge's triangle count: the co-degrees give the non-induced 4-cycle
 count, the triangle counts give the raw diamond / tailed-triangle / 4-path /
 3-star terms (the closed forms of ESCAPE and PGD). Only 4-cliques are enumerated. The correction
 constants are calibrated once against the brute-force oracle on a basis of
-small graphs (see `calibrate_corrections` and scripts/calibrate_mc4.py) and
+small graphs (see `calibrate_corrections`) and
 frozen below; tests re-derive and assert them.
 """
 from __future__ import annotations

@@ -12,24 +12,26 @@ from __future__ import annotations
 
 
 class LocalGraph:
-    """Level-indexed view of an induced subgraph around one search root."""
+    """Level-indexed view of an induced subgraph around one search root.
+
+    `adjacency[i]` lists, in ascending order, the global ids of the members
+    adjacent to `vertices[i]`; `vertices` is ascending too, so the lists
+    stay sorted once translated to local ids.
+    """
 
     __slots__ = ("vertices", "index", "adj", "deg", "cand", "_stamp", "_stamp_val",
                  "_swaplog")
 
-    def __init__(self, vertices, adjacency_local):
+    def __init__(self, vertices, adjacency):
         self.vertices = list(vertices)              # local id -> global id
-        self.index = {g: i for i, g in enumerate(self.vertices)}
-        self.adj = [list(a) for a in adjacency_local]
+        index = self.index = {g: i for i, g in enumerate(self.vertices)}
+        self.adj = [[index[w] for w in a] for a in adjacency]
         n = len(self.vertices)
         self.deg = [[len(a) for a in self.adj]]     # deg[level][local]
         self.cand = [list(range(n))]                # cand[level] = local ids
         self._stamp = [0] * n
         self._stamp_val = 0
         self._swaplog = {}
-
-    def size(self):
-        return len(self.vertices)
 
     def candidates(self, level):
         """Global vertex ids in the level's candidate set."""
@@ -132,13 +134,4 @@ def init_local_graph(g, root):
         members = list(adj[root])
     if not members:
         return None
-    local_adj = []
-    for u in members:
-        inter = _sorted_intersect(members, adj[u])
-        local_adj.append(inter)
-    lg = LocalGraph(members, [[0] * len(a) for a in local_adj])
-    # translate to local ids, preserving sorted order
-    for i, inter in enumerate(local_adj):
-        lg.adj[i] = [lg.index[w] for w in inter]
-        lg.deg[0][i] = len(inter)
-    return lg
+    return LocalGraph(members, [_sorted_intersect(members, adj[u]) for u in members])

@@ -74,9 +74,6 @@ class Pattern:
     def degree(self, v):
         return sum(1 for e in self.edges if v in e)
 
-    def min_degree(self):
-        return min(self.degree(v) for v in range(self.vertex_count))
-
     def edge_count(self):
         return len(self.edges)
 

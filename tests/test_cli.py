@@ -1,12 +1,14 @@
+import gc
 import json
+import warnings
 
 import pytest
 
 from gpm import localcount, oracle
-from gpm.apps import triangle_spec
+from gpm.apps import clique_local_spec, clique_spec, triangle_spec
 from gpm.cli import run
 from gpm.engine import mine
-from gpm.graph import Graph
+from gpm.graph import Graph, load_edge_list
 from gpm.patterns import Pattern
 
 
@@ -32,6 +34,7 @@ def files(tmp_path):
     write("bb.pat", "v 0 B\nv 1 B\n0 1\n")
     write("bz.pat", "v 0 B\nv 1 Z\n0 1\n")
     paths["tmp"] = str(tmp_path)
+    paths["out.txt"] = str(tmp_path / "out.txt")
     return paths
 
 
@@ -103,6 +106,16 @@ class TestSubcommands:
         stats = payload[-1]["stats"]
         assert set(stats) == {"enumerated_embeddings", "wall_ms", "workers"}
 
+    def test_fsm_stats_have_the_tc_keys(self, files, capsys):
+        keys = []
+        for argv in (["tc", files["k4.el"]],
+                     ["fsm", "-k", "1", files["two_edges.el"], "--labels",
+                      files["two_edges.lbl"], "--minsup", "2"]):
+            code, out = _capture(capsys, argv + ["--stats"])
+            assert code == 0
+            keys.append(list(json.loads(out)[-1]["stats"]))
+        assert keys[0] == keys[1] == ["enumerated_embeddings", "wall_ms", "workers"]
+
     def test_motif_lo_stats_cover_kernel_and_walk(self, files, capsys, monkeypatch):
         parts = []
         counts4 = localcount.mc4_local_counts
@@ -141,6 +154,21 @@ class TestSubcommands:
         assert {frozenset(map(int, l.split())) for l in lines} == {
             frozenset(s) for s in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]}
 
+
+    @pytest.mark.parametrize("level, spec", [("hi", clique_spec), ("lo", clique_local_spec)])
+    def test_clique_listing_is_what_mine_hands_process(self, capsys, tmp_path, level, spec):
+        g_path = tmp_path / "dense.el"
+        g_path.write_text("".join(f"{a} {b}\n" for a in range(12) for b in range(a + 1, 12)
+                                  if (a * b) % 5 != 1))
+        lines = []
+        mine(load_edge_list(str(g_path)),
+             spec(4, process=lambda emb: lines.append(" ".join(map(str, emb.vertices)))))
+        out_path = tmp_path / "cliques.txt"
+        code, out = _capture(capsys, ["clique", "-k", "4", str(g_path), "--level", level,
+                                      "--list", str(out_path)])
+        assert code == 0
+        assert json.loads(out)[0]["support"] == len(lines) > 20
+        assert out_path.read_text().splitlines() == lines
 
     def test_listing_is_the_same_for_any_thread_count(self, files, capsys, tmp_path):
         g = tmp_path / "grid.el"
@@ -193,6 +221,22 @@ class TestErrorsAndToggles:
             rows, enumerated = stats_run(flags)
             assert rows == base_rows
             assert enumerated != base_enumerated
+
+    @pytest.mark.parametrize("argv", [
+        ["motif", "-k", "3", "@k4.el", "--list", "@out.txt"],
+        ["fsm", "-k", "1", "--minsup", "1", "@two_edges.el", "--labels", "@two_edges.lbl",
+         "--list", "@out.txt"],
+        ["fsm", "-k", "1", "--minsup", "1", "@two_edges.el", "--labels", "@two_edges.lbl",
+         "--orient", "core"],
+        ["oracle", "motif", "-k", "3", "@k4.el", "--threads", "2"],
+        ["oracle", "motif", "-k", "3", "@k4.el", "--stats"],
+        ["tc", "@k4.el", "--no-mo"],
+        ["tc", "@k4.el", "--no-mnc"],
+        ["match", "-p", "@c4.pat", "@k4.el", "--no-mo"],
+    ])
+    def test_flags_a_subcommand_ignores_are_refused(self, files, capsys, argv):
+        assert run([files[a[1:]] if a.startswith("@") else a for a in argv]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_no_sb_refused(self, files, capsys):
         assert run(["tc", files["k4.el"], "--no-sb"]) == 2
@@ -260,6 +304,14 @@ class TestErrorsAndToggles:
     def test_level_lo_rejected_without_orientation(self, files):
         assert run(["clique", "-k", "4", files["k4.el"], "--level", "lo",
                     "--orient", "none"]) == 2
+
+    def test_list_file_closed_when_the_run_is_refused(self, files, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["clique", "-k", "4", files["k4.el"], "--level", "lo",
+                        "--orient", "none", "--list", files["out.txt"]]) == 2
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_motif_lo_k5_rejected(self, files):
         assert run(["motif", "-k", "5", files["k4.el"], "--level", "lo"]) == 2

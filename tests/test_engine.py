@@ -209,7 +209,7 @@ def _incremental_accept(prefix, u, umask):
 def _accepted_sequences(g, k):
     """All embeddings the generic plan enumerates, captured via process."""
     seqs = []
-    spec = apps.motif_spec(k, listing=True, process=lambda e: seqs.append(tuple(e.vertices)))
+    spec = apps.motif_spec(k, process=lambda e: seqs.append(tuple(e.vertices)))
     mine(g, spec)
     return seqs
 
@@ -358,8 +358,7 @@ class TestHooks:
     def test_listing_delivers_each_once(self, rng):
         g = random_graph(rng, 25, 0.2)
         seen = []
-        spec = apps.motif_spec(3, listing=True,
-                               process=lambda emb: seen.append(frozenset(emb.vertices)))
+        spec = apps.motif_spec(3, process=lambda emb: seen.append(frozenset(emb.vertices)))
         mine(g, spec)
         assert len(seen) == len(set(seen))
         assert len(seen) == sum(oracle.count_vertex_induced(g, 3).values())

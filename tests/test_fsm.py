@@ -107,6 +107,15 @@ class TestMni:
         result = mine(g, spec)
         assert result.pattern_map == mine_fsm(g, 2, 1)
 
+    def test_get_support_reduces_by_sum_by_default(self):
+        g = labeled(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [0, 0, 1, 1])
+        summed = mine(g, ProblemSpec(vertex_induced=False, explicit=False, k=2,
+                                     get_support=lambda emb: 1))
+        added = mine(g, ProblemSpec(vertex_induced=False, explicit=False, k=2,
+                                    get_support=lambda emb: 1, reduce=lambda a, b: a + b))
+        assert summed.pattern_map == added.pattern_map
+        assert summed.pattern_map[((0, 1, 0, 0),)] == 2   # edge 0-1, both directions
+
 
 class TestAgainstOracle:
     @given(seed=st.integers(0, 10 ** 6))
