@@ -5,8 +5,8 @@ presets in `gpm.apps`) and call `mine`. Low-level hooks on the spec customize
 pruning, pattern classification, local counting, and local-graph search.
 """
 
-from .engine import (ConnectivityMap, Embedding, MiningResult, ProblemSpec,
-                     embedding_code, extend, mine)
+from .embedding import ConnectivityMap, Embedding, embedding_code
+from .engine import MiningResult, ProblemSpec, extend, mine
 from .fsm import DomainSupport, PatternNode, mine_fsm, mni, rightmost_extensions
 from .graph import (Graph, OrientedGraph, core_numbers, has_edge, load_edge_list, orient,
                     validate_graph)

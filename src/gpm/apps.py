@@ -57,8 +57,9 @@ def count_motifs(g, k, *, level="hi", **options):
     Motifs are structural, so labels are ignored; every motif of size k
     appears in the map, zero counts included. Returns `(counts, enumerated,
     run)`; at level "lo" `run` covers the whole local count (for k = 4 the
-    wedge kernel plus the 4-clique walk) and `enumerated` adds the kernel's
-    wedges to the walk's candidates. `options` go to every `mine` call,
+    wedge kernel plus the 4-clique walk), `enumerated` adds the kernel's
+    wedges to the walk's candidates, and `run.plans` leads with
+    "formula:mc3" or "formula:mc4". `options` go to every `mine` call,
     including the local counters' triangle or 4-clique walk.
     """
     if g.labels is not None:
@@ -77,7 +78,8 @@ def count_motifs(g, k, *, level="hi", **options):
             wedges = kernel.enumerated
         run = replace(walk, pattern_map=counts, enumerated=walk.enumerated + wedges,
                       accepted=walk.accepted + wedges,
-                      wall_ms=(time.perf_counter() - t0) * 1000.0)
+                      wall_ms=(time.perf_counter() - t0) * 1000.0,
+                      plans=(f"formula:mc{k}",) + walk.plans)
     else:
         raise ValueError("formula-based motif counting supports k in {3, 4}")
     for p in all_patterns(k):

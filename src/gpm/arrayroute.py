@@ -1,0 +1,148 @@
+"""Array route of the engine's generic and match plans: counting without hooks.
+
+Instead of walking one candidate at a time, each level extends a slice of
+embeddings at once, in the structure-of-arrays form Pangolin keeps its
+embedding lists in. Rows are an `(R, d)` int64 array of graph vertices, one
+row per embedding. A level gathers the rows' CSR neighbours with
+`graph.gather`, tests adjacency with `CSRGraph.has_edges` and applies the
+walk's filters as vector masks, each in the walk's counting position, so
+`enumerated`, `accepted` and the pattern map equal the walk's. At size k
+nothing is materialised: the match plan counts the surviving rows, and the
+generic plan counts each distinct packed connectivity code (`np.unique`)
+and classifies it once.
+
+A frontier is cut into slices of at most ROW_BUDGET gathered candidates by
+a prefix sum of its rows' degrees, and each slice is extended depth-first,
+so memory stays O(k * ROW_BUDGET) whatever the degrees.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from .graph import gather
+
+# Candidates one slice of a frontier gathers at once; a row whose own
+# candidates are more forms a slice alone.
+ROW_BUDGET = 2 ** 14
+
+# the generic route packs a row's connectivity codes into one int64, level l
+# at bit l(l-1)/2, and k(k-1)/2 <= 62 bits fit
+MAX_GENERIC_K = 11
+
+
+def _slices(cost):
+    """Consecutive row ranges whose `cost` (candidates gathered per row) sums
+    to at most ROW_BUDGET; a row costing more is a range of its own."""
+    ends = np.cumsum(cost)
+    a, n = 0, len(ends)
+    while a < n:
+        b = int(np.searchsorted(ends, (ends[a - 1] if a else 0) + ROW_BUDGET, side="right"))
+        b = max(b, a + 1)
+        yield slice(a, b)
+        a = b
+
+
+def count_match(plan, st):
+    """Count the embeddings of a `_MatchPlan`'s pattern into the state `st`."""
+    g = plan.g
+    deg = g.degrees()
+    roots = np.arange(g.vertex_count)
+    if plan.use_df:
+        roots = roots[deg >= plan.df_thresh[0]]
+    if plan.g_labels is not None:
+        roots = roots[g.labels[roots] == plan.want_label[0]]
+    found = len(roots) if plan.k == 1 else _match_level(plan, st, deg, roots[:, None], 1)
+    if found:
+        st.map[plan.key] = found
+
+
+def _match_level(plan, st, deg, rows, depth):
+    """Extend `rows` (positions 0..depth-1) by position `depth` through the
+    walk's filters, slice by slice; returns how many rows reach size k."""
+    g = plan.g
+    anchor, req, cmask = plan.anchors[depth], plan.req[depth], plan.check_mask[depth]
+    # every candidate is a neighbour of the anchor; test the other checked positions
+    tested = [i for i in range(depth) if cmask >> i & 1 and not (i == anchor and req >> i & 1)]
+    required = np.array([bool(req >> i & 1) for i in tested])
+    df_t = plan.df_thresh[depth] if plan.use_df else 0
+    last = depth == plan.k - 1
+    found = 0
+    for s in _slices(deg[rows[:, anchor]]):
+        part = rows[s]
+        at_row, at = gather(g.row_offsets[part[:, anchor]], deg[part[:, anchor]])
+        u = g.neighbors[at]
+        par = part[at_row]
+        keep = (par != u[:, None]).all(axis=1)
+        st.considered += int(np.count_nonzero(keep))
+        if df_t:
+            keep &= deg[u] >= df_t
+        if plan.g_labels is not None:
+            keep &= g.labels[u] == plan.want_label[depth]
+        for j in plan.smaller[depth]:
+            keep &= par[:, j] < u
+        u, par = u[keep], par[keep]
+        if tested:
+            fit = (g.has_edges(par[:, tested], u[:, None]) == required).all(axis=1)
+            u, par = u[fit], par[fit]
+        st.accepted += len(u)
+        if last:
+            found += len(u)
+        elif len(u):
+            found += _match_level(plan, st, deg, np.column_stack((par, u)), depth + 1)
+    return found
+
+
+def count_generic(plan, st):
+    """Count a `_GenericPlan`'s connected induced k-subgraphs by pattern into
+    the state `st`."""
+    n, k = plan.g.vertex_count, plan.k
+    tally = {}
+    if k == 1:
+        tally = {0: n} if n else {}
+    else:
+        _generic_level(plan, st, plan.g.degrees(), np.arange(n)[:, None],
+                       np.zeros(n, dtype=np.int64), 1, tally)
+    for packed, count in tally.items():
+        codes = tuple(packed >> (l * (l - 1) // 2) & ((1 << l) - 1) for l in range(1, k))
+        key, wanted = plan.pattern_key(codes)
+        if wanted:
+            st.map[key] = st.map.get(key, 0) + count
+
+
+def _generic_level(plan, st, deg, rows, keys, depth, tally):
+    """Extend `rows` (positions 0..depth-1, packed codes `keys`) by position
+    `depth` through the walk's filters, slice by slice; at size k add each
+    distinct packed code's count to `tally`, else recurse."""
+    g = plan.g
+    weights = 1 << np.arange(depth)
+    shift = depth * (depth - 1) // 2
+    last = depth == plan.k - 1
+    for s in _slices(deg[rows].sum(axis=1)):
+        part, part_keys = rows[s], keys[s]
+        grown_rows, grown_keys = [], []
+        for p in range(depth):
+            at_row, at = gather(g.row_offsets[part[:, p]], deg[part[:, p]])
+            u = g.neighbors[at]
+            par = part[at_row]
+            keep = (par != u[:, None]).all(axis=1)
+            if p:
+                # a candidate counts once, from its lowest adjacent position
+                keep &= ~g.has_edges(par[:, :p], u[:, None]).any(axis=1)
+            st.considered += int(np.count_nonzero(keep))
+            # canonical-sequence filter: with u's lowest adjacent position at
+            # p, u must exceed the root and every vertex after p
+            keep &= u > par[:, [0, *range(p + 1, depth)]].max(axis=1)
+            at_row, u, par = at_row[keep], u[keep], par[keep]
+            st.accepted += len(u)
+            code = (1 << p) + g.has_edges(par[:, p + 1:], u[:, None]) @ weights[p + 1:]
+            grown_keys.append(part_keys[at_row] | code << shift)
+            if not last:
+                grown_rows.append(np.column_stack((par, u)))
+        grown_keys = np.concatenate(grown_keys)
+        if last:
+            packed, counts = np.unique(grown_keys, return_counts=True)
+            for key, count in zip(packed.tolist(), counts.tolist()):
+                tally[key] = tally.get(key, 0) + count
+        elif len(grown_keys):
+            _generic_level(plan, st, deg, np.concatenate(grown_rows), grown_keys,
+                           depth + 1, tally)

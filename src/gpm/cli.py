@@ -26,9 +26,10 @@ USAGE_ERROR = 2
 RESOURCE_ERROR = 3
 
 
-def _add_input(parser, *, pattern=False):
+def _add_input(parser, *, pattern=False, labels=True):
     parser.add_argument("graph", help="edge-list file ('u v' per line, '#' comments)")
-    parser.add_argument("--labels", help="vertex label file ('id label' per line)")
+    if labels:
+        parser.add_argument("--labels", help="vertex label file ('id label' per line)")
     parser.add_argument("--format", choices=["json", "tsv"], default="json")
     if pattern:
         parser.add_argument("-p", "--pattern", required=True,
@@ -40,7 +41,8 @@ def _add_run(parser):
                         help="worker count, >= 1, echoed as 'workers' in --stats "
                              "(default: env GPM_THREADS, else 1); every run uses one thread")
     parser.add_argument("--stats", action="store_true",
-                        help="also report enumerated embeddings, wall time, workers")
+                        help="also report enumerated embeddings, wall time, workers "
+                             "and the plans that ran")
 
 
 def _add_walk(parser, *, mnc=True):
@@ -48,7 +50,10 @@ def _add_walk(parser, *, mnc=True):
                         default="auto", help="orientation for clique search")
     if mnc:
         parser.add_argument("--no-mnc", action="store_true",
-                            help="disable connectivity-map memoization (ablation)")
+                            help="run the walk without connectivity-map memoization "
+                                 "(ablation; motif and match counts otherwise take the "
+                                 "array route); changes nothing for clique -k 3 or "
+                                 "--level lo")
     parser.add_argument("--no-df", action="store_true",
                         help="disable degree filtering (ablation)")
     parser.add_argument("--no-sb", action="store_true",
@@ -70,8 +75,10 @@ def _build_parser():
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
+    # the triangle, clique and motif counts are label-blind, so those
+    # subcommands take no --labels
     p = sub.add_parser("tc", help="triangle counting")
-    _add_input(p)
+    _add_input(p, labels=False)
     _add_run(p)
     # the triangle walk closes with a list intersection and keeps no map
     _add_walk(p, mnc=False)
@@ -79,7 +86,7 @@ def _build_parser():
 
     p = sub.add_parser("clique", help="k-clique counting")
     p.add_argument("-k", type=int, required=True)
-    _add_input(p)
+    _add_input(p, labels=False)
     _add_run(p)
     _add_walk(p)
     _add_list(p)
@@ -93,7 +100,7 @@ def _build_parser():
 
     p = sub.add_parser("motif", help="vertex-induced k-motif counting")
     p.add_argument("-k", type=int, required=True, choices=[3, 4, 5])
-    _add_input(p)
+    _add_input(p, labels=False)
     _add_run(p)
     _add_walk(p)
     _add_level(p)
@@ -132,7 +139,8 @@ def _emit(rows, args, result=None):
     if result is not None and args.stats:
         stats = {"enumerated_embeddings": result.enumerated,
                  "wall_ms": round(result.wall_ms, 3),
-                 "workers": result.workers}
+                 "workers": result.workers,
+                 "plans": list(result.plans)}
     if args.format == "json":
         payload = [{"pattern": p, "support": s} for p, s in rows]
         if stats:
@@ -143,6 +151,7 @@ def _emit(rows, args, result=None):
         for p, s in rows:
             sys.stdout.write(f"{p}\t{s}\n")
         if stats:
+            stats["plans"] = ",".join(stats["plans"])
             for k, v in stats.items():
                 sys.stdout.write(f"# {k}\t{v}\n")
     return 0
@@ -194,7 +203,7 @@ def run(argv=None):
             return _fail("--threads must be >= 1")
 
     try:
-        g = load_edge_list(args.graph, labels_path=args.labels)
+        g = load_edge_list(args.graph, labels_path=getattr(args, "labels", None))
     except (OSError, GraphParseError) as exc:
         return _fail(str(exc))
     except MemoryError as exc:
@@ -246,7 +255,8 @@ def _run_fsm(args, g):
     results, considered = fsm_mine_spec(g, spec, workers=args.threads,
                                         memory_cap=args.mem_cap)
     result = MiningResult(results, enumerated=considered, accepted=considered,
-                          wall_ms=(time.perf_counter() - t0) * 1000.0, workers=args.threads)
+                          wall_ms=(time.perf_counter() - t0) * 1000.0, workers=args.threads,
+                          plans=("fsm",))
     return _emit(_sorted_rows(results, lambda code: render_code(code, g.label_names)),
                  args, result)
 

@@ -23,6 +23,14 @@ connectivity map and extends again, and pops.
   deduplicated by a canonical-sequence filter (exactly one accepted DFS
   sequence per connected vertex set).
 
+Counting without hooks takes the array route instead, for the generic and
+match plans: `arrayroute` extends whole slices of numpy embedding rows per
+level and reports the walk's counters. The walk stays the route for any
+per-embedding hook (`_WALK_HOOKS`), for `debug`, for an explicit `use_mnc`
+(the connectivity-map ablation), for labeled generic problems, for the
+triangle, clique and local plans, and for `extend()`. `MiningResult.plans`
+names each plan's route, e.g. "generic:array".
+
 Edge-induced implicit problems (frequent subgraph mining) traverse the
 sub-pattern tree instead; see `fsm`.
 """
@@ -34,8 +42,16 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from . import arrayroute
+from .embedding import ConnectivityMap, Embedding
 from .graph import OrientedGraph, orient
 from .patterns import Pattern, canonical_code, is_clique, matching_order
+
+
+# hooks that need one embedding object per candidate: any of them, when set,
+# keeps a problem on the walk
+_WALK_HOOKS = ("process", "terminate", "get_support", "reduce", "to_add", "to_extend",
+               "get_pattern", "local_reduce", "init_local")
 
 
 class HookMisuseError(RuntimeError):
@@ -104,7 +120,9 @@ class MiningResult:
     `enumerated` counts extension candidates the walk materialized (the
     search-space measure; unaffected by memoization), `accepted` counts the
     ones that survived every filter including `to_add`. `workers` echoes the
-    requested worker count; the walk always runs on one thread.
+    requested worker count; the walk always runs on one thread. `plans`
+    names what ran, one "plan:route" entry per plan (for example
+    "generic:array" or "match:walk"), or "fsm".
     """
 
     pattern_map: dict
@@ -113,104 +131,7 @@ class MiningResult:
     terminated: bool = False
     wall_ms: float = 0.0
     workers: int = 1
-
-
-class Embedding:
-    """DFS stack of graph vertices with per-level connectivity codes.
-
-    `codes[l]` has bit i set iff the level-l vertex is adjacent to the level-i
-    ancestor; concatenating the codes reconstructs the induced subgraph.
-    """
-
-    __slots__ = ("graph", "vertices", "codes", "members")
-
-    def __init__(self, graph):
-        self.graph = graph
-        self.vertices = []
-        self.codes = []
-        self.members = set()
-
-    def push(self, v, code):
-        self.vertices.append(v)
-        self.codes.append(code)
-        self.members.add(v)
-
-    def pop(self):
-        v = self.vertices.pop()
-        self.codes.pop()
-        self.members.discard(v)
-        return v
-
-    @property
-    def depth(self):
-        return len(self.vertices) - 1
-
-    def __repr__(self):
-        return f"Embedding({self.vertices})"
-
-
-def embedding_code(emb):
-    """Concatenated per-level connectivity codes as a '0'/'1' string."""
-    parts = []
-    for level in range(1, len(emb.vertices)):
-        c = emb.codes[level]
-        parts.append("".join("1" if (c >> i) & 1 else "0" for i in range(level)))
-    return "".join(parts)
-
-
-def decode_embedding_code(code_str):
-    """Rebuild the induced adjacency (as level-pair edges) from a code string."""
-    edges = []
-    pos = 0
-    level = 1
-    while pos < len(code_str):
-        for i in range(level):
-            if code_str[pos] == "1":
-                edges.append((i, level))
-            pos += 1
-        level += 1
-    if pos != len(code_str):
-        raise ValueError("code length is not a triangular number")
-    return edges
-
-
-class ConnectivityMap:
-    """Worker-private map: graph vertex -> bit-set of adjacent embedding positions.
-
-    Pushing the level-d vertex sets bit d for each of its neighbors outside
-    the embedding; the per-level undo log makes pop restore the exact
-    pre-push state.
-    """
-
-    __slots__ = ("adj", "bits", "log")
-
-    def __init__(self, adj):
-        self.adj = adj
-        self.bits = {}
-        self.log = []
-
-    def push(self, v, depth, members):
-        bit = 1 << depth
-        bits = self.bits
-        touched = []
-        for w in self.adj[v]:
-            if w not in members:
-                bits[w] = bits.get(w, 0) | bit
-                touched.append(w)
-        self.log.append(touched)
-
-    def pop(self, depth):
-        mask = ~(1 << depth)
-        bits = self.bits
-        for w in self.log.pop():
-            nb = bits[w] & mask
-            if nb:
-                bits[w] = nb
-            else:
-                del bits[w]
-
-    def lookup(self, u):
-        return self.bits.get(u, 0)
+    plans: tuple = ()
 
 
 class _WorkerState:
@@ -237,9 +158,12 @@ class _PlanBase:
     A plan supplies `_extend(st, depth)`, which filters the candidates for
     embedding position `depth` and hands each accepted one to `_descend`.
     It adds its counters to the state in a `finally`, as `terminate` may raise.
+    A plan with an array route sets `array` and supplies `run_array(st)`.
     """
 
     key = None
+    name = None
+    array = False
 
     def __init__(self, g, spec, opts):
         self.g = g
@@ -320,6 +244,8 @@ class _PlanBase:
 class _CliquePlan(_PlanBase):
     """Explicit k-clique: extend the last vertex; candidates must touch all."""
 
+    name = "clique"
+
     def __init__(self, g, spec, opts, k, key):
         super().__init__(g, spec, opts)
         self.k = k
@@ -367,6 +293,8 @@ class _CliquePlan(_PlanBase):
 class _TrianglePlan(_CliquePlan):
     """Explicit triangle: the closing vertex comes from a sorted intersection."""
 
+    name = "triangle"
+
     def __init__(self, g, spec, opts, key):
         super().__init__(g, spec, opts, 3, key)
         self.use_mnc = False
@@ -407,6 +335,8 @@ class _TrianglePlan(_CliquePlan):
 class _LocalPlan(_CliquePlan):
     """Extension candidates come from a per-root local graph the hooks shrink."""
 
+    name = "local"
+
     def run_root(self, root, st):
         if self.use_df and self.deg[root] < self.k - 1:
             return
@@ -446,8 +376,11 @@ class _MatchPlan(_PlanBase):
     position masks; symmetry-breaking id orders close the pipeline.
     """
 
+    name = "match"
+
     def __init__(self, g, spec, opts, pattern, key):
         super().__init__(g, spec, opts)
+        self.array = opts.get("array", False)
         self.key = key
         self.k = pattern.vertex_count
         order = matching_order(pattern)
@@ -474,6 +407,9 @@ class _MatchPlan(_PlanBase):
         if self.g_labels is not None and self.g_labels[root] != self.want_label[0]:
             return
         self._descend(st, root, 0, 0)
+
+    def run_array(self, st):
+        arrayroute.count_match(self, st)
 
     def _extend(self, st, depth):
         emb = st.emb
@@ -578,44 +514,48 @@ class _GenericPlan(_PlanBase):
     Each connected vertex set is reached through exactly one accepted DFS
     sequence (canonical-sequence filter); embeddings at size k are classified
     by the canonical code of their induced subgraph, or by `get_pattern`.
+    The array route takes unlabeled graphs only.
     """
+
+    name = "generic"
 
     def __init__(self, g, spec, opts):
         super().__init__(g, spec, opts)
         self.k = spec.k
         self.labels = g.labels.tolist() if g.labels is not None else None
+        self.array = (opts.get("array", False) and self.labels is None
+                      and self.k <= arrayroute.MAX_GENERIC_K)
         self._key_cache = {}
 
     def _classify(self, emb):
         if self.spec.get_pattern is not None:
             return self.spec.get_pattern(emb), True
-        key_src = tuple(emb.codes[1:])
+        labels = None
         if self.labels is not None:
-            key_src = (key_src, tuple(self.labels[v] for v in emb.vertices))
-        cached = self._key_cache.get(key_src)
+            labels = tuple(self.labels[v] for v in emb.vertices)
+        return self.pattern_key(tuple(emb.codes[1:]), labels)
+
+    def pattern_key(self, codes, labels=None):
+        """`(canonical code, wanted)` of the pattern whose level-l vertex has
+        the adjacency bit-set `codes[l - 1]` to levels 0..l-1; cached."""
+        cached = self._key_cache.get((codes, labels))
         if cached is None:
-            codes = key_src[0] if self.labels is not None else key_src
-            edges = []
-            for level, c in enumerate(codes, start=1):
-                b = 0
-                while c:
-                    if c & 1:
-                        edges.append((b, level))
-                    c >>= 1
-                    b += 1
-            lbl = key_src[1] if self.labels is not None else None
-            p = Pattern(len(emb.vertices), edges, labels=lbl)
-            key = canonical_code(p)
+            edges = [(b, level) for level, c in enumerate(codes, start=1)
+                     for b in range(level) if c >> b & 1]
+            p = Pattern(len(codes) + 1, edges, labels=labels)
             wanted = (self.spec.is_implicit_pattern is None
                       or bool(self.spec.is_implicit_pattern(p)))
-            cached = (key, wanted)
-            self._key_cache[key_src] = cached
+            cached = (canonical_code(p), wanted)
+            self._key_cache[(codes, labels)] = cached
         return cached
 
     def _finalize(self, st, key):
         key, wanted = self._classify(st.emb)
         if wanted:
             _PlanBase._finalize(self, st, key)
+
+    def run_array(self, st):
+        arrayroute.count_generic(self, st)
 
     def _extend(self, st, depth):
         emb = st.emb
@@ -677,13 +617,17 @@ class _GenericPlan(_PlanBase):
 
 
 def _run_plan(plan, workers):
-    """Walk every root of `plan` in id order on one worker state.
+    """Run `plan` on one worker state: its array route when `plan.array`,
+    else the walk over every root in id order.
 
-    Returns the states the walk used (a list of one; `workers` does not
-    change the walk). A `terminate` hook that fires ends the walk and sets
+    Returns the states used (a list of one; `workers` does not change the
+    run). A `terminate` hook that fires ends the walk and sets
     `plan.terminated`.
     """
     st = plan.make_state()
+    if plan.array:
+        plan.run_array(st)
+        return [st]
     try:
         for root in range(plan.g.vertex_count):
             plan.run_root(root, st)
@@ -717,9 +661,12 @@ def _build_explicit_plan(g, pattern, spec, opts, orientation):
 
 
 def _plans(g, spec, opts, orientation, use_mnc):
-    """The plans that walk a vertex-induced or explicit `spec`, built one at
+    """The plans that run a vertex-induced or explicit `spec`, built one at
     a time: the local-graph plan, one plan per explicit pattern, or the
-    generic plan. `use_mnc` None is the per-plan connectivity-map policy."""
+    generic plan. `use_mnc` None is the per-plan connectivity-map policy and
+    lets a hook-free spec outside debug mode take the array route."""
+    opts = dict(opts, array=use_mnc is None and not opts.get("debug")
+                and all(getattr(spec, hook) is None for hook in _WALK_HOOKS))
     if spec.init_local is not None:
         if not spec.explicit or len(spec.patterns) != 1 or not is_clique(spec.patterns[0]):
             raise ValueError("local-graph search is wired for single explicit cliques")
@@ -759,8 +706,10 @@ def mine(g, spec, *, workers=None, orientation="auto", use_mnc=None, use_df=True
     the result; every run walks its roots on one thread. `orientation` in
     {"auto", "degree", "core", "none"} controls the acyclic orientation used
     for clique patterns ("none" falls back to on-the-fly ascending-id
-    symmetry breaking). `use_mnc` toggles the neighborhood connectivity map
-    (None = per-problem policy), `use_df` degree filtering.
+    symmetry breaking). `use_mnc` toggles the neighborhood connectivity map;
+    passing it at all runs the walk (the ablation), while None lets
+    hook-free counting take the array route. `use_df` toggles degree
+    filtering.
     """
     if workers is None:
         workers = workers_from_env()
@@ -770,15 +719,18 @@ def mine(g, spec, *, workers=None, orientation="auto", use_mnc=None, use_df=True
     merged = {}
     enumerated = accepted = 0
     terminated = False
+    plans = []
 
     if not spec.vertex_induced and not spec.explicit:
         from .fsm import mine_spec as _fsm_mine_spec
         merged, enumerated = _fsm_mine_spec(g, spec, workers=workers)
         accepted = enumerated
+        plans.append("fsm")
     else:
         reduce_fn = spec.reducer()
         opts = {"use_df": use_df, "debug": debug}
         for plan in _plans(g, spec, opts, orientation, use_mnc):
+            plans.append(f"{plan.name}:{'array' if plan.array else 'walk'}")
             for st in _run_plan(plan, workers):
                 enumerated += st.considered
                 accepted += st.accepted
@@ -790,7 +742,8 @@ def mine(g, spec, *, workers=None, orientation="auto", use_mnc=None, use_df=True
 
     wall = (time.perf_counter() - t0) * 1000.0
     return MiningResult(pattern_map=merged, enumerated=enumerated, accepted=accepted,
-                        terminated=terminated, wall_ms=wall, workers=workers)
+                        terminated=terminated, wall_ms=wall, workers=workers,
+                        plans=tuple(plans))
 
 
 def extend(g, spec, vertices, *, orientation="auto", use_df=False):

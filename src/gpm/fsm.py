@@ -211,14 +211,12 @@ def rightmost_extensions(node, g, budget=None, edge_filter=None):
     # backward edges; rows are injective, so the code uses graph edge
     # (v_r, v_p) exactly when it has an edge between positions r and p
     used = {(min(i, j), max(i, j)) for i, j, _, _ in code}
-    keys = g.edge_keys()
     vr = emb[:, r]
     for p in rmp[1:]:
-        if (p, r) in used or not len(keys):
+        if (p, r) in used:
             continue
         vp = emb[:, p]
-        q = vr * g.vertex_count + vp
-        rows = np.flatnonzero(keys[np.minimum(np.searchsorted(keys, q), len(keys) - 1)] == q)
+        rows = np.flatnonzero(g.has_edges(vr, vp))
         if edge_filter is not None:
             rows = rows[_allowed(edge_filter, node, rows, vr[rows], vp[rows])]
         if len(rows):

@@ -3,7 +3,8 @@
 Loading, validation, k-core decomposition, and acyclic orientation live here,
 and so does what the numpy kernels derive from the CSR: the source of every
 entry (`CSRGraph.sources`), the cached edge-key index (`CSRGraph.edge_keys`)
-and the range gather (`gather`). Graphs are immutable after construction.
+with its vectorised adjacency test (`CSRGraph.has_edges`) and the range
+gather (`gather`). Graphs are immutable after construction.
 """
 from __future__ import annotations
 
@@ -47,6 +48,15 @@ class CSRGraph:
         if self._keys is None:
             self._keys = self.sources() * self.vertex_count + self.neighbors
         return self._keys
+
+    def has_edges(self, u, v):
+        """Boolean array: is `(u, v)` a CSR entry, elementwise over the
+        broadcast id arrays; the vectorised `has_edge`."""
+        q = np.asarray(u, dtype=np.int64) * self.vertex_count + v
+        keys = self.edge_keys()
+        if not len(keys):
+            return np.zeros(q.shape, dtype=bool)
+        return keys[np.minimum(np.searchsorted(keys, q), len(keys) - 1)] == q
 
     def adjacency(self):
         """Neighbor lists as plain Python lists (cached); used by hot loops."""

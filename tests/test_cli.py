@@ -104,7 +104,7 @@ class TestSubcommands:
         payload = json.loads(out)
         assert payload[0] == {"pattern": "triangle", "support": 4}
         stats = payload[-1]["stats"]
-        assert set(stats) == {"enumerated_embeddings", "wall_ms", "workers"}
+        assert set(stats) == {"enumerated_embeddings", "wall_ms", "workers", "plans"}
 
     def test_fsm_stats_have_the_tc_keys(self, files, capsys):
         keys = []
@@ -114,7 +114,26 @@ class TestSubcommands:
             code, out = _capture(capsys, argv + ["--stats"])
             assert code == 0
             keys.append(list(json.loads(out)[-1]["stats"]))
-        assert keys[0] == keys[1] == ["enumerated_embeddings", "wall_ms", "workers"]
+        assert keys[0] == keys[1] == ["enumerated_embeddings", "wall_ms", "workers", "plans"]
+
+    @pytest.mark.parametrize("argv, plans", [
+        (["motif", "-k", "4", "@diamond.el"], ["generic:array"]),
+        (["motif", "-k", "4", "@diamond.el", "--no-mnc"], ["generic:walk"]),
+        (["motif", "-k", "4", "@diamond.el", "--level", "lo"], ["formula:mc4", "clique:walk"]),
+        (["match", "-p", "@c4.pat", "@k4.el"], ["match:array"]),
+        (["match", "-p", "@c4.pat", "@k4.el", "--list", "@out.txt"], ["match:walk"]),
+        (["tc", "@k4.el"], ["triangle:walk"]),
+        (["fsm", "-k", "1", "@two_edges.el", "--labels", "@two_edges.lbl", "--minsup", "2"],
+         ["fsm"]),
+    ])
+    def test_stats_name_the_plans(self, files, capsys, argv, plans):
+        argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+        code, out = _capture(capsys, argv + ["--stats"])
+        assert code == 0
+        assert json.loads(out)[-1]["stats"]["plans"] == plans
+        code, out = _capture(capsys, argv + ["--stats", "--format", "tsv"])
+        assert code == 0
+        assert out.splitlines()[-1] == "# plans\t" + ",".join(plans)
 
     def test_motif_lo_stats_cover_kernel_and_walk(self, files, capsys, monkeypatch):
         parts = []
@@ -233,6 +252,10 @@ class TestErrorsAndToggles:
         ["tc", "@k4.el", "--no-mo"],
         ["tc", "@k4.el", "--no-mnc"],
         ["match", "-p", "@c4.pat", "@k4.el", "--no-mo"],
+        # triangle, clique and motif counts are label-blind
+        ["tc", "@k4.el", "--labels", "@two_edges.lbl"],
+        ["clique", "-k", "3", "@k4.el", "--labels", "@two_edges.lbl"],
+        ["motif", "-k", "3", "@k4.el", "--level", "lo", "--labels", "@two_edges.lbl"],
     ])
     def test_flags_a_subcommand_ignores_are_refused(self, files, capsys, argv):
         assert run([files[a[1:]] if a.startswith("@") else a for a in argv]) == 2

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpm import apps, localgraph, oracle
-from gpm.engine import (ConnectivityMap, Embedding, _is_canonical_extension,
-                        decode_embedding_code, embedding_code, extend, mine)
+from gpm.embedding import ConnectivityMap, Embedding, decode_embedding_code, embedding_code
+from gpm.engine import _is_canonical_extension, extend, mine
 from gpm.graph import Graph, has_edge, orient
 from gpm.patterns import canonical_code, clique, named_motifs, triangle, wedge
 

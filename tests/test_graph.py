@@ -256,6 +256,26 @@ class TestCsrIndex:
         g = Graph.from_edges(3, [])
         assert g.sources().tolist() == [] and g.edge_keys().tolist() == []
 
+    @pytest.mark.parametrize("strategy", [None, "degree", "core"])
+    def test_has_edges_matches_has_edge(self, rng, strategy):
+        for _ in range(10):
+            g = random_graph(rng, rng.randint(1, 30), rng.uniform(0.05, 0.5))
+            if strategy is not None:
+                g = orient(g, strategy)
+            n = g.vertex_count
+            u, v = np.divmod(np.arange(n * n), n)
+            assert g.has_edges(u, v).tolist() == [has_edge(g, a, b) for a, b in zip(u, v)]
+            # the ids broadcast: column u of a matrix against one vertex per row
+            rows = np.arange(n)[:, None]
+            assert g.has_edges(rows, rows.T).tolist() == [
+                [has_edge(g, a, b) for b in range(n)] for a in range(n)]
+
+    def test_has_edges_of_an_edgeless_graph(self):
+        g = Graph.from_edges(4, [])
+        found = g.has_edges(np.array([[0, 1], [2, 3]]), np.array([1, 2]))
+        assert found.shape == (2, 2) and not found.any()
+        assert g.has_edges(np.array([], dtype=np.int64), np.array([], dtype=np.int64)).shape == (0,)
+
 
 def _gathered(starts, counts):
     ranges, positions = gather(np.array(starts, dtype=np.int64), np.array(counts, dtype=np.int64))

@@ -9,42 +9,7 @@ from gpm.localcount import (MC4_CORRECTIONS, calibrate_corrections,
                             wedge_kernel)
 from gpm.patterns import canonical_code, named_motifs, triangle, wedge
 
-from conftest import random_graph
-
-
-def _disjoint_union(*graphs):
-    edges, n = [], 0
-    for g in graphs:
-        adj = g.adjacency()
-        edges += [(n + u, n + v) for u in range(g.vertex_count) for v in adj[u] if u < v]
-        n += g.vertex_count
-    return Graph.from_edges(n, edges)
-
-
-def _hub_and_communities(rng, communities=4, size=6, density=0.7):
-    """Vertex 0 adjacent to everything, plus dense random communities."""
-    n = 1 + communities * size
-    edges = [(0, v) for v in range(1, n)]
-    for c in range(communities):
-        members = range(1 + c * size, 1 + (c + 1) * size)
-        edges += [(a, b) for a, b in combinations(members, 2) if rng.random() < density]
-    return Graph.from_edges(n, edges)
-
-
-def _edge_case_graphs():
-    """No edges, no wedges, one hub, complete, disjoint parts, hub plus communities."""
-    rng = random.Random(0xED6E)
-    k6 = Graph.from_edges(6, list(combinations(range(6), 2)))
-    return [
-        Graph.from_edges(0, []),
-        Graph.from_edges(5, []),
-        Graph.from_edges(8, [(2 * i, 2 * i + 1) for i in range(4)]),
-        Graph.from_edges(9, [(0, i) for i in range(1, 9)]),
-        k6,
-        _disjoint_union(k6, Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]),
-                        random_graph(rng, 12, 0.3)),
-        _hub_and_communities(rng),
-    ]
+from conftest import edge_case_graphs, random_graph
 
 
 def _reference_terms(g):
@@ -119,7 +84,7 @@ class TestFourMotifs:
 class TestOracleAgreement:
     def test_many_random_graphs(self, rng):
         # the module-level contract: formula counts are exact
-        graphs = _edge_case_graphs() + [
+        graphs = edge_case_graphs() + [
             random_graph(rng, rng.randint(8, 45), rng.uniform(0.08, 0.35))
             for _ in range(50)]
         for trial, g in enumerate(graphs):
@@ -131,7 +96,7 @@ class TestOracleAgreement:
             assert {k: v for k, v in counts4.items() if v} == expect4, trial
 
     def test_workers_agree(self, rng):
-        for g in _edge_case_graphs()[-2:] + [random_graph(rng, 60, 0.15)]:
+        for g in edge_case_graphs()[-2:] + [random_graph(rng, 60, 0.15)]:
             one = apps.count_motifs(g, 4, level="lo", workers=1)[0]
             assert apps.count_motifs(g, 4, level="lo", workers=2)[0] == one
 
@@ -144,7 +109,7 @@ class TestOracleAgreement:
 
 class TestWedgeKernel:
     def test_chunked_terms_match_reference(self, rng, monkeypatch):
-        graphs = _edge_case_graphs() + [random_graph(rng, 40, 0.2) for _ in range(5)]
+        graphs = edge_case_graphs() + [random_graph(rng, 40, 0.2) for _ in range(5)]
         whole = [wedge_kernel(g) for g in graphs]
         # a few wedges per chunk; the hub's pairs overflow it and form their own
         monkeypatch.setattr(localcount, "PAIR_BUDGET", 3)
