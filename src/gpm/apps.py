@@ -38,15 +38,16 @@ def subgraph_listing_spec(pattern, **hooks):
                        patterns=(pattern,), **hooks)
 
 
-def count_triangles(g, *, process=None, **options):
-    """`(count, MiningResult)`. `process(emb)`, when given, is called on each
-    embedding counted; `count_cliques` and `count_subgraphs` take it too."""
-    result = mine(g, triangle_spec(process=process), **options)
+def count_triangles(g, *, process_rows=None, **options):
+    """`(count, MiningResult)`. `process_rows(rows)`, when given, receives the
+    embeddings counted as `(R, k)` int64 arrays in walk order (see
+    `ProblemSpec`); `count_cliques` and `count_subgraphs` take it too."""
+    result = mine(g, triangle_spec(process_rows=process_rows), **options)
     return result.pattern_map.get(canonical_code(triangle()), 0), result
 
 
-def count_cliques(g, k, *, level="hi", process=None, **options):
-    spec = (clique_spec if level == "hi" else clique_local_spec)(k, process=process)
+def count_cliques(g, k, *, level="hi", process_rows=None, **options):
+    spec = (clique_spec if level == "hi" else clique_local_spec)(k, process_rows=process_rows)
     result = mine(g, spec, **options)
     return result.pattern_map.get(canonical_code(clique(k)), 0), result
 
@@ -87,7 +88,7 @@ def count_motifs(g, k, *, level="hi", **options):
     return counts, run.enumerated, run
 
 
-def count_subgraphs(g, pattern, *, process=None, **options):
-    spec = subgraph_listing_spec(pattern, process=process)
+def count_subgraphs(g, pattern, *, process_rows=None, **options):
+    spec = subgraph_listing_spec(pattern, process_rows=process_rows)
     result = mine(g, spec, **options)
     return result.pattern_map.get(canonical_code(pattern), 0), result

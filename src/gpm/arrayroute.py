@@ -1,4 +1,5 @@
-"""Array route of the engine's generic and match plans: counting without hooks.
+"""Array route of the engine's generic, match, clique and triangle plans:
+counting and listing without per-embedding hooks.
 
 Instead of walking one candidate at a time, each level extends a slice of
 embeddings at once, in the structure-of-arrays form Pangolin keeps its
@@ -6,10 +7,14 @@ embedding lists in. Rows are an `(R, d)` int64 array of graph vertices, one
 row per embedding. A level gathers the rows' CSR neighbours with
 `graph.gather`, tests adjacency with `CSRGraph.has_edges` and applies the
 walk's filters as vector masks, each in the walk's counting position, so
-`enumerated`, `accepted` and the pattern map equal the walk's. At size k
-nothing is materialised: the match plan counts the surviving rows, and the
-generic plan counts each distinct packed connectivity code (`np.unique`)
-and classifies it once.
+`enumerated`, `accepted` and the pattern map equal the walk's. The match,
+clique and triangle plans grow one anchor position's neighbours per level
+(`_grow`) and hand each slice of finished rows to `process_rows`: rows are
+gathered in row order and candidates ascending, and slices are extended
+depth-first, so the rows arrive in the walk's (lexicographic) order. The
+generic plan extends every position and materialises nothing at size k: it
+counts each distinct packed connectivity code (`np.unique`) and classifies
+it once.
 
 A frontier is cut into slices of at most ROW_BUDGET gathered candidates by
 a prefix sum of its rows' degrees, and each slice is extended depth-first,
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import gather
+from .graph import OrientedGraph, gather
 
 # Candidates one slice of a frontier gathers at once; a row whose own
 # candidates are more forms a slice alone.
@@ -42,8 +47,42 @@ def _slices(cost):
         a = b
 
 
+def _grow(plan, st, roots, anchors, keep):
+    """Grow `roots` to size-k rows and count them into the state `st`.
+
+    Position `depth` extends each row by the CSR neighbours of its position
+    `anchors[depth]`, slice by slice and depth-first; `keep(par, u, depth)`
+    applies the plan's filters to the candidates `u` of the rows `par`,
+    counting into `st`, and returns the survivors. Each slice of finished
+    rows goes to `process_rows` in walk order, which is lexicographic.
+    """
+    g = plan.g
+    out = np.diff(g.row_offsets)
+    emit = plan.spec.process_rows
+
+    def level(rows, depth):
+        if depth == plan.k:
+            if emit is not None:
+                emit(rows)
+            return len(rows)
+        found = 0
+        a = anchors[depth]
+        for s in _slices(out[rows[:, a]]):
+            part = rows[s]
+            at_row, at = gather(g.row_offsets[part[:, a]], out[part[:, a]])
+            par, u = keep(part[at_row], g.neighbors[at], depth)
+            if len(u):
+                found += level(np.column_stack((par, u)), depth + 1)
+        return found
+
+    found = level(roots[:, None], 1) if len(roots) else 0
+    if found:
+        st.map[plan.key] = found
+
+
 def count_match(plan, st):
-    """Count the embeddings of a `_MatchPlan`'s pattern into the state `st`."""
+    """Count (and hand to `process_rows`) the embeddings of a `_MatchPlan`'s
+    pattern."""
     g = plan.g
     deg = g.degrees()
     roots = np.arange(g.vertex_count)
@@ -51,45 +90,63 @@ def count_match(plan, st):
         roots = roots[deg >= plan.df_thresh[0]]
     if plan.g_labels is not None:
         roots = roots[g.labels[roots] == plan.want_label[0]]
-    found = len(roots) if plan.k == 1 else _match_level(plan, st, deg, roots[:, None], 1)
-    if found:
-        st.map[plan.key] = found
-
-
-def _match_level(plan, st, deg, rows, depth):
-    """Extend `rows` (positions 0..depth-1) by position `depth` through the
-    walk's filters, slice by slice; returns how many rows reach size k."""
-    g = plan.g
-    anchor, req, cmask = plan.anchors[depth], plan.req[depth], plan.check_mask[depth]
     # every candidate is a neighbour of the anchor; test the other checked positions
-    tested = [i for i in range(depth) if cmask >> i & 1 and not (i == anchor and req >> i & 1)]
-    required = np.array([bool(req >> i & 1) for i in tested])
-    df_t = plan.df_thresh[depth] if plan.use_df else 0
-    last = depth == plan.k - 1
-    found = 0
-    for s in _slices(deg[rows[:, anchor]]):
-        part = rows[s]
-        at_row, at = gather(g.row_offsets[part[:, anchor]], deg[part[:, anchor]])
-        u = g.neighbors[at]
-        par = part[at_row]
-        keep = (par != u[:, None]).all(axis=1)
-        st.considered += int(np.count_nonzero(keep))
-        if df_t:
-            keep &= deg[u] >= df_t
+    tested = [[i for i in range(d) if plan.check_mask[d] >> i & 1
+               and not (i == plan.anchors[d] and plan.req[d] >> i & 1)] for d in range(plan.k)]
+    required = [np.array([bool(plan.req[d] >> i & 1) for i in t]) for d, t in enumerate(tested)]
+
+    def keep(par, u, depth):
+        ok = (par != u[:, None]).all(axis=1)
+        st.considered += int(np.count_nonzero(ok))
+        if plan.use_df and plan.df_thresh[depth]:
+            ok &= deg[u] >= plan.df_thresh[depth]
         if plan.g_labels is not None:
-            keep &= g.labels[u] == plan.want_label[depth]
+            ok &= g.labels[u] == plan.want_label[depth]
         for j in plan.smaller[depth]:
-            keep &= par[:, j] < u
-        u, par = u[keep], par[keep]
-        if tested:
-            fit = (g.has_edges(par[:, tested], u[:, None]) == required).all(axis=1)
+            ok &= par[:, j] < u
+        u, par = u[ok], par[ok]
+        if tested[depth]:
+            fit = (g.has_edges(par[:, tested[depth]], u[:, None]) == required[depth]).all(axis=1)
             u, par = u[fit], par[fit]
         st.accepted += len(u)
-        if last:
-            found += len(u)
-        elif len(u):
-            found += _match_level(plan, st, deg, np.column_stack((par, u)), depth + 1)
-    return found
+        return par, u
+
+    _grow(plan, st, roots, plan.anchors, keep)
+
+
+def count_clique(plan, st, closing=False):
+    """Count (and hand to `process_rows`) the k-cliques of a `_CliquePlan`:
+    each position extends the last one and must touch every earlier one.
+    With `closing` (the triangle plan) depth 2 counts only the candidates
+    adjacent to the root, with no degree filter, as the walk's list
+    intersection does."""
+    g = plan.g
+    deg = g.source_degrees if isinstance(g, OrientedGraph) else g.degrees()
+    min_deg = plan.k - 1
+    roots = np.arange(g.vertex_count)
+    if plan.use_df:
+        roots = roots[deg >= min_deg]
+
+    def keep(par, u, depth):
+        if plan.ascending:
+            up = u > par[:, -1]
+            par, u = par[up], u[up]
+        if closing and depth == 2:
+            ok = g.has_edges(par[:, 0], u)
+            par, u = par[ok], u[ok]
+            st.considered += len(u)
+        else:
+            st.considered += len(u)
+            if plan.use_df:
+                ok = deg[u] >= min_deg
+                par, u = par[ok], u[ok]
+            if depth > 1:
+                ok = g.has_edges(par[:, :-1], u[:, None]).all(axis=1)
+                par, u = par[ok], u[ok]
+        st.accepted += len(u)
+        return par, u
+
+    _grow(plan, st, roots, range(-1, plan.k - 1), keep)
 
 
 def count_generic(plan, st):

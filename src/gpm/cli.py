@@ -51,9 +51,9 @@ def _add_walk(parser, *, mnc=True):
     if mnc:
         parser.add_argument("--no-mnc", action="store_true",
                             help="run the walk without connectivity-map memoization "
-                                 "(ablation; motif and match counts otherwise take the "
-                                 "array route); changes nothing for clique -k 3 or "
-                                 "--level lo")
+                                 "(ablation; counts and listings otherwise take the "
+                                 "array route, except clique --level lo, which always "
+                                 "walks)")
     parser.add_argument("--no-df", action="store_true",
                         help="disable degree filtering (ablation)")
     parser.add_argument("--no-sb", action="store_true",
@@ -173,14 +173,17 @@ def _mine_options(args):
 
 
 def _count_listed(args, count, *count_args, **count_kwargs):
-    """Run one `apps.count_*` with the walk flags, writing each embedding it
-    counts to the --list file; returns its `(count, result)`."""
+    """Run one `apps.count_*` with the walk flags, writing each batch of
+    embedding rows it counts to the --list file, a line per row; returns its
+    `(count, result)`."""
     with open(args.list_path, "w", encoding="utf-8") if args.list_path else nullcontext() as sink:
-        process = None
+        process_rows = None
         if sink is not None:
-            def process(emb):
-                sink.write(" ".join(str(v) for v in emb.vertices) + "\n")
-        return count(*count_args, **count_kwargs, **_mine_options(args), process=process)
+            def process_rows(rows):
+                line = " ".join(["%d"] * rows.shape[1]) + "\n"
+                sink.write(line * len(rows) % tuple(rows.ravel().tolist()))
+        return count(*count_args, **count_kwargs, **_mine_options(args),
+                     process_rows=process_rows)
 
 
 def run(argv=None):

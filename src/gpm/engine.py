@@ -13,7 +13,7 @@ connectivity map and extends again, and pops.
 
 * clique: oriented walk extending the last vertex, candidates checked for
   adjacency to the whole embedding via the connectivity map;
-* triangle: the clique walk, closing with a sorted-list intersection;
+* triangle: the clique walk, closing with a list intersection;
 * local: the clique walk with candidates drawn from a user-maintained
   shrinking local graph (see `localgraph`);
 * match: matching-order guided search for one explicit pattern with
@@ -23,13 +23,13 @@ connectivity map and extends again, and pops.
   deduplicated by a canonical-sequence filter (exactly one accepted DFS
   sequence per connected vertex set).
 
-Counting without hooks takes the array route instead, for the generic and
-match plans: `arrayroute` extends whole slices of numpy embedding rows per
-level and reports the walk's counters. The walk stays the route for any
-per-embedding hook (`_WALK_HOOKS`), for `debug`, for an explicit `use_mnc`
-(the connectivity-map ablation), for labeled generic problems, for the
-triangle, clique and local plans, and for `extend()`. `MiningResult.plans`
-names each plan's route, e.g. "generic:array".
+Without per-embedding hooks the generic, match, clique and triangle plans
+take the array route instead: `arrayroute` extends whole slices of numpy
+embedding rows per level, reports the walk's counters and hands finished
+rows to `process_rows` in walk order. The walk stays the route for any hook
+in `_WALK_HOOKS`, `debug`, an explicit `use_mnc` (the ablation), the local
+plan, generic problems on labeled graphs or with `process_rows`, and
+`extend()`. `MiningResult.plans` names each route, e.g. "clique:array".
 
 Edge-induced implicit problems (frequent subgraph mining) traverse the
 sub-pattern tree instead; see `fsm`.
@@ -41,6 +41,9 @@ import os
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partialmethod
+
+import numpy as np
 
 from . import arrayroute
 from .embedding import ConnectivityMap, Embedding
@@ -71,7 +74,12 @@ class ProblemSpec:
     (default: accept all) selects patterns on the fly. `k` is the maximum
     embedding size: vertices when vertex-induced, edges when edge-induced.
     The vertex walk calls `process(emb)` on each embedding it counts, then
-    `terminate(emb)`, which can end the run.
+    `terminate(emb)`, which can end the run. `process_rows(rows)` receives
+    the counted embeddings as `(R, k)` int64 arrays in walk order (roots,
+    then each position's candidates, ascending). It keeps the match, clique
+    and triangle plans on the array route, one slice per call; the walk
+    (generic problems with it) hands over up to `arrayroute.ROW_BUDGET` rows
+    per call.
 
     Support handling: `get_support` maps an embedding to a support value
     (default 1) and `reduce` combines two values (default +). The low-level
@@ -89,6 +97,7 @@ class ProblemSpec:
     patterns: tuple = None
     is_implicit_pattern: callable = None
     process: callable = None
+    process_rows: callable = None
     terminate: callable = None
     support_anti_monotonic: bool = True
     get_support: callable = None
@@ -157,33 +166,38 @@ class _PlanBase:
 
     A plan supplies `_extend(st, depth)`, which filters the candidates for
     embedding position `depth` and hands each accepted one to `_descend`.
-    It adds its counters to the state in a `finally`, as `terminate` may raise.
-    A plan with an array route sets `array` and supplies `run_array(st)`.
+    Its counters reach the state even when `terminate` raises.
+    `array` (the `_plans` policy, narrowed by a plan that needs more) runs
+    the plan's `run_array(st)` in place of the walk.
     """
 
     key = None
     name = None
-    array = False
 
     def __init__(self, g, spec, opts):
         self.g = g
         self.spec = spec
-        self.adj = g.adjacency()
+        self.array = opts.get("array", False)
         self.terminated = False
         self.debug = opts.get("debug", False)
         self.use_mnc = opts.get("use_mnc", False)
         self.use_df = opts.get("use_df", True)
-        # source-graph degrees as a list: the degree filter reads one per candidate
-        self.deg = (g.source_degrees if isinstance(g, OrientedGraph) else g.degrees()).tolist()
         self._reduce = spec.reducer()
         self._get_support = spec.get_support
         self._process = spec.process
+        self._process_rows = spec.process_rows
+        self._rows = []
         self._terminate = spec.terminate
         self._local_reduce = spec.local_reduce
         self._dbg_tick = 0
 
     def make_state(self):
-        return _WorkerState(self.g, self.adj if self.use_mnc else None)
+        """A walk state; first builds the neighbour lists and the degree list
+        the walk reads, which the array route never needs."""
+        g = self.g
+        self.adj = g.adjacency()
+        self.deg = (g.source_degrees if isinstance(g, OrientedGraph) else g.degrees()).tolist()
+        return _WorkerState(g, self.adj if self.use_mnc else None)
 
     def run_root(self, root, st):
         self._descend(st, root, 0, 0)
@@ -225,8 +239,18 @@ class _PlanBase:
             m[key] = sup
         if self._process is not None:
             self._process(emb)
+        if self._process_rows is not None:
+            self._rows.append(emb.vertices[:])
+            if len(self._rows) >= arrayroute.ROW_BUDGET:
+                self.flush_rows()
         if self._terminate is not None and self._terminate(emb):
             raise _StopMining
+
+    def flush_rows(self):
+        """Hand the rows the walk has buffered to `process_rows` as one batch."""
+        if self._rows:
+            self._process_rows(np.array(self._rows, dtype=np.int64))
+            self._rows.clear()
 
     def _debug_check(self, st, u, mask, depth):
         # sampled soundness checks: map bits and codes agree with the graph
@@ -245,6 +269,7 @@ class _CliquePlan(_PlanBase):
     """Explicit k-clique: extend the last vertex; candidates must touch all."""
 
     name = "clique"
+    run_array = arrayroute.count_clique
 
     def __init__(self, g, spec, opts, k, key):
         super().__init__(g, spec, opts)
@@ -291,45 +316,25 @@ class _CliquePlan(_PlanBase):
 
 
 class _TrianglePlan(_CliquePlan):
-    """Explicit triangle: the closing vertex comes from a sorted intersection."""
+    """Explicit triangle: the closing vertex comes from a list intersection,
+    and only the intersection counts as considered."""
 
     name = "triangle"
-
-    def __init__(self, g, spec, opts, key):
-        super().__init__(g, spec, opts, 3, key)
-        self.use_mnc = False
+    run_array = partialmethod(arrayroute.count_clique, closing=True)
 
     def _extend(self, st, depth):
         if depth == 1:
             return super()._extend(st, depth)
-        emb = st.emb
+        root, u = st.emb.vertices
         to_add = self.spec.to_add
-        ascending = self.ascending
-        root, u = emb.vertices
-        nroot, nu = self.adj[root], self.adj[u]
-        considered = accepted = 0
-        i = j = 0
-        ni, nj = len(nroot), len(nu)
-        try:
-            while i < ni and j < nj:
-                a, b = nroot[i], nu[j]
-                if a < b:
-                    i += 1
-                elif b < a:
-                    j += 1
-                else:
-                    i += 1
-                    j += 1
-                    if ascending and a <= u:
-                        continue
-                    considered += 1
-                    if to_add is not None and not to_add(emb, a):
-                        continue
-                    accepted += 1
-                    self._descend(st, a, 0b11, 2)
-        finally:
-            st.considered += considered
-            st.accepted += accepted
+        for a in sorted(set(self.adj[root]).intersection(self.adj[u])):
+            if self.ascending and a <= u:
+                continue
+            st.considered += 1
+            if to_add is not None and not to_add(st.emb, a):
+                continue
+            st.accepted += 1
+            self._descend(st, a, 0b11, 2)
 
 
 class _LocalPlan(_CliquePlan):
@@ -377,10 +382,10 @@ class _MatchPlan(_PlanBase):
     """
 
     name = "match"
+    run_array = arrayroute.count_match
 
     def __init__(self, g, spec, opts, pattern, key):
         super().__init__(g, spec, opts)
-        self.array = opts.get("array", False)
         self.key = key
         self.k = pattern.vertex_count
         order = matching_order(pattern)
@@ -407,9 +412,6 @@ class _MatchPlan(_PlanBase):
         if self.g_labels is not None and self.g_labels[root] != self.want_label[0]:
             return
         self._descend(st, root, 0, 0)
-
-    def run_array(self, st):
-        arrayroute.count_match(self, st)
 
     def _extend(self, st, depth):
         emb = st.emb
@@ -514,16 +516,17 @@ class _GenericPlan(_PlanBase):
     Each connected vertex set is reached through exactly one accepted DFS
     sequence (canonical-sequence filter); embeddings at size k are classified
     by the canonical code of their induced subgraph, or by `get_pattern`.
-    The array route takes unlabeled graphs only.
+    The array route takes unlabeled graphs only, and counts without rows.
     """
 
     name = "generic"
+    run_array = arrayroute.count_generic
 
     def __init__(self, g, spec, opts):
         super().__init__(g, spec, opts)
         self.k = spec.k
         self.labels = g.labels.tolist() if g.labels is not None else None
-        self.array = (opts.get("array", False) and self.labels is None
+        self.array = (self.array and self.labels is None and spec.process_rows is None
                       and self.k <= arrayroute.MAX_GENERIC_K)
         self._key_cache = {}
 
@@ -553,9 +556,6 @@ class _GenericPlan(_PlanBase):
         key, wanted = self._classify(st.emb)
         if wanted:
             _PlanBase._finalize(self, st, key)
-
-    def run_array(self, st):
-        arrayroute.count_generic(self, st)
 
     def _extend(self, st, depth):
         emb = st.emb
@@ -624,22 +624,22 @@ def _run_plan(plan, workers):
     run). A `terminate` hook that fires ends the walk and sets
     `plan.terminated`.
     """
-    st = plan.make_state()
     if plan.array:
+        st = _WorkerState(plan.g)
         plan.run_array(st)
         return [st]
+    st = plan.make_state()
     try:
         for root in range(plan.g.vertex_count):
             plan.run_root(root, st)
     except _StopMining:
         plan.terminated = True
+    plan.flush_rows()
     return [st]
 
 
 def _resolve_orientation(g, orientation):
-    if isinstance(g, OrientedGraph):
-        return g
-    if orientation == "none":
+    if isinstance(g, OrientedGraph) or orientation == "none":
         return g
     strategy = "degree" if orientation == "auto" else orientation
     return orient(g, strategy)
@@ -653,7 +653,7 @@ def _build_explicit_plan(g, pattern, spec, opts, orientation):
     if is_clique(pattern) and not labeled:
         og = _resolve_orientation(g, orientation)
         if pattern.vertex_count == 3:
-            return _TrianglePlan(og, spec, opts, key)
+            return _TrianglePlan(og, spec, dict(opts, use_mnc=False), 3, key)
         return _CliquePlan(og, spec, opts, pattern.vertex_count, key)
     if isinstance(g, OrientedGraph):
         raise TypeError("non-clique patterns need the undirected graph")

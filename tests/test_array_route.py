@@ -1,13 +1,16 @@
-"""The array route of the generic and match plans against the walk.
+"""The array route of the generic, match, clique and triangle plans against
+the walk.
 
-`mine(g, spec)` takes the array route for hook-free counting; passing
-`use_mnc=True` forces the walk. Pattern maps, `enumerated` and `accepted`
-must agree, at the default `ROW_BUDGET` and at budgets small enough that
-every level is cut into many slices.
+`mine(g, spec)` takes the array route for hook-free counting and for
+`process_rows` listing; passing `use_mnc` forces the walk. Pattern maps,
+`enumerated`, `accepted` and the listed rows must agree, at the default
+`ROW_BUDGET` and at budgets small enough that every level is cut into many
+slices.
 """
 import random
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 import gpm.arrayroute
 from gpm import apps, mine
 from gpm.engine import ProblemSpec
+from gpm.graph import CSRGraph
 from gpm.patterns import Pattern, all_patterns, named_motifs, triangle, wedge
 
 from conftest import edge_case_graphs, random_graph
@@ -36,15 +40,15 @@ def _row_budget(budget):
 
 def _expected_route(walk_route, g):
     name = walk_route.split(":")[0]
-    if name == "match" or (name == "generic" and g.labels is None):
+    if name in ("match", "clique", "triangle") or (name == "generic" and g.labels is None):
         return f"{name}:array"
     return walk_route
 
 
-def _assert_routes_agree(g, spec, budget):
+def _assert_routes_agree(g, spec, budget, **options):
     with _row_budget(budget):
-        array = mine(g, spec)
-    walk = mine(g, spec, use_mnc=True)
+        array = mine(g, spec, **options)
+    walk = mine(g, spec, use_mnc=True, **options)
     assert walk.plans and all(route.endswith(":walk") for route in walk.plans)
     assert array.plans == tuple(_expected_route(route, g) for route in walk.plans)
     assert array.pattern_map == walk.pattern_map
@@ -111,7 +115,7 @@ def test_multi_pattern_explicit_spec(budget, seed):
                        patterns=(names["4-cycle"], triangle(), names["diamond"], wedge(),
                                  names["4-path"]))
     result = _assert_routes_agree(_graph(seed), spec, budget)
-    assert result.plans == ("match:array", "triangle:walk", "match:array", "match:array",
+    assert result.plans == ("match:array", "triangle:array", "match:array", "match:array",
                             "match:array")
 
 
@@ -132,7 +136,116 @@ def test_edge_case_graphs(budget):
     (lambda: apps.motif_spec(3), {"use_mnc": False}),
     (lambda: apps.subgraph_listing_spec(wedge(), terminate=lambda emb: False), {}),
     (lambda: apps.subgraph_listing_spec(wedge(), get_support=lambda emb: 1), {}),
-], ids=["process", "to_extend", "debug", "no-mnc", "terminate", "get_support"])
+    (lambda: apps.motif_spec(3, process_rows=lambda rows: None), {}),
+], ids=["process", "to_extend", "debug", "no-mnc", "terminate", "get_support", "motif-rows"])
 def test_hooks_and_ablations_keep_the_walk(make, options):
     g = random_graph(random.Random(5), 20, 0.3)
     assert all(route.endswith(":walk") for route in mine(g, make(), **options).plans)
+
+
+ORIENTATIONS = ["degree", "core", "none"]
+
+
+def _clique_plans(k):
+    return ("triangle:array",) if k == 3 else ("clique:array",)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@given(seed=st.integers(0, 10 ** 6), k=st.integers(1, 6),
+       orientation=st.sampled_from(ORIENTATIONS), use_df=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_cliques(budget, seed, k, orientation, use_df):
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(0, 16), rng.uniform(0.2, 0.9))
+    result = _assert_routes_agree(g, apps.clique_spec(k), budget, orientation=orientation,
+                                  use_df=use_df)
+    assert result.plans == _clique_plans(k)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_cliques_on_edge_case_graphs(budget):
+    for g in edge_case_graphs():
+        for k in range(1, 7):
+            for orientation in ORIENTATIONS:
+                for use_df in (True, False):
+                    result = _assert_routes_agree(g, apps.clique_spec(k), budget,
+                                                  orientation=orientation, use_df=use_df)
+                    assert result.plans == _clique_plans(k)
+
+
+def _c4():
+    return named_motifs(4)["4-cycle"]
+
+
+LISTED = {
+    "triangle": apps.triangle_spec,
+    "4-clique": lambda **h: apps.clique_spec(4, **h),
+    "5-clique": lambda **h: apps.clique_spec(5, **h),
+    "wedge": lambda **h: apps.subgraph_listing_spec(wedge(), **h),
+    "4-cycle": lambda **h: apps.subgraph_listing_spec(_c4(), **h),
+    "induced 4-cycle": lambda **h: ProblemSpec(vertex_induced=True, k=4, patterns=(_c4(),), **h),
+    "induced diamond": lambda **h: ProblemSpec(vertex_induced=True, k=4,
+                                               patterns=(named_motifs(4)["diamond"],), **h),
+}
+
+
+def _assert_listing_agrees(g, make, budget):
+    """Rows `process_rows` gets on the array route equal, in order, the
+    embeddings `process` gets on the walk and the rows the ablation walk
+    hands `process_rows`; that order is lexicographic."""
+    batches, ablation, walked = [], [], []
+    with _row_budget(budget):
+        array = mine(g, make(process_rows=batches.append))
+        mine(g, make(process_rows=ablation.append), use_mnc=False)
+    walk = mine(g, make(process=lambda emb: walked.append(tuple(emb.vertices))))
+    assert array.plans[0].endswith(":array") and walk.plans[0].endswith(":walk")
+    for b in batches + ablation:
+        assert b.dtype == np.int64 and b.ndim == 2 and len(b)
+    rows = [tuple(r) for b in batches for r in b.tolist()]
+    assert rows == walked == sorted(walked)
+    assert rows == [tuple(r) for b in ablation for r in b.tolist()]
+    assert len(rows) == sum(array.pattern_map.values())
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@given(seed=st.integers(0, 10 ** 6))
+@settings(max_examples=10, deadline=None)
+def test_listed_rows_are_the_walks(budget, seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(0, 16), rng.uniform(0.1, 0.8))
+    for make in LISTED.values():
+        _assert_listing_agrees(g, make, budget)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_listed_rows_on_edge_case_graphs(budget):
+    for g in edge_case_graphs():
+        for make in LISTED.values():
+            _assert_listing_agrees(g, make, budget)
+
+
+@pytest.mark.parametrize("hooks", [{}, {"process_rows": lambda rows: None}],
+                         ids=["count", "list"])
+def test_array_route_builds_no_neighbour_lists(monkeypatch, hooks):
+    g = random_graph(random.Random(7), 30, 0.3)
+
+    def refuse(self):
+        raise AssertionError("the array route built the walk's neighbour lists")
+
+    monkeypatch.setattr(CSRGraph, "adjacency", refuse)
+    for count, args in ((apps.count_triangles, ()), (apps.count_cliques, (4,)),
+                        (apps.count_subgraphs, (_c4(),))):
+        found, result = count(g, *args, **hooks)
+        assert found and result.plans[0].endswith(":array")
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_walk_hands_over_the_rows_a_terminate_hook_stopped_at(budget):
+    g = edge_case_graphs()[4]
+    batches = []
+    with _row_budget(budget):
+        result = mine(g, apps.clique_spec(4, process_rows=batches.append,
+                                          terminate=lambda emb: emb.vertices[-1] == 5))
+    rows = [tuple(r) for b in batches for r in b.tolist()]
+    assert result.terminated and result.plans == ("clique:walk",)
+    assert rows and rows[-1][-1] == 5 and len(rows) == sum(result.pattern_map.values())

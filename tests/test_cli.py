@@ -4,12 +4,13 @@ import warnings
 
 import pytest
 
+import gpm.arrayroute
 from gpm import localcount, oracle
-from gpm.apps import clique_local_spec, clique_spec, triangle_spec
+from gpm.apps import clique_local_spec, clique_spec, subgraph_listing_spec, triangle_spec
 from gpm.cli import run
 from gpm.engine import mine
 from gpm.graph import Graph, load_edge_list
-from gpm.patterns import Pattern
+from gpm.patterns import Pattern, load_pattern
 
 
 @pytest.fixture
@@ -119,10 +120,13 @@ class TestSubcommands:
     @pytest.mark.parametrize("argv, plans", [
         (["motif", "-k", "4", "@diamond.el"], ["generic:array"]),
         (["motif", "-k", "4", "@diamond.el", "--no-mnc"], ["generic:walk"]),
-        (["motif", "-k", "4", "@diamond.el", "--level", "lo"], ["formula:mc4", "clique:walk"]),
+        (["motif", "-k", "4", "@diamond.el", "--level", "lo"], ["formula:mc4", "clique:array"]),
         (["match", "-p", "@c4.pat", "@k4.el"], ["match:array"]),
-        (["match", "-p", "@c4.pat", "@k4.el", "--list", "@out.txt"], ["match:walk"]),
-        (["tc", "@k4.el"], ["triangle:walk"]),
+        (["match", "-p", "@c4.pat", "@k4.el", "--list", "@out.txt"], ["match:array"]),
+        (["match", "-p", "@c4.pat", "@k4.el", "--list", "@out.txt", "--no-mnc"], ["match:walk"]),
+        (["tc", "@k4.el"], ["triangle:array"]),
+        (["clique", "-k", "4", "@k4.el", "--no-mnc"], ["clique:walk"]),
+        (["clique", "-k", "4", "@k4.el", "--level", "lo", "--orient", "core"], ["local:walk"]),
         (["fsm", "-k", "1", "@two_edges.el", "--labels", "@two_edges.lbl", "--minsup", "2"],
          ["fsm"]),
     ])
@@ -188,6 +192,47 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)[0]["support"] == len(lines) > 20
         assert out_path.read_text().splitlines() == lines
+
+    @pytest.mark.parametrize("budget", [None, 1, 3])
+    @pytest.mark.parametrize("argv, walk_argv, spec", [
+        (["tc"], ["clique", "-k", "3", "--no-mnc"], lambda files, **h: triangle_spec(**h)),
+        (["clique", "-k", "4"], ["clique", "-k", "4", "--no-mnc"],
+         lambda files, **h: clique_spec(4, **h)),
+        (["match", "-p", "@wedge.pat"], ["match", "-p", "@wedge.pat", "--no-mnc"],
+         lambda files, **h: subgraph_listing_spec(load_pattern(files["wedge.pat"]), **h)),
+        (["match", "-p", "@c4.pat"], ["match", "-p", "@c4.pat", "--no-mnc"],
+         lambda files, **h: subgraph_listing_spec(load_pattern(files["c4.pat"]), **h)),
+    ], ids=["tc", "clique4", "match-wedge", "match-c4"])
+    def test_array_listing_is_the_walks(self, files, capsys, tmp_path, monkeypatch, budget,
+                                        argv, walk_argv, spec):
+        g_path = tmp_path / "dense.el"
+        g_path.write_text("".join(f"{a} {b}\n" for a in range(12) for b in range(a + 1, 12)
+                                  if (a * b) % 5 != 1))
+        if budget is not None:
+            monkeypatch.setattr(gpm.arrayroute, "ROW_BUDGET", budget)
+        lines = []
+        mine(load_edge_list(str(g_path)),
+             spec(files, process=lambda emb: lines.append(" ".join(map(str, emb.vertices)))))
+        written = []
+        for cmd, route in ((argv, "array"), (walk_argv, "walk")):
+            out_path = tmp_path / f"{route}.txt"
+            cmd = [files[a[1:]] if a.startswith("@") else a for a in cmd]
+            code, out = _capture(capsys, cmd + [str(g_path), "--list", str(out_path), "--stats"])
+            assert code == 0
+            assert json.loads(out)[-1]["stats"]["plans"][0].endswith(":" + route)
+            written.append(out_path.read_bytes())
+        assert len(lines) > 20
+        assert written[0] == written[1] == "".join(l + "\n" for l in lines).encode()
+
+    @pytest.mark.parametrize("argv", [["tc"], ["clique", "-k", "4"], ["match", "-p", "@tri.pat"]])
+    def test_listing_without_matches_writes_an_empty_file(self, files, capsys, argv):
+        with open(files["out.txt"], "w") as f:
+            f.write("stale\n")
+        argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+        code, out = _capture(capsys, argv + [files["two_edges.el"], "--list", files["out.txt"]])
+        assert code == 0 and json.loads(out)[0]["support"] == 0
+        with open(files["out.txt"], "rb") as f:
+            assert f.read() == b""
 
     def test_listing_is_the_same_for_any_thread_count(self, files, capsys, tmp_path):
         g = tmp_path / "grid.el"
