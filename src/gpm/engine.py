@@ -14,8 +14,8 @@ connectivity map and extends again, and pops.
 * clique: oriented walk extending the last vertex, candidates checked for
   adjacency to the whole embedding via the connectivity map;
 * triangle: the clique walk, closing with a list intersection;
-* local: the clique walk with candidates drawn from a user-maintained
-  shrinking local graph (see `localgraph`);
+* local: the clique walk over a user-maintained shrinking local graph
+  (see `localgraph`), reading only its `candidates(level)`;
 * match: matching-order guided search for one explicit pattern with
   per-position adjacency / non-adjacency constraints and symmetry-breaking
   id orders;
@@ -87,8 +87,9 @@ class ProblemSpec:
     embedding positions spawn candidates, `to_add(emb, u)` /
     `to_add_edge(emb, e)` veto individual extensions, `get_pattern(emb)`
     overrides pattern classification, `local_reduce(emb, depth, acc)` streams
-    per-vertex or per-edge counts, and `init_local` / `update_local` maintain
-    a local search graph.
+    per-vertex or per-edge counts, `init_local(g, root)` builds a local
+    graph and `update_local(lg, level, v)` its level+1, keeping levels
+    0..level; nothing is popped.
     """
 
     vertex_induced: bool
@@ -357,19 +358,15 @@ class _LocalPlan(_CliquePlan):
         level = depth - 1
         if depth >= 2:
             spec.update_local(lg, level - 1, emb.vertices[-1])
-        try:
-            need = (1 << depth) - 1
-            for u in lg.candidates(level):
-                st.considered += 1
-                if self.use_df and self.deg[u] < self.k - 1:
-                    continue
-                if spec.to_add is not None and not spec.to_add(emb, u):
-                    continue
-                st.accepted += 1
-                self._descend(st, u, need, depth)
-        finally:
-            if depth >= 2:
-                lg.pop_level(level)
+        need = (1 << depth) - 1
+        for u in lg.candidates(level):
+            st.considered += 1
+            if self.use_df and self.deg[u] < self.k - 1:
+                continue
+            if spec.to_add is not None and not spec.to_add(emb, u):
+                continue
+            st.accepted += 1
+            self._descend(st, u, need, depth)
 
 
 class _MatchPlan(_PlanBase):

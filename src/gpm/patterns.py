@@ -93,10 +93,6 @@ class Pattern:
 
 # -- common pattern constructors ------------------------------------------------
 
-def single_edge():
-    return Pattern(2, [(0, 1)])
-
-
 def wedge():
     return Pattern(3, [(0, 1), (1, 2)])
 
@@ -146,8 +142,16 @@ def load_pattern(path_, label_names=None):
             if parts[0] == "v":
                 if len(parts) != 3:
                     raise GraphParseError(f"{path_}:{lineno}: expected 'v id label'")
-                raw_labels[int(parts[1])] = parts[2]
-                max_id = max(max_id, int(parts[1]))
+                try:
+                    v = int(parts[1])
+                except ValueError:
+                    raise GraphParseError(f"{path_}:{lineno}: non-integer vertex id")
+                if v < 0:
+                    raise GraphParseError(f"{path_}:{lineno}: negative vertex id {v}")
+                if v in raw_labels:
+                    raise GraphParseError(f"{path_}:{lineno}: duplicate label for vertex {v}")
+                raw_labels[v] = parts[2]
+                max_id = max(max_id, v)
                 continue
             if len(parts) != 2:
                 raise GraphParseError(f"{path_}:{lineno}: expected 'u v' or 'v id label'")

@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 import warnings
 
 import pytest
@@ -11,6 +12,8 @@ from gpm.cli import run
 from gpm.engine import mine
 from gpm.graph import Graph, load_edge_list
 from gpm.patterns import Pattern, load_pattern
+
+from conftest import random_graph
 
 
 @pytest.fixture
@@ -193,6 +196,23 @@ class TestSubcommands:
         assert json.loads(out)[0]["support"] == len(lines) > 20
         assert out_path.read_text().splitlines() == lines
 
+    @pytest.mark.parametrize("orient", ["degree", "core"])
+    @pytest.mark.parametrize("k", ["4", "5"])
+    def test_clique_lo_listing_is_the_hi_listing(self, capsys, tmp_path, k, orient):
+        g = random_graph(random.Random(3), 30, 0.4)
+        g_path = tmp_path / "g.el"
+        g_path.write_text("".join(f"{u} {v}\n" for u in range(g.vertex_count)
+                                  for v in g.adjacency()[u] if u < v))
+        written = []
+        for level in ("hi", "lo"):
+            out_path = tmp_path / f"{level}.txt"
+            code, out = _capture(capsys, ["clique", "-k", k, str(g_path), "--level", level,
+                                          "--orient", orient, "--list", str(out_path)])
+            assert code == 0
+            written.append(out_path.read_bytes())
+        assert written[0].count(b"\n") > 20
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("budget", [None, 1, 3])
     @pytest.mark.parametrize("argv, walk_argv, spec", [
         (["tc"], ["clique", "-k", "3", "--no-mnc"], lambda files, **h: triangle_spec(**h)),
@@ -360,6 +380,18 @@ class TestErrorsAndToggles:
         assert run(["match", "-p", files["bz.pat"], files["tailed.el"],
                     "--labels", files["tailed.lbl"]]) == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("v 0 A\nv 1 B\nv 1 A\n0 1\n", 3, "duplicate label for vertex 1"),
+        ("v 0 A\nv 1 B\nv -1 A\n0 1\n", 3, "negative vertex id -1"),
+        ("0 1\nv x A\n", 2, "non-integer vertex id"),
+    ], ids=["repeated", "negative", "non-integer"])
+    def test_bad_pattern_label_line(self, files, capsys, tmp_path, text, line, message):
+        pat = tmp_path / "bad.pat"
+        pat.write_text(text)
+        assert run(["match", "-p", str(pat), files["tailed.el"],
+                    "--labels", files["tailed.lbl"]]) == 2
+        assert capsys.readouterr().err == f"gpm: {pat}:{line}: {message}\n"
 
     def test_bad_threads_env(self, files, capsys, monkeypatch):
         monkeypatch.setenv("GPM_THREADS", "abc")

@@ -544,8 +544,8 @@ def test_extend_replays_the_walk(seed):
 
 
 def test_extend_runs_the_local_graph_walk():
-    # local-graph compaction reorders candidates below depth 2, which the
-    # small graphs above rarely reach; extend() must build and shrink the
+    # the local graph is shrunk only below depth 2, which the small graphs
+    # above rarely reach; extend() must build and shrink the
     # root's local graph as mine() does
     g = random_graph(random.Random(3), 30, 0.4)
     listed = []

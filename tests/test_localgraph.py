@@ -1,4 +1,3 @@
-import copy
 import random
 from math import comb
 
@@ -58,39 +57,44 @@ class TestShrink:
         lg.shrink(0, 2)
         assert lg.candidates(1) == []
 
-    def test_push_pop_restores_arrays_exactly(self, rng):
+    def test_random_shrinks_keep_lower_levels(self, rng):
         for _ in range(20):
             g = random_graph(rng, 30, 0.4)
             og = orient(g, "core")
+            adj = og.adjacency()
             root = max(range(30), key=og.out_degree)
             lg = init_local_graph(og, root)
             if lg is None:
                 continue
-            initial = copy.deepcopy(lg.adj)
-            _random_walk(rng, lg, 0, depth=3)
-            assert lg.adj == initial
+            assert lg.candidates(0) == sorted(adj[root])
+            top = 0
+            for _ in range(30):
+                level = rng.randrange(top + 1)
+                cands = lg.candidates(level)
+                if not cands:
+                    top = level
+                    continue
+                v = rng.choice(cands)
+                below = [list(lg.candidates(l)) for l in range(level + 1)]
+                lg.shrink(level, v)
+                assert [lg.candidates(l) for l in range(level + 1)] == below
+                assert lg.candidates(level + 1) == sorted(set(cands) & set(adj[v]))
+                top = level + 1
 
     def test_deep_levels_consistent(self, k5):
         og = orient(k5, "degree")
         lg = init_local_graph(og, 0)
         lg.shrink(0, 1)
-        assert sorted(lg.candidates(1)) == [2, 3, 4]
+        assert lg.candidates(1) == [2, 3, 4]
         lg.shrink(1, 2)
-        assert sorted(lg.candidates(2)) == [3, 4]
-        lg.pop_level(2)
-        lg.pop_level(1)
-        assert sorted(lg.candidates(0)) == [1, 2, 3, 4]
-
-
-def _random_walk(rng, lg, level, depth):
-    if depth == 0:
-        return
-    cands = lg.candidates(level)
-    rng.shuffle(cands)
-    for u in cands[:2]:
-        lg.shrink(level, u)
-        _random_walk(rng, lg, level + 1, depth - 1)
-        lg.pop_level(level + 1)
+        assert lg.candidates(2) == [3, 4]
+        lg.shrink(1, 3)
+        assert lg.candidates(2) == [4]
+        lg.shrink(0, 2)
+        assert lg.candidates(1) == [3, 4]
+        with pytest.raises(IndexError):
+            lg.candidates(2)
+        assert lg.candidates(0) == [1, 2, 3, 4]
 
 
 class TestCliqueCounts:
