@@ -255,8 +255,7 @@ def _run_fsm(args, g):
     spec = ProblemSpec(vertex_induced=False, explicit=False, k=args.k,
                        is_implicit_pattern=lambda node: node.support >= minsup)
     t0 = time.perf_counter()
-    results, considered = fsm_mine_spec(g, spec, workers=args.threads,
-                                        memory_cap=args.mem_cap)
+    results, considered = fsm_mine_spec(g, spec, memory_cap=args.mem_cap)
     result = MiningResult(results, enumerated=considered, accepted=considered,
                           wall_ms=(time.perf_counter() - t0) * 1000.0, workers=args.threads,
                           plans=("fsm",))

@@ -1,10 +1,9 @@
 """The embedding a walk grows and the connectivity map that memoizes it.
 
-`Embedding` is the object every per-embedding hook receives: the DFS stack
-of graph vertices plus one connectivity code per level. `embedding_code`
-and `decode_embedding_code` convert the codes to and from a '0'/'1' string,
-and `ConnectivityMap` keeps, for the vertices next to the embedding, the
-bit-set of embedding positions each one touches.
+`Embedding` is the object every per-embedding hook of the vertex walk
+receives: the DFS stack of graph vertices plus one connectivity code per
+level. `ConnectivityMap` keeps, for the vertices next to the embedding, the
+bit-set of embedding positions each one touches (`bits`, absent meaning 0).
 """
 from __future__ import annotations
 
@@ -29,43 +28,12 @@ class Embedding:
         self.codes.append(code)
         self.members.add(v)
 
-    def pop(self):
-        v = self.vertices.pop()
-        self.codes.pop()
-        self.members.discard(v)
-        return v
-
     @property
     def depth(self):
         return len(self.vertices) - 1
 
     def __repr__(self):
         return f"Embedding({self.vertices})"
-
-
-def embedding_code(emb):
-    """Concatenated per-level connectivity codes as a '0'/'1' string."""
-    parts = []
-    for level in range(1, len(emb.vertices)):
-        c = emb.codes[level]
-        parts.append("".join("1" if (c >> i) & 1 else "0" for i in range(level)))
-    return "".join(parts)
-
-
-def decode_embedding_code(code_str):
-    """Rebuild the induced adjacency (as level-pair edges) from a code string."""
-    edges = []
-    pos = 0
-    level = 1
-    while pos < len(code_str):
-        for i in range(level):
-            if code_str[pos] == "1":
-                edges.append((i, level))
-            pos += 1
-        level += 1
-    if pos != len(code_str):
-        raise ValueError("code length is not a triangular number")
-    return edges
 
 
 class ConnectivityMap:
@@ -102,6 +70,3 @@ class ConnectivityMap:
                 bits[w] = nb
             else:
                 del bits[w]
-
-    def lookup(self, u):
-        return self.bits.get(u, 0)

@@ -81,15 +81,15 @@ class ProblemSpec:
     (generic problems with it) hands over up to `arrayroute.ROW_BUDGET` rows
     per call.
 
-    Support handling: `get_support` maps an embedding to a support value
-    (default 1) and `reduce` combines two values (default +). The low-level
-    hooks mirror the extension pipeline: `to_extend(emb, pos)` selects which
-    embedding positions spawn candidates, `to_add(emb, u)` /
-    `to_add_edge(emb, e)` veto individual extensions, `get_pattern(emb)`
-    overrides pattern classification, `local_reduce(emb, depth, acc)` streams
-    per-vertex or per-edge counts, `init_local(g, root)` builds a local
-    graph and `update_local(lg, level, v)` its level+1, keeping levels
-    0..level; nothing is popped.
+    Support: the walk combines `get_support(emb)` (default 1) by `reduce`
+    (default +); fsm calls `get_support(node)` once per pattern node and
+    refuses `reduce`. The low-level hooks mirror the extension pipeline:
+    `to_extend(emb, pos)` selects which embedding positions spawn
+    candidates, `to_add(emb, u)` / `to_add_edge(emb, e)` veto extensions,
+    `get_pattern(emb)` overrides pattern classification,
+    `local_reduce(emb, depth, acc)` streams per-vertex or per-edge counts,
+    `init_local(g, root)` builds a local graph and `update_local(lg, level,
+    v)` its level+1, keeping levels 0..level; nothing is popped.
     """
 
     vertex_induced: bool
@@ -720,7 +720,7 @@ def mine(g, spec, *, workers=None, orientation="auto", use_mnc=None, use_df=True
 
     if not spec.vertex_induced and not spec.explicit:
         from .fsm import mine_spec as _fsm_mine_spec
-        merged, enumerated = _fsm_mine_spec(g, spec, workers=workers)
+        merged, enumerated = _fsm_mine_spec(g, spec)
         accepted = enumerated
         plans.append("fsm")
     else:

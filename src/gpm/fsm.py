@@ -5,9 +5,10 @@ pairs, children extend a pattern by one edge along the rightmost path, and
 only extensions whose DFS code is minimal survive (each pattern is therefore
 reached from exactly one seed). Embeddings of a pattern are gathered into
 its node during extension; support is the minimum image count over pattern
-positions (domain support), which is anti-monotone and drives subtree
-pruning. The seeds are walked in order on one thread; the `workers`
-arguments are accepted and ignored.
+positions (domain support, `mni`), which is anti-monotone and drives subtree
+pruning. A spec's `get_support(node)` hook replaces `mni`: it sees each
+node once, with all of its rows. The seeds are walked in order on one
+thread; `mine_fsm`'s `workers` argument is accepted and ignored.
 
 A node holds its embeddings as one `(E, positions)` int64 array, one row per
 vertex assignment (structure-of-arrays embedding lists, as in Pangolin).
@@ -39,48 +40,6 @@ class FsmMemoryError(MemoryError):
     """Embedding arrays exceeded the configured memory cap."""
 
 
-class DomainSupport:
-    """Per-position sets of matched graph vertices; value = minimum size.
-
-    Only the `get_support` hook path uses it; the default support is `mni`.
-    """
-
-    __slots__ = ("domains",)
-
-    def __init__(self, positions):
-        self.domains = [set() for _ in range(positions)]
-
-    @classmethod
-    def of_embedding(cls, vertices):
-        ds = cls(len(vertices))
-        for pos, v in enumerate(vertices):
-            ds.domains[pos].add(v)
-        return ds
-
-    def add(self, vertices):
-        for pos, v in enumerate(vertices):
-            self.domains[pos].add(v)
-
-    def merge(self, other):
-        for mine, theirs in zip(self.domains, other.domains):
-            mine |= theirs
-        return self
-
-    def value(self):
-        if not self.domains:
-            return 0
-        return min(len(d) for d in self.domains)
-
-
-def get_domain_support(emb):
-    """Domain support contributed by a single embedding."""
-    return DomainSupport.of_embedding(emb.vertices)
-
-
-def merge_domain_support(a, b):
-    return a.merge(b)
-
-
 @dataclass
 class FsmEmbedding:
     """One realization of a DFS code: graph vertex per pattern position."""
@@ -92,9 +51,7 @@ class FsmEmbedding:
 class PatternNode:
     """A sub-pattern-tree node: DFS code plus its gathered embedding array.
 
-    `emb` is an `(E, positions)` int64 array; `embeddings` is the same rows
-    as a list of tuples, built on each access for hooks and callers that
-    want Python values.
+    `emb` is an `(E, positions)` int64 array, one row per embedding.
     """
 
     __slots__ = ("code", "emb", "_support")
@@ -104,10 +61,6 @@ class PatternNode:
         self.emb = np.asarray(embeddings, dtype=np.int64).reshape(
             -1, code_vertex_count(code))
         self._support = None
-
-    @property
-    def embeddings(self):
-        return list(map(tuple, self.emb.tolist()))
 
     @property
     def edge_count(self):
@@ -316,35 +269,30 @@ def mine_fsm(g, k_edges, min_sup, *, workers=1, prune=True,
     return results
 
 
-def mine_spec(g, spec, workers=1, memory_cap=DEFAULT_MEMORY_CAP):
+def mine_spec(g, spec, memory_cap=DEFAULT_MEMORY_CAP):
     """Engine route for edge-induced implicit problems described by a spec.
 
     `spec.is_implicit_pattern` (given a PatternNode) selects the patterns of
     interest; with `spec.support_anti_monotonic` the same test prunes
-    subtrees. Custom `get_support` / `reduce` hooks replace the default
-    domain-support computation, and `to_add_edge` vetoes extension edges.
+    subtrees. `spec.get_support(node)` replaces `mni` as the support of a
+    node, called once per node with its `code` and `(E, positions)` `emb`
+    rows; a `reduce` hook is refused, since supports are not combined.
+    `to_add_edge` vetoes extension edges. Returns ({code: support},
+    embeddings considered).
     """
+    if spec.reduce is not None:
+        raise ValueError("fsm computes one support per pattern node; "
+                         "a reduce hook would never be called")
     accept_hook = spec.is_implicit_pattern
-    get_support = spec.get_support
-    reduce_fn = spec.reducer()
-    edge_filter = spec.to_add_edge
-
-    def node_support(node):
-        if get_support is None:
-            return mni(node)
-        acc = None
-        for verts in node.embeddings:
-            s = get_support(FsmEmbedding(verts, node.code))
-            acc = s if acc is None else reduce_fn(acc, s)
-        if isinstance(acc, DomainSupport):
-            return acc.value()
-        return acc if acc is not None else 0
+    # looked up per run, so that a wrapped `mni` is the one called
+    support = spec.get_support or mni
 
     def accept(node):
         if node._support is None:
-            node._support = node_support(node)
+            node._support = support(node)
         if accept_hook is None:
             return True
         return bool(accept_hook(node))
 
-    return _mine(g, spec.k, accept, bool(spec.support_anti_monotonic), memory_cap, edge_filter)
+    return _mine(g, spec.k, accept, bool(spec.support_anti_monotonic), memory_cap,
+                 spec.to_add_edge)

@@ -1,4 +1,4 @@
-"""Small-pattern algebra: canonical codes, automorphism orbits, symmetry-breaking
+"""Small-pattern algebra: canonical codes, automorphisms, symmetry-breaking
 partial orders, matching orders, and pattern enumeration.
 
 Everything here is brute-force over vertex permutations, bounded at 8 vertices;
@@ -37,11 +37,6 @@ class Pattern:
         if not self._connected():
             raise ValueError("pattern must be connected")
         self._hash = hash((self.vertex_count, self.edges, self.labels))
-
-    @classmethod
-    def from_edges(cls, edges, labels=None):
-        n = max(max(u, v) for u, v in edges) + 1
-        return cls(n, edges, labels=labels)
 
     def _connected(self):
         if self.vertex_count <= 1:
@@ -159,8 +154,14 @@ def load_pattern(path_, label_names=None):
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
                 raise GraphParseError(f"{path_}:{lineno}: non-integer vertex id")
+            if u < 0 or v < 0:
+                raise GraphParseError(f"{path_}:{lineno}: negative vertex id")
+            if u == v:
+                raise GraphParseError(f"{path_}:{lineno}: self loop")
             edges.append((u, v))
             max_id = max(max_id, u, v)
+    if not edges:
+        raise GraphParseError(f"{path_}: pattern has no edges")
     n = max_id + 1
     labels = None
     if raw_labels:
@@ -168,7 +169,10 @@ def load_pattern(path_, label_names=None):
         if missing:
             raise GraphParseError(f"{path_}: pattern labels missing for vertices {missing}")
         labels, _ = label_ids([raw_labels[v] for v in range(n)], label_names)
-    return Pattern(n, edges, labels=labels)
+    try:
+        return Pattern(n, edges, labels=labels)
+    except ValueError as exc:  # only a disconnected pattern gets here
+        raise GraphParseError(f"{path_}: {exc}") from None
 
 
 # -- canonical form and automorphisms -------------------------------------------
@@ -252,27 +256,6 @@ def _automorphisms(vertex_count, edges, labels):
 def automorphisms(p):
     """All vertex permutations mapping the pattern onto itself."""
     return _automorphisms(p.vertex_count, p.edges, p.labels)
-
-
-def automorphism_orbits(p):
-    """Partition of vertices into equivalence classes under automorphisms."""
-    parent = list(range(p.vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in automorphisms(p):
-        for v in range(p.vertex_count):
-            a, b = find(v), find(perm[v])
-            if a != b:
-                parent[a] = b
-    groups = {}
-    for v in range(p.vertex_count):
-        groups.setdefault(find(v), []).append(v)
-    return sorted(tuple(sorted(g)) for g in groups.values())
 
 
 # -- symmetry-breaking partial orders --------------------------------------------

@@ -385,13 +385,26 @@ class TestErrorsAndToggles:
         ("v 0 A\nv 1 B\nv 1 A\n0 1\n", 3, "duplicate label for vertex 1"),
         ("v 0 A\nv 1 B\nv -1 A\n0 1\n", 3, "negative vertex id -1"),
         ("0 1\nv x A\n", 2, "non-integer vertex id"),
-    ], ids=["repeated", "negative", "non-integer"])
+        ("0 1\n-1 0\n", 2, "negative vertex id"),
+        ("0 1\n1 1\n", 2, "self loop"),
+    ], ids=["repeated", "negative", "non-integer", "negative-edge", "self-loop"])
     def test_bad_pattern_label_line(self, files, capsys, tmp_path, text, line, message):
         pat = tmp_path / "bad.pat"
         pat.write_text(text)
         assert run(["match", "-p", str(pat), files["tailed.el"],
                     "--labels", files["tailed.lbl"]]) == 2
         assert capsys.readouterr().err == f"gpm: {pat}:{line}: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "pattern has no edges"),
+        ("v 0 A\nv 1 B\n", "pattern has no edges"),
+        ("0 1\n2 3\n", "pattern must be connected"),
+    ], ids=["empty", "labels-only", "disconnected"])
+    def test_bad_pattern_file(self, files, capsys, tmp_path, text, message):
+        pat = tmp_path / "bad.pat"
+        pat.write_text(text)
+        assert run(["match", "-p", str(pat), files["tailed.el"]]) == 2
+        assert capsys.readouterr().err == f"gpm: {pat}: {message}\n"
 
     def test_bad_threads_env(self, files, capsys, monkeypatch):
         monkeypatch.setenv("GPM_THREADS", "abc")

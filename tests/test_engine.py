@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpm import apps, localgraph, oracle
-from gpm.embedding import ConnectivityMap, Embedding, decode_embedding_code, embedding_code
+from gpm.embedding import ConnectivityMap
 from gpm.engine import _is_canonical_extension, extend, mine
 from gpm.graph import Graph, has_edge, orient
 from gpm.patterns import canonical_code, clique, named_motifs, triangle, wedge
@@ -73,14 +73,14 @@ class TestConnectivityMap:
         for depth, v in enumerate([0, 1, 2]):
             members.add(v)
             mnc.push(v, depth, members)
-        assert mnc.lookup(3) == 0b101  # positions {0, 2}
-        assert mnc.lookup(4) == 0b100  # position {2}
+        assert mnc.bits.get(3, 0) == 0b101  # positions {0, 2}
+        assert mnc.bits.get(4, 0) == 0b100  # position {2}
 
     def test_no_neighbors_empty(self):
         g = Graph.from_edges(3, [(0, 1)])
         mnc = ConnectivityMap(g.adjacency())
         mnc.push(0, 0, {0})
-        assert mnc.lookup(2) == 0
+        assert mnc.bits.get(2, 0) == 0
 
     def test_pop_restores_exactly(self, rng):
         g = random_graph(rng, 30, 0.2)
@@ -114,38 +114,7 @@ class TestConnectivityMap:
                 if u in members:
                     continue
                 expect = sum(1 << i for i, v in enumerate(verts) if has_edge(g, v, u))
-                assert mnc.lookup(u) == expect
-
-
-class TestEmbeddingCode:
-    def test_concatenation(self):
-        # four levels: codes 1, 11, 101 -> "111101"
-        g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (2, 3)])
-        emb = Embedding(g)
-        emb.push(0, 0)
-        emb.push(1, 0b1)
-        emb.push(2, 0b11)
-        emb.push(3, 0b101)
-        assert embedding_code(emb) == "111101"
-
-    def test_two_vertex(self):
-        g = Graph.from_edges(2, [(0, 1)])
-        emb = Embedding(g)
-        emb.push(0, 0)
-        emb.push(1, 1)
-        assert embedding_code(emb) == "1"
-
-    def test_triangle_code(self):
-        g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        emb = Embedding(g)
-        emb.push(0, 0)
-        emb.push(1, 0b1)
-        emb.push(2, 0b11)
-        assert embedding_code(emb) == "111"
-
-    def test_decode_roundtrip(self):
-        assert decode_embedding_code("111101") == [(0, 1), (0, 2), (1, 2), (0, 3), (2, 3)]
-        assert decode_embedding_code("1") == [(0, 1)]
+                assert mnc.bits.get(u, 0) == expect
 
 
 class TestCanonicalFilter:
@@ -326,15 +295,15 @@ class TestHooks:
 
         def classify(emb):
             a, b, c = emb.vertices
-            code = embedding_code(emb)
+            _, c1, c2 = emb.codes
             labels = g.labels
-            if code == "110":  # wedge centered at position 0
+            if c2 == 0b01:  # wedge centered at position 0
                 ends, center = (labels[b], labels[c]), labels[a]
-            elif code == "101":
+            elif c2 == 0b10:  # wedge centered at position 1
                 ends, center = (labels[a], labels[c]), labels[b]
             else:
                 ends, center = (labels[a], labels[b]), labels[c]
-            return (tuple(sorted(ends)), center, "wedge" if code.count("1") == 2 else "tri")
+            return (tuple(sorted(ends)), center, "tri" if c1 and c2 == 0b11 else "wedge")
 
         spec = apps.motif_spec(3, get_pattern=classify)
         result = mine(g, spec)
@@ -596,3 +565,9 @@ def test_raising_hook_propagates():
     with pytest.raises(RuntimeError, match="boom"):
         mine(g, apps.triangle_spec(to_add=to_add), workers=2)
     assert len(calls) == 1
+
+
+def test_public_names_resolve():
+    import gpm
+    assert len(gpm.__all__) == len(set(gpm.__all__))
+    assert [name for name in gpm.__all__ if not hasattr(gpm, name)] == []

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from gpm import oracle
 from gpm.dfscode import decode, is_min_extension, render_code
 from gpm.engine import ProblemSpec, mine
-from gpm.fsm import (DomainSupport, FsmMemoryError, PatternNode, get_domain_support,
-                     merge_domain_support, mine_fsm, mni, rightmost_extensions)
+from gpm.fsm import FsmMemoryError, PatternNode, mine_fsm, mni, rightmost_extensions
 from gpm.graph import Graph
 
 from conftest import random_graph
@@ -49,9 +48,9 @@ class TestExamples:
         child = children[0]
         # both outer edges fold into the single wedge pattern: one edge set,
         # two automorphic assignments
-        assert len(child.embeddings) == 2
+        assert len(child.emb) == 2
         edge_sets = {frozenset(_edges_of(child.code, verts))
-                     for verts in child.embeddings}
+                     for verts in child.emb.tolist()}
         assert len(edge_sets) == 1
         assert child.support == 1
 
@@ -92,29 +91,33 @@ class TestMni:
         node = PatternNode(((0, 1, 0, 0),), [(0, 9), (1, 9), (2, 9)])
         assert mni(node) == 1
 
-    def test_duplicate_embeddings_absorbed(self):
-        ds = DomainSupport.of_embedding((1, 2))
-        ds.add((1, 2))
-        ds.add((1, 2))
-        assert ds.value() == 1
-
     def test_helper_hooks_match_default(self):
         g = labeled(3, [(0, 1), (1, 2)], [0, 1, 0])
+
+        def domain_support(node):
+            return min(len(set(col)) for col in zip(*node.emb.tolist()))
+
         spec = ProblemSpec(vertex_induced=False, explicit=False, k=2,
                            is_implicit_pattern=lambda node: node.support >= 1,
-                           get_support=get_domain_support,
-                           reduce=merge_domain_support)
+                           get_support=domain_support)
         result = mine(g, spec)
         assert result.pattern_map == mine_fsm(g, 2, 1)
 
     def test_get_support_reduces_by_sum_by_default(self):
         g = labeled(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [0, 0, 1, 1])
+        calls = []
+
+        def rows(node):
+            calls.append(node.code)
+            return len(node.emb)
+
         summed = mine(g, ProblemSpec(vertex_induced=False, explicit=False, k=2,
-                                     get_support=lambda emb: 1))
-        added = mine(g, ProblemSpec(vertex_induced=False, explicit=False, k=2,
-                                    get_support=lambda emb: 1, reduce=lambda a, b: a + b))
-        assert summed.pattern_map == added.pattern_map
+                                     get_support=rows))
         assert summed.pattern_map[((0, 1, 0, 0),)] == 2   # edge 0-1, both directions
+        assert sorted(calls) == sorted(summed.pattern_map)   # once per node
+        with pytest.raises(ValueError, match="reduce"):
+            mine(g, ProblemSpec(vertex_induced=False, explicit=False, k=2,
+                                get_support=rows, reduce=lambda a, b: a + b))
 
 
 class TestAgainstOracle:
@@ -162,8 +165,8 @@ class TestAgainstOracle:
             children = rightmost_extensions(seed_node, g)
             seen = {}
             for child in children:
-                for verts in child.embeddings:
-                    key = (frozenset(_edges_of(child.code, verts)), verts)
+                for verts in child.emb.tolist():
+                    key = (frozenset(_edges_of(child.code, verts)), tuple(verts))
                     assert key not in seen
                     seen[key] = child.code
 
@@ -225,9 +228,9 @@ def test_to_add_edge_vetoes_extensions():
     full = rightmost_extensions(seed, g)
     filtered = rightmost_extensions(seed, g,
                                     edge_filter=lambda emb, e: e != (1, 2))
-    assert len(full) == 1 and len(full[0].embeddings) == 2
-    assert len(filtered) == 1 and len(filtered[0].embeddings) == 1
-    assert filtered[0].embeddings == [(2, 1, 0)]
+    assert len(full) == 1 and len(full[0].emb) == 2
+    assert len(filtered) == 1 and len(filtered[0].emb) == 1
+    assert filtered[0].emb.tolist() == [[2, 1, 0]]
 
 
 def _tuple_extensions(node, g, edge_filter=None):
@@ -243,10 +246,10 @@ def _tuple_extensions(node, g, edge_filter=None):
     bins = {}
 
     def allowed(verts, a, b):
-        return edge_filter is None or edge_filter(FsmEmbedding(verts, code),
+        return edge_filter is None or edge_filter(FsmEmbedding(tuple(verts), code),
                                                   (min(a, b), max(a, b)))
 
-    for verts in node.embeddings:
+    for verts in node.emb.tolist():
         used = {frozenset((verts[i], verts[j])) for i, j, _, _ in code}
         vr = verts[r]
         for p in rmp[1:]:
@@ -257,7 +260,7 @@ def _tuple_extensions(node, g, edge_filter=None):
             vp = verts[p]
             for w in adj[vp]:
                 if w not in verts and allowed(verts, vp, w):
-                    bins.setdefault((p, nv, labels[vp], labels[w]), []).append(verts + (w,))
+                    bins.setdefault((p, nv, labels[vp], labels[w]), []).append(verts + [w])
     return [(code + (key,), bins[key]) for key in sorted(bins)
             if is_min_extension(code + (key,))]
 
@@ -278,16 +281,13 @@ class TestEmbeddingArrays:
     def test_mni_and_edge_filter_against_tuples(self, seed, veto):
         rng = random.Random(seed)
         g = random_graph(rng, rng.randint(3, 14), 0.3, labels=rng.randint(1, 3))
-        edges = sorted({tuple(sorted(e)) for n in _seeds(g) for e in n.embeddings})
+        edges = sorted({tuple(sorted(e)) for n in _seeds(g) for e in n.emb.tolist()})
         for node in _nodes_to_depth(g, 3):
-            ds = DomainSupport(node.emb.shape[1])
-            for verts in node.embeddings:
-                ds.add(verts)
-            assert mni(node) == ds.value()
+            assert mni(node) == min(len(set(col)) for col in zip(*node.emb.tolist()))
             if node.edge_count == 3:
                 continue
             # same children, rows in the same order, as the tuple loop
-            assert [(c.code, c.embeddings) for c in rightmost_extensions(node, g)] \
+            assert [(c.code, c.emb.tolist()) for c in rightmost_extensions(node, g)] \
                 == _tuple_extensions(node, g)
             # vetoing one graph edge removes exactly the child rows whose new
             # code edge maps onto it, and children left with no rows
@@ -295,12 +295,12 @@ class TestEmbeddingArrays:
             want = {}
             for child in rightmost_extensions(node, g):
                 i, j = child.code[-1][:2]
-                rows = [v for v in child.embeddings
+                rows = [v for v in child.emb.tolist()
                         if (min(v[i], v[j]), max(v[i], v[j])) != bad]
                 if rows:
                     want[child.code] = rows
             keep = lambda emb, e: e != bad  # noqa: E731
-            got = [(c.code, c.embeddings)
+            got = [(c.code, c.emb.tolist())
                    for c in rightmost_extensions(node, g, edge_filter=keep)]
             assert dict(got) == want
             assert got == _tuple_extensions(node, g, keep)

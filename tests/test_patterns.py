@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpm.patterns import (Pattern, all_patterns, automorphism_orbits,
-                          automorphisms, canonical_code, clique, cycle, is_clique,
-                          load_pattern, matching_order, motif_name, named_motifs,
-                          path, star, symmetry_orders, triangle, wedge)
+from gpm.patterns import (Pattern, all_patterns, automorphisms, canonical_code, clique,
+                          cycle, is_clique, load_pattern, matching_order, motif_name,
+                          named_motifs, path, star, symmetry_orders, triangle, wedge)
 
 
 def _relabel(p, perm):
@@ -113,24 +112,41 @@ def _brute_isomorphic(p1, p2):
     return False
 
 
+def _orbits(p):
+    """Vertex orbits under `automorphisms(p)`, as sorted tuples."""
+    group = automorphisms(p)
+    return sorted({tuple(sorted({perm[v] for perm in group}))
+                   for v in range(p.vertex_count)})
+
+
 class TestOrbits:
     def test_triangle_single_orbit(self):
-        assert automorphism_orbits(triangle()) == [(0, 1, 2)]
+        assert _orbits(triangle()) == [(0, 1, 2)]
 
     def test_cycle4_single_orbit(self):
-        assert automorphism_orbits(cycle(4)) == [(0, 1, 2, 3)]
+        assert _orbits(cycle(4)) == [(0, 1, 2, 3)]
 
     def test_diamond_two_orbits(self):
         p = named_motifs(4)["diamond"]  # chord ends 1, 2 have degree 3
-        orbits = automorphism_orbits(p)
-        assert sorted(orbits) == [(0, 3), (1, 2)]
+        assert _orbits(p) == [(0, 3), (1, 2)]
 
     def test_orbit_members_equivalent(self):
         p = named_motifs(4)["tailed-triangle"]
-        orbits = {frozenset(o) for o in automorphism_orbits(p)}
+        orbits = {frozenset(o) for o in _orbits(p)}
         degrees = {frozenset(v for v in range(4) if p.degree(v) == d)
                    for d in {p.degree(v) for v in range(4)}}
         assert orbits == degrees
+
+    @pytest.mark.parametrize("p, size", [
+        (triangle(), 6), (cycle(4), 8), (named_motifs(4)["diamond"], 4),
+        (named_motifs(4)["tailed-triangle"], 2),
+    ], ids=["triangle", "C4", "diamond", "tailed-triangle"])
+    def test_group_size_and_edges_preserved(self, p, size):
+        group = automorphisms(p)
+        assert len(group) == len(set(group)) == size
+        for perm in group:
+            assert sorted(tuple(sorted((perm[u], perm[v]))) for u, v in p.edges) \
+                == sorted(p.edges)
 
 
 class TestSymmetryOrders:
