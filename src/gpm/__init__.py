@@ -3,16 +3,12 @@
 High-level use: describe the problem with a `ProblemSpec` (or one of the
 presets in `gpm.apps`) and call `mine`. Low-level hooks on the spec customize
 pruning, pattern classification, local counting, and local-graph search.
+
+`import gpm` loads no submodule: each exported name imports its module on
+first use, so a process pays only for the modules it runs.
 """
 
-from .embedding import ConnectivityMap, Embedding
-from .engine import MiningResult, ProblemSpec, extend, mine
-from .fsm import PatternNode, mine_fsm, mni, rightmost_extensions
-from .graph import (Graph, OrientedGraph, core_numbers, has_edge, load_edge_list, orient,
-                    validate_graph)
-from .patterns import (MatchingOrder, Pattern, all_patterns, canonical_code, is_clique,
-                       load_pattern, matching_order, symmetry_orders)
-from .dfscode import is_min_extension, min_dfs_code
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -24,3 +20,25 @@ __all__ = [
     "min_dfs_code", "mine", "mine_fsm", "mni", "orient", "rightmost_extensions",
     "symmetry_orders", "validate_graph",
 ]
+
+# the submodule that defines each name of __all__
+_HOME = {name: module for module, names in [
+    ("embedding", "ConnectivityMap Embedding"),
+    ("engine", "MiningResult ProblemSpec extend mine"),
+    ("fsm", "PatternNode mine_fsm mni rightmost_extensions"),
+    ("graph", "Graph OrientedGraph core_numbers has_edge load_edge_list orient validate_graph"),
+    ("patterns", "MatchingOrder Pattern all_patterns canonical_code is_clique load_pattern "
+                 "matching_order symmetry_orders"),
+    ("dfscode", "is_min_extension min_dfs_code")] for name in names.split()}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -9,7 +9,6 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
-from . import localcount, localgraph
 from .engine import ProblemSpec, mine
 from .graph import Graph
 from .patterns import all_patterns, canonical_code, clique, triangle
@@ -24,6 +23,7 @@ def clique_spec(k, **hooks):
 
 
 def clique_local_spec(k, **hooks):
+    from . import localgraph
     return ProblemSpec(vertex_induced=True, k=k, patterns=(clique(k),),
                        init_local=localgraph.init_local_graph,
                        update_local=localgraph.LocalGraph.shrink, **hooks)
@@ -69,6 +69,7 @@ def count_motifs(g, k, *, level="hi", **options):
         run = mine(g, motif_spec(k), **options)
         counts = dict(run.pattern_map)
     elif k in (3, 4):
+        from . import localcount
         t0 = time.perf_counter()
         options = {"workers": 1, **options}
         if k == 3:

@@ -14,9 +14,9 @@ import sys
 import time
 from contextlib import nullcontext
 
-from . import apps, oracle
+# the help text and the benchmark tracer read these; each subcommand imports
+# the mining modules it runs
 from .dfscode import MAX_CODE_EDGES, render_code
-from .engine import MiningResult, ProblemSpec, workers_from_env
 from .fsm import NODE_OVERHEAD_BYTES, FsmMemoryError
 from .fsm import mine_spec as fsm_mine_spec
 from .graph import GraphParseError, load_edge_list
@@ -113,7 +113,9 @@ def _build_parser():
     p.add_argument("--mem-cap", type=int, default=4 * 2 ** 30,
                    help="memory cap in bytes, at least 1, for the embedding arrays "
                         "of the patterns alive at once (8 bytes per pattern vertex "
-                        f"per embedding, plus {NODE_OVERHEAD_BYTES} per pattern)")
+                        f"per embedding, plus {NODE_OVERHEAD_BYTES} per pattern) and "
+                        "the extension's gather (8 bytes per pattern vertex, plus 32, "
+                        "per neighbour gathered)")
     _add_input(p)
     _add_run(p)
 
@@ -198,6 +200,7 @@ def run(argv=None):
                      "disabling symmetry breaking changes them")
     if args.command != "oracle":
         if args.threads is None:
+            from .engine import workers_from_env
             try:
                 args.threads = workers_from_env()
             except ValueError as exc:
@@ -226,11 +229,13 @@ def run(argv=None):
 
 
 def _run_tc(args, g):
+    from . import apps
     count, result = _count_listed(args, apps.count_triangles, g)
     return _emit([("triangle", count)], args, result)
 
 
 def _run_clique(args, g):
+    from . import apps
     if args.k < 2:
         return _fail("clique size must be >= 2")
     count, result = _count_listed(args, apps.count_cliques, g, args.k, level=args.level)
@@ -238,17 +243,20 @@ def _run_clique(args, g):
 
 
 def _run_match(args, g):
+    from . import apps
     pattern = load_pattern(args.pattern, g.label_names)
     count, result = _count_listed(args, apps.count_subgraphs, g, pattern)
     return _emit([(motif_name(canonical_code(pattern)), count)], args, result)
 
 
 def _run_motif(args, g):
+    from . import apps
     counts, _, result = apps.count_motifs(g, args.k, level=args.level, **_mine_options(args))
     return _emit(_sorted_rows(counts), args, result)
 
 
 def _run_fsm(args, g):
+    from .engine import MiningResult, ProblemSpec
     if args.minsup < 1:
         return _fail("--minsup must be at least 1")
     minsup = args.minsup
@@ -264,6 +272,7 @@ def _run_fsm(args, g):
 
 
 def _run_oracle(args, g):
+    from . import oracle
     if args.oracle_command == "motif":
         return _emit(_sorted_rows(oracle.count_vertex_induced(g, args.k)), args)
     pattern = load_pattern(args.pattern, g.label_names)

@@ -147,11 +147,14 @@ def rightmost_extensions(node, g, budget=None, edge_filter=None):
     Each parent embedding contributes its backward edges (rightmost vertex to
     an earlier rightmost-path vertex, edge unused) and forward edges (new
     vertex hanging off any rightmost-path vertex); extensions are binned by
-    code edge, rows in parent order and then neighbour order, and bins whose
-    extended code is not minimal are dropped before any support computation.
-    `edge_filter(embedding, (a, b))` can veto individual graph edges before
-    they are binned.
+    code edge, rows in parent order and then neighbour order, and a bin is
+    built only when its extended code is minimal. `edge_filter(embedding,
+    (a, b))` can veto individual graph edges before they are binned.
+    `budget` is charged each bin as it is built, and each forward gather's
+    working arrays while they live.
     """
+    if budget is None:
+        budget = _MemoryBudget(float("inf"))
     code, emb = node.code, node.emb
     rmp = rightmost_path(code)
     r = rmp[0]
@@ -172,14 +175,20 @@ def rightmost_extensions(node, g, budget=None, edge_filter=None):
         rows = np.flatnonzero(g.has_edges(vr, vp))
         if edge_filter is not None:
             rows = rows[_allowed(edge_filter, node, rows, vr[rows], vp[rows])]
-        if len(rows):
-            bins[(r, p, lab[r], lab[p])] = emb[rows]
+        key = (r, p, lab[r], lab[p])
+        if len(rows) and is_min_extension(code + (key,)):
+            budget.add(len(rows) * nv * 8)
+            bins[key] = emb[rows]
 
     # forward edges: every neighbour w of v_p outside the row's image
     offs = g.row_offsets
     for p in rmp:
         vp = emb[:, p]
-        rows, at = gather(offs[vp], offs[vp + 1] - offs[vp])
+        counts = offs[vp + 1] - offs[vp]
+        # rows, at, w and keep, and the parent rows: nv + 4 words a candidate
+        work = int(counts.sum()) * (nv + 4) * 8
+        budget.add(work)
+        rows, at = gather(offs[vp], counts)
         w = g.neighbors[at]
         parent = emb[rows]
         keep = parent[:, 0] != w
@@ -192,21 +201,19 @@ def rightmost_extensions(node, g, budget=None, edge_filter=None):
         # stable, so each label's rows stay in parent order, then neighbour order
         order = _stable_order(wl)
         sel, wl = sel[order], wl[order]
-        child = np.empty((len(sel), nv + 1), dtype=np.int64)
-        child[:, :nv] = parent[sel]
-        child[:, nv] = w[sel]
         for a, b in _runs(wl):
-            bins[(p, nv, lab[p], int(wl[a]))] = child[a:b]
+            key = (p, nv, lab[p], int(wl[a]))
+            if is_min_extension(code + (key,)):
+                budget.add((b - a) * (nv + 1) * 8)
+                bins[key] = np.concatenate([parent[sel[a:b]], w[sel[a:b], None]], axis=1)
+        # free the gather's arrays before their charge is released
+        del rows, at, w, parent, keep
+        budget.sub(work)
 
     children = []
     for key in sorted(bins):
-        child_code = code + (key,)
-        if not is_min_extension(child_code):
-            continue
-        child = PatternNode(child_code, bins[key])
-        if budget is not None:
-            budget.add(_node_bytes(child))
-        children.append(child)
+        budget.add(NODE_OVERHEAD_BYTES)
+        children.append(PatternNode(code + (key,), bins[key]))
     return children
 
 

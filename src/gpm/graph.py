@@ -72,18 +72,23 @@ class Graph(CSRGraph):
 
     @classmethod
     def from_edges(cls, vertex_count, edges, labels=None, label_names=None):
-        """Build a graph from an iterable of (u, v) pairs.
+        """Build a graph from (u, v) pairs: an iterable of them or an `(m, 2)`
+        integer array.
 
         Input is normalized: self-loops dropped, duplicates merged, both
-        directions stored, neighbor lists sorted.
+        directions stored, neighbor lists sorted. An edge outside the vertex
+        range raises ValueError naming the first such pair in input order.
         """
-        pairs = {(min(u, v), max(u, v)) for u, v in edges if u != v}
-        for u, v in pairs:
-            if u < 0 or v >= vertex_count:
-                raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{vertex_count - 1}")
-        arr = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
-        offsets, nbrs = _build_csr(vertex_count, np.concatenate([arr[:, 0], arr[:, 1]]),
-                                   np.concatenate([arr[:, 1], arr[:, 0]]))
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                           dtype=np.int64)
+        pairs = pairs.reshape(len(pairs), 2)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        bad = np.flatnonzero(((pairs < 0) | (pairs >= vertex_count)).any(axis=1))
+        if len(bad):
+            u, v = pairs[bad[0]].tolist()
+            raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{vertex_count - 1}")
+        u, v = pairs[:, 0], pairs[:, 1]
+        offsets, nbrs = _build_csr(vertex_count, np.concatenate([u, v]), np.concatenate([v, u]))
         return cls(vertex_count, offsets, nbrs, labels=labels, label_names=label_names)
 
     @property
@@ -130,10 +135,15 @@ class OrientedGraph(CSRGraph):
 
 
 def _build_csr(n, src, dst):
-    """CSR row offsets and sorted neighbors of the directed edges (src[i], dst[i])."""
+    """CSR row offsets and sorted neighbors of the distinct directed edges
+    (src[i], dst[i])."""
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    first = np.ones(len(src), dtype=bool)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return offsets, dst[np.lexsort((dst, src))]
+    np.cumsum(np.bincount(src[first], minlength=n), out=offsets[1:])
+    return offsets, dst[first]
 
 
 def gather(starts, counts):
@@ -162,27 +172,15 @@ def load_edge_list(path, labels_path=None):
     is max id + 1; a count whose arrays cannot be allocated raises
     MemoryError naming it. An optional label file has one "id label" line
     per vertex and must cover every vertex; label tokens are mapped to dense
-    integers.
+    integers. A file that `_tokens` and `_digits` accept is parsed in numpy,
+    any other by the line loop, which names the first bad line.
     """
-    edges = []
-    max_id = -1
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphParseError(f"{path}:{lineno}: expected 'u v', got {raw.strip()!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphParseError(f"{path}:{lineno}: non-integer vertex id in {raw.strip()!r}")
-            if u < 0 or v < 0:
-                raise GraphParseError(f"{path}:{lineno}: negative vertex id")
-            max_id = max(max_id, u, v)
-            edges.append((u, v))
-    n = max_id + 1
+    with open(path, "rb") as f:
+        ids = _digits(_tokens(f.read()))
+    if ids is None:
+        edges, n = _edge_lines(path)
+    else:
+        edges, n = ids.reshape(-1, 2), int(ids.max(initial=-1)) + 1
 
     labels = label_names = None
     if labels_path is not None:
@@ -194,26 +192,106 @@ def load_edge_list(path, labels_path=None):
                           "in memory") from None
 
 
-def _load_labels(path, vertex_count):
-    raw_labels = {}
+# bytes that send a file to the line loop: '#' starts a comment, and
+# str.split() splits on the others where bytes.split() does not
+_REFUSED = b"#\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _tokens(data):
+    """`(data, starts, ends)`, the byte bounds of the tokens of an ASCII text
+    whose every line holds two blank-separated tokens or none, its "\r\n" and
+    "\r" line breaks made "\n" as text mode reads them; None for other text."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.isascii() or len(data.translate(None, _REFUSED)) < len(data):
+        return None
+    b = np.frombuffer(data, dtype=np.uint8)
+    step = np.diff(((b != 32) & (b != 9) & (b != 10)).view(np.int8), prepend=0, append=0)
+    starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+    line = np.searchsorted(np.flatnonzero(b == 10), starts)
+    # tokens 2i and 2i + 1 share a line, and token 2i + 2 starts a later one
+    if len(line) % 2 or np.any(line[0::2] != line[1::2]) or np.any(line[2::2] == line[1:-1:2]):
+        return None
+    return data, starts, ends
+
+
+def _digits(found, pick=slice(None)):
+    """The tokens `_tokens` found (those `pick` selects) as an int64 array;
+    None if `found` is None or a token is not 1 to 18 ASCII digits."""
+    if found is None:
+        return None
+    data, starts, ends = found[0], found[1][pick], found[2][pick]
+    lengths = ends - starts
+    if lengths.max(initial=0) > 18:
+        return None
+    token, at = gather(starts, lengths)
+    digit = np.frombuffer(data, dtype=np.uint8)[at] - 48
+    if np.any(digit > 9):
+        return None
+    return np.add.reduceat(digit * 10 ** (ends[token] - at - 1), np.cumsum(lengths) - lengths)
+
+
+def split_lines(path):
+    """`(line number, line, tokens)` of each line of a text file that holds a
+    token before any '#' comment; the line loop of every loader."""
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphParseError(f"{path}:{lineno}: expected 'id label', got {raw.strip()!r}")
-            try:
-                v = int(parts[0])
-            except ValueError:
-                raise GraphParseError(f"{path}:{lineno}: non-integer vertex id")
-            if v < 0 or v >= vertex_count:
-                raise GraphParseError(
-                    f"{path}:{lineno}: vertex id {v} outside graph range 0..{vertex_count - 1}")
-            if v in raw_labels:
-                raise GraphParseError(f"{path}:{lineno}: duplicate label for vertex {v}")
-            raw_labels[v] = parts[1]
+            parts = raw.split("#", 1)[0].split()
+            if parts:
+                yield lineno, raw, parts
+
+
+def _edge_lines(path):
+    """`(pairs, vertex count)` of an edge-list file, or GraphParseError
+    naming its first bad line."""
+    edges = []
+    max_id = -1
+    for lineno, raw, parts in split_lines(path):
+        if len(parts) != 2:
+            raise GraphParseError(f"{path}:{lineno}: expected 'u v', got {raw.strip()!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphParseError(f"{path}:{lineno}: non-integer vertex id in {raw.strip()!r}")
+        if u < 0 or v < 0:
+            raise GraphParseError(f"{path}:{lineno}: negative vertex id")
+        max_id = max(max_id, u, v)
+        edges.append((u, v))
+    return edges, max_id + 1
+
+
+def _load_labels(path, vertex_count):
+    """Dense label ids of a label file and the token each stands for; in
+    numpy when its ids are digits naming each vertex once, else by the line
+    loop."""
+    with open(path, "rb") as f:
+        found = _tokens(f.read())
+    ids = _digits(found, slice(0, None, 2))
+    if ids is not None and len(ids) == vertex_count:
+        order = np.argsort(ids)
+        if np.array_equal(ids[order], np.arange(vertex_count)):
+            tokens = found[0].decode("ascii").split()[1::2]
+            ids, names = label_ids([tokens[i] for i in order.tolist()])
+            return np.array(ids, dtype=np.int64), names
+    return _label_lines(path, vertex_count)
+
+
+def _label_lines(path, vertex_count):
+    """The line loop of `_load_labels`, which names the first bad line."""
+    raw_labels = {}
+    for lineno, raw, parts in split_lines(path):
+        if len(parts) != 2:
+            raise GraphParseError(f"{path}:{lineno}: expected 'id label', got {raw.strip()!r}")
+        try:
+            v = int(parts[0])
+        except ValueError:
+            raise GraphParseError(f"{path}:{lineno}: non-integer vertex id")
+        if v < 0 or v >= vertex_count:
+            raise GraphParseError(
+                f"{path}:{lineno}: vertex id {v} outside graph range 0..{vertex_count - 1}")
+        if v in raw_labels:
+            raise GraphParseError(f"{path}:{lineno}: duplicate label for vertex {v}")
+        raw_labels[v] = parts[1]
     # ids in the file are distinct and in range, so the count tells; the scan
     # for the first few missing ids stops early on a huge vertex range
     if len(raw_labels) < vertex_count:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .graph import GraphParseError, label_ids
+from .graph import GraphParseError, label_ids, split_lines
 
 BRUTE_FORCE_BOUND = 8
 
@@ -128,38 +128,33 @@ def load_pattern(path_, label_names=None):
     edges = []
     raw_labels = {}
     max_id = -1
-    with open(path_, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "v":
-                if len(parts) != 3:
-                    raise GraphParseError(f"{path_}:{lineno}: expected 'v id label'")
-                try:
-                    v = int(parts[1])
-                except ValueError:
-                    raise GraphParseError(f"{path_}:{lineno}: non-integer vertex id")
-                if v < 0:
-                    raise GraphParseError(f"{path_}:{lineno}: negative vertex id {v}")
-                if v in raw_labels:
-                    raise GraphParseError(f"{path_}:{lineno}: duplicate label for vertex {v}")
-                raw_labels[v] = parts[2]
-                max_id = max(max_id, v)
-                continue
-            if len(parts) != 2:
-                raise GraphParseError(f"{path_}:{lineno}: expected 'u v' or 'v id label'")
+    for lineno, _, parts in split_lines(path_):
+        if parts[0] == "v":
+            if len(parts) != 3:
+                raise GraphParseError(f"{path_}:{lineno}: expected 'v id label'")
             try:
-                u, v = int(parts[0]), int(parts[1])
+                v = int(parts[1])
             except ValueError:
                 raise GraphParseError(f"{path_}:{lineno}: non-integer vertex id")
-            if u < 0 or v < 0:
-                raise GraphParseError(f"{path_}:{lineno}: negative vertex id")
-            if u == v:
-                raise GraphParseError(f"{path_}:{lineno}: self loop")
-            edges.append((u, v))
-            max_id = max(max_id, u, v)
+            if v < 0:
+                raise GraphParseError(f"{path_}:{lineno}: negative vertex id {v}")
+            if v in raw_labels:
+                raise GraphParseError(f"{path_}:{lineno}: duplicate label for vertex {v}")
+            raw_labels[v] = parts[2]
+            max_id = max(max_id, v)
+            continue
+        if len(parts) != 2:
+            raise GraphParseError(f"{path_}:{lineno}: expected 'u v' or 'v id label'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphParseError(f"{path_}:{lineno}: non-integer vertex id")
+        if u < 0 or v < 0:
+            raise GraphParseError(f"{path_}:{lineno}: negative vertex id")
+        if u == v:
+            raise GraphParseError(f"{path_}:{lineno}: self loop")
+        edges.append((u, v))
+        max_id = max(max_id, u, v)
     if not edges:
         raise GraphParseError(f"{path_}: pattern has no edges")
     n = max_id + 1

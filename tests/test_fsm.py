@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,6 +184,29 @@ class TestWorkersAndLimits:
         g = random_graph(rng, 40, 0.3, labels=1)
         with pytest.raises(FsmMemoryError):
             mine_fsm(g, 3, 1, memory_cap=1024)
+
+    def test_memory_cap_bounds_traced_memory(self):
+        # power-law graph (Chung-Lu, n = 3000, average degree 6, exponent
+        # 2.5, seed 5; m = 8766, max degree 348), 5 uniform labels: the
+        # extension's gathers over the hubs' neighbours, not the live nodes,
+        # dominate its memory, so the cap holds only if they are charged
+        n, rng = 3000, np.random.default_rng(5)
+        weight = np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / 1.5)
+        p = weight / weight.sum()
+        ends = rng.choice(n, size=(2, n * 3), p=p)
+        g = Graph.from_edges(n, ends.T, labels=rng.integers(0, 5, size=n))
+        assert (g.edge_count, int(g.degrees().max())) == (8766, 348)
+        cap = 8 * 2 ** 20
+        tracemalloc.start()
+        try:
+            try:
+                mine_fsm(g, 3, 100, memory_cap=cap)
+            except FsmMemoryError:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * cap + 16 * 2 ** 20
 
     def test_unbounded_k(self):
         g = labeled(3, [(0, 1), (1, 2)], [0, 1, 0])

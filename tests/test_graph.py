@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gpm import graph
 from gpm.graph import (CSRGraph, Graph, GraphParseError, OrientedGraph, core_numbers, gather,
                        has_edge, load_edge_list, orient, validate_graph)
 
@@ -83,6 +84,127 @@ def test_loaded_graph_invariants(edges):
     n = max(max(u, v) for u, v in edges) + 1
     g = Graph.from_edges(n, edges)
     assert validate_graph(g)
+
+
+@given(edges=edge_lists)
+@settings(max_examples=60, deadline=None)
+def test_from_edges_takes_pairs_or_an_array(edges):
+    n = max(max(u, v) for u, v in edges) + 1
+    # reference normalization: a set of (low, high) pairs, loops dropped
+    pairs = {(min(u, v), max(u, v)) for u, v in edges if u != v}
+    adj = [sorted({b for a, b in pairs if a == v} | {a for a, b in pairs if b == v})
+           for v in range(n)]
+    for given_edges in (edges, np.array(edges, dtype=np.int64), iter(edges)):
+        g = Graph.from_edges(n, given_edges)
+        assert [g.neighbors_of(v).tolist() for v in range(n)] == adj
+
+
+def test_from_edges_names_the_first_edge_out_of_range():
+    # the self loop (5, 5) is dropped before the range check, as the loader does
+    for edges in ([(0, 1), (5, 5), (4, 0), (1, -2)], np.array([[0, 1], [5, 5], [4, 0], [1, -2]])):
+        with pytest.raises(ValueError, match=r"^edge \(4, 0\) outside vertex range 0\.\.2$"):
+            Graph.from_edges(3, edges)
+    with pytest.raises(ValueError):
+        Graph.from_edges(3, [(0, 1, 2)])
+
+
+# Files for the loader's two paths: clean lines (two ids, or none) take the
+# numpy path, and every other line sends the whole file to the line loop.
+_IDS = [str(i) for i in range(6)]
+_ODD_IDS = ["007", "+1", "-1", "1_0", "\u0663", "x", "#", "# c", "1#2", "é"]
+_LABELS = ["A", "B", "7", "10", "A\x00", "x#", "é"]
+_BLANKS = [" ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\xa0"]
+_BREAKS = ["\n", "\r", "\r\n"]
+# mostly blanks, sometimes a line break that splits the pair
+_PAIR_SEPARATORS = [" ", "\t", "  ", " \t", "\r", "\n"]
+
+
+@pytest.fixture(scope="module")
+def parity_dir(tmp_path_factory):
+    # one directory for every example; each overwrites the files
+    return tmp_path_factory.mktemp("parity")
+
+
+@st.composite
+def _lines(draw, first, second):
+    """A text of lines: two clean tokens, or 0-3 tokens of any kind."""
+    out = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            line = draw(st.sampled_from(first)) + draw(st.sampled_from(_PAIR_SEPARATORS)) \
+                + draw(st.sampled_from(second))
+        else:
+            tokens = draw(st.lists(st.sampled_from(first + second + _ODD_IDS), max_size=3))
+            line = draw(st.sampled_from(_BLANKS)).join(tokens)
+        out.append(line + draw(st.sampled_from(_BREAKS)))
+    return "".join(out)
+
+
+def _outcome(load):
+    try:
+        g = load()
+    except GraphParseError as exc:
+        return str(exc)
+    labels = None if g.labels is None else g.labels.tolist()
+    return (g.vertex_count, g.row_offsets.tolist(), g.neighbors.tolist(), labels,
+            g.label_names)
+
+
+def _by_line_loop(path, labels_path=None):
+    edges, n = graph._edge_lines(path)
+    labels = names = None
+    if labels_path is not None:
+        labels, names = graph._label_lines(labels_path, n)
+    return Graph.from_edges(n, edges, labels=labels, label_names=names)
+
+
+@given(text=_lines(_IDS, _IDS))
+@example(text="0 1\n2 3 4\n5\n")     # a 3-token and a 1-token line pair up
+@example(text="0\r1\n")               # "\r" ends a line, as in text mode
+@example(text="0 1\r\n\r\n2\t3\r")
+@settings(max_examples=300, deadline=None)
+def test_fast_edge_path_agrees_with_the_line_loop(parity_dir, text):
+    path = parity_dir / "g.el"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(lambda: load_edge_list(str(path))) == \
+        _outcome(lambda: _by_line_loop(str(path)))
+
+
+@st.composite
+def _label_files(draw):
+    """A label line per vertex of a 4-vertex graph, in shuffled order with
+    drawn separators, often with drawn lines after it or in its place."""
+    text = ""
+    if draw(st.booleans()):
+        for v in draw(st.permutations(range(4))):
+            text += (f"{v}{draw(st.sampled_from(_PAIR_SEPARATORS))}{_LABELS[v]}"
+                     + draw(st.sampled_from(_BREAKS)))
+    return text + draw(_lines(["0", "1", "2", "3"], _LABELS))
+
+
+@given(text=_label_files())
+@example(text="0 A 1\nB\n2 A\n3 B\n")   # a 3-token and a 1-token line pair up
+@example(text="0\rA\n1 B\n2 A\n3 B\n")  # "\r" ends a line, as in text mode
+@example(text="3 B\r\n0 A\r2\t10\n1 A\n")
+@settings(max_examples=300, deadline=None)
+def test_fast_label_path_agrees_with_the_line_loop(parity_dir, text):
+    (parity_dir / "g4.el").write_text("0 1\n2 3\n")
+    (parity_dir / "g4.lbl").write_bytes(text.encode("utf-8"))
+    paths = str(parity_dir / "g4.el"), str(parity_dir / "g4.lbl")
+    assert _outcome(lambda: load_edge_list(paths[0], labels_path=paths[1])) == \
+        _outcome(lambda: _by_line_loop(*paths))
+
+
+def test_fast_paths_take_the_benchmark_shaped_files(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("line loop called")
+    monkeypatch.setattr(graph, "_edge_lines", refuse)
+    monkeypatch.setattr(graph, "_label_lines", refuse)
+    gpath = _write(tmp_path, "g.el", "3 1\n1 3\n\n0\t2\r\n2 2\n")
+    lpath = _write(tmp_path, "g.lbl", "3 B\n0 A\r1 10\n2 B\n")
+    g = load_edge_list(gpath, labels_path=lpath)
+    assert [g.neighbors_of(v).tolist() for v in range(4)] == [[2], [3], [0], [1]]
+    assert g.label_names == ("10", "A", "B") and g.labels.tolist() == [1, 0, 2, 2]
 
 
 @given(edges=edge_lists)
