@@ -1,5 +1,5 @@
-"""Array route of the engine's generic, match, clique and triangle plans:
-counting and listing without per-embedding hooks.
+"""Array route of the engine's generic, match, clique, triangle and local
+plans: counting and listing without per-embedding hooks.
 
 Instead of walking one candidate at a time, each level extends a slice of
 embeddings at once, in the structure-of-arrays form Pangolin keeps its
@@ -16,6 +16,10 @@ generic plan extends every position and materialises nothing at size k: it
 counts each distinct packed connectivity code (`np.unique`) and classifies
 it once.
 
+The local plan keeps kClist's shrinking local graph as bitsets instead
+(`count_local`): a row is a root and one uint64 mask over the root's
+out-neighbours, and a level shrinks a mask with one AND.
+
 A frontier is cut into slices of at most ROW_BUDGET gathered candidates by
 a prefix sum of its rows' degrees, and each slice is extended depth-first,
 so memory stays O(k * ROW_BUDGET) whatever the degrees.
@@ -29,6 +33,10 @@ from .graph import OrientedGraph, gather
 # Candidates one slice of a frontier gathers at once; a row whose own
 # candidates are more forms a slice alone.
 ROW_BUDGET = 2 ** 14
+
+# the local route keeps a root's out-neighbours as the bits of one uint64;
+# a plan with a root of more walks
+MAX_LOCAL_MEMBERS = 64
 
 # the generic route packs a row's connectivity codes into one int64, level l
 # at bit l(l-1)/2, and k(k-1)/2 <= 62 bits fit
@@ -203,3 +211,108 @@ def _generic_level(plan, st, deg, rows, keys, depth, tally):
         elif len(grown_keys):
             _generic_level(plan, st, deg, np.concatenate(grown_rows), grown_keys,
                            depth + 1, tally)
+
+
+def builtin_local(spec):
+    """True iff `spec` shrinks the built-in local graph, the one `count_local`
+    models: its `init_local` is `localgraph.init_local_graph` and its
+    `update_local` is `localgraph.LocalGraph.shrink`."""
+    if spec.init_local is None:
+        return False
+    from . import localgraph
+    return (spec.init_local is localgraph.init_local_graph
+            and spec.update_local is localgraph.LocalGraph.shrink)
+
+
+def _set_bits(masks):
+    """`(row, bit)` of every set bit of the uint64 array `masks`, row by row
+    and bits ascending; only the nonzero masks are unpacked."""
+    rows = np.flatnonzero(masks)
+    flat = np.unpackbits(masks[rows].astype("<u8").view(np.uint8), bitorder="little")
+    at, bit = np.divmod(np.flatnonzero(flat), 64)
+    return rows[at], bit
+
+
+def _local_masks(g, min_deg):
+    """`(members, passes, adj)` of the oriented graph `g` as uint64 bitsets.
+
+    Member i of root r is r's i-th out-neighbour, bit i. `members[r]` sets
+    every member, `passes[r]` those of source degree at least `min_deg`,
+    and `adj[e]`, for the CSR entry e = (r, v), the members of r that are
+    out-neighbours of v: one bit per oriented triangle (r, v, w), found by
+    looking (r, w) up in the edge keys.
+    """
+    n, offsets, nbrs = g.vertex_count, g.row_offsets, g.neighbors
+    src = g.sources()
+    bit = np.left_shift(np.uint64(1), (np.arange(len(nbrs)) - offsets[src]).astype(np.uint64))
+    members = np.zeros(n, dtype=np.uint64)
+    passes = np.zeros(n, dtype=np.uint64)
+    np.bitwise_or.at(members, src, bit)
+    ok = g.source_degrees[nbrs] >= min_deg
+    np.bitwise_or.at(passes, src[ok], bit[ok])
+    adj = np.zeros(len(nbrs), dtype=np.uint64)
+    out = np.diff(offsets)
+    keys = g.edge_keys()
+    for s in _slices(out[nbrs]):
+        at_e, at = gather(offsets[nbrs[s]], out[nbrs[s]])
+        e = at_e + s.start
+        q = src[e] * n + nbrs[at]
+        pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+        hit = keys[pos] == q
+        np.bitwise_or.at(adj, e[hit], bit[pos[hit]])
+    return members, passes, adj
+
+
+def count_local(plan, st):
+    """Count (and hand to `process_rows`) the k-cliques of a `_LocalPlan`
+    over the built-in local graph on bitsets (see `_local_masks`).
+
+    A row at position d >= 1 is a root and the mask of its level-(d-1)
+    candidates, as the walk's `LocalGraph` lists them. Every candidate
+    counts as considered and those `passes` keeps as accepted; each of
+    those, in ascending order, makes a row at position d+1 whose mask is
+    the parent's ANDed with its `adj`. Position k-1 counts by popcount, or
+    builds the vertex rows for `process_rows`.
+    """
+    g, k = plan.g, plan.k
+    emit = plan.spec.process_rows
+    roots = np.arange(g.vertex_count)
+    if plan.use_df:
+        roots = roots[g.source_degrees >= k - 1]
+    if k == 1:
+        found = len(roots)
+        if emit is not None and found:
+            emit(roots[:, None])
+    else:
+        members, passes, adj = _local_masks(g, k - 1 if plan.use_df else 0)
+        offsets, nbrs = g.row_offsets, g.neighbors
+
+        def level(roots, masks, rows, depth):
+            kept = masks & passes[roots]
+            took = np.bitwise_count(kept).astype(np.int64)
+            st.considered += int(np.bitwise_count(masks).sum())
+            st.accepted += int(took.sum())
+            last = depth == k - 1
+            if last and emit is None:
+                return int(took.sum())
+            found = 0
+            for s in _slices(took):
+                r, b = _set_bits(kept[s])
+                r += s.start
+                e = offsets[roots[r]] + b
+                grown = None if rows is None else np.column_stack((rows[r], nbrs[e]))
+                if last:
+                    if len(r):
+                        emit(grown)
+                    found += len(r)
+                    continue
+                child = masks[r] & adj[e]
+                live = child != 0
+                if live.any():
+                    found += level(roots[r[live]], child[live],
+                                   None if grown is None else grown[live], depth + 1)
+            return found
+
+        found = level(roots, members[roots], None if emit is None else roots[:, None], 1)
+    if found:
+        st.map[plan.key] = found

@@ -52,8 +52,8 @@ def _add_walk(parser, *, mnc=True):
         parser.add_argument("--no-mnc", action="store_true",
                             help="run the walk without connectivity-map memoization "
                                  "(ablation; counts and listings otherwise take the "
-                                 "array route, except clique --level lo, which always "
-                                 "walks)")
+                                 "array route; clique --level lo then runs the "
+                                 "local-graph walk, which keeps no map)")
     parser.add_argument("--no-df", action="store_true",
                         help="disable degree filtering (ablation)")
     parser.add_argument("--no-sb", action="store_true",

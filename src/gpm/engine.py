@@ -23,13 +23,15 @@ connectivity map and extends again, and pops.
   deduplicated by a canonical-sequence filter (exactly one accepted DFS
   sequence per connected vertex set).
 
-Without per-embedding hooks the generic, match, clique and triangle plans
-take the array route instead: `arrayroute` extends whole slices of numpy
-embedding rows per level, reports the walk's counters and hands finished
-rows to `process_rows` in walk order. The walk stays the route for any hook
-in `_WALK_HOOKS`, `debug`, an explicit `use_mnc` (the ablation), the local
-plan, generic problems on labeled graphs or with `process_rows`, and
-`extend()`. `MiningResult.plans` names each route, e.g. "clique:array".
+Without per-embedding hooks every plan takes the array route instead:
+`arrayroute` extends whole slices of numpy embedding rows per level (the
+local plan's rows are a root and a uint64 bitset of its local graph),
+reports the walk's counters and hands finished rows to `process_rows` in
+walk order. The walk stays the route for any hook in `_WALK_HOOKS` (the
+built-in local graph's `init_local` excepted), `debug`, an explicit
+`use_mnc` (the ablation), generic problems on labeled graphs or with
+`process_rows`, a local plan with a root of more than 64 out-neighbours,
+and `extend()`. `MiningResult.plans` names each route, e.g. "clique:array".
 
 Edge-induced implicit problems (frequent subgraph mining) traverse the
 sub-pattern tree instead; see `fsm`.
@@ -342,6 +344,12 @@ class _LocalPlan(_CliquePlan):
     """Extension candidates come from a per-root local graph the hooks shrink."""
 
     name = "local"
+    run_array = arrayroute.count_local
+
+    def __init__(self, g, spec, opts, k, key):
+        super().__init__(g, spec, opts, k, key)
+        self.array = (self.array and np.diff(g.row_offsets).max(initial=0)
+                      <= arrayroute.MAX_LOCAL_MEMBERS)
 
     def run_root(self, root, st):
         if self.use_df and self.deg[root] < self.k - 1:
@@ -467,29 +475,14 @@ def _is_canonical_extension(verts, codes, u, umask):
     """
     size = len(verts) + 1
     m = [0] * size
-    for l in range(1, size - 1):
-        c = codes[l]
-        b = 0
-        while c:
-            if c & 1:
+    for l, c in enumerate([*codes[1:size - 1], umask], start=1):
+        for b in range(c.bit_length()):
+            if c >> b & 1:
                 m[l] |= 1 << b
                 m[b] |= 1 << l
-            c >>= 1
-            b += 1
-    lastidx = size - 1
-    c = umask
-    b = 0
-    while c:
-        if c & 1:
-            m[lastidx] |= 1 << b
-            m[b] |= 1 << lastidx
-        c >>= 1
-        b += 1
     vals = verts + [u]
-    mn = vals[0]
-    for v in vals[1:]:
-        if v < mn:
-            return False
+    if min(vals) < vals[0]:
+        return False
     visited = 1
     for step in range(1, size):
         best = -1
@@ -661,9 +654,12 @@ def _plans(g, spec, opts, orientation, use_mnc):
     """The plans that run a vertex-induced or explicit `spec`, built one at
     a time: the local-graph plan, one plan per explicit pattern, or the
     generic plan. `use_mnc` None is the per-plan connectivity-map policy and
-    lets a hook-free spec outside debug mode take the array route."""
+    lets a hook-free spec outside debug mode take the array route; the
+    built-in local graph's `init_local` counts as no hook."""
+    builtin_local = arrayroute.builtin_local(spec)
     opts = dict(opts, array=use_mnc is None and not opts.get("debug")
-                and all(getattr(spec, hook) is None for hook in _WALK_HOOKS))
+                and all(getattr(spec, hook) is None for hook in _WALK_HOOKS
+                        if not (builtin_local and hook == "init_local")))
     if spec.init_local is not None:
         if not spec.explicit or len(spec.patterns) != 1 or not is_clique(spec.patterns[0]):
             raise ValueError("local-graph search is wired for single explicit cliques")

@@ -181,6 +181,10 @@ def load_edge_list(path, labels_path=None):
         edges, n = _edge_lines(path)
     else:
         edges, n = ids.reshape(-1, 2), int(ids.max(initial=-1)) + 1
+    too_big = MemoryError(f"{path}: {n} vertices (largest id + 1) do not fit in memory")
+    # numpy's size limit for the n + 1 int64 row offsets
+    if n >= np.iinfo(np.int64).max // 8:
+        raise too_big
 
     labels = label_names = None
     if labels_path is not None:
@@ -188,8 +192,7 @@ def load_edge_list(path, labels_path=None):
     try:
         return Graph.from_edges(n, edges, labels=labels, label_names=label_names)
     except MemoryError:
-        raise MemoryError(f"{path}: {n} vertices (largest id + 1) do not fit "
-                          "in memory") from None
+        raise too_big from None
 
 
 # bytes that send a file to the line loop: '#' starts a comment, and
@@ -235,10 +238,13 @@ def split_lines(path):
     """`(line number, line, tokens)` of each line of a text file that holds a
     token before any '#' comment; the line loop of every loader."""
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            parts = raw.split("#", 1)[0].split()
-            if parts:
-                yield lineno, raw, parts
+        try:
+            for lineno, raw in enumerate(f, start=1):
+                parts = raw.split("#", 1)[0].split()
+                if parts:
+                    yield lineno, raw, parts
+        except UnicodeDecodeError as exc:
+            raise GraphParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _edge_lines(path):

@@ -1,5 +1,5 @@
-"""The array route of the generic, match, clique and triangle plans against
-the walk.
+"""The array route of the generic, match, clique, triangle and local plans
+against the walk.
 
 `mine(g, spec)` takes the array route for hook-free counting and for
 `process_rows` listing; passing `use_mnc` forces the walk. Pattern maps,
@@ -9,6 +9,10 @@ slices.
 """
 import random
 from contextlib import contextmanager
+from dataclasses import replace
+from functools import partial
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -18,7 +22,8 @@ from hypothesis import strategies as st
 import gpm.arrayroute
 from gpm import apps, mine
 from gpm.engine import ProblemSpec
-from gpm.graph import CSRGraph
+from gpm import localgraph
+from gpm.graph import CSRGraph, Graph, OrientedGraph
 from gpm.patterns import Pattern, all_patterns, named_motifs, triangle, wedge
 
 from conftest import edge_case_graphs, random_graph
@@ -40,7 +45,8 @@ def _row_budget(budget):
 
 def _expected_route(walk_route, g):
     name = walk_route.split(":")[0]
-    if name in ("match", "clique", "triangle") or (name == "generic" and g.labels is None):
+    if (name in ("match", "clique", "triangle", "local")
+            or (name == "generic" and g.labels is None)):
         return f"{name}:array"
     return walk_route
 
@@ -234,6 +240,7 @@ def test_array_route_builds_no_neighbour_lists(monkeypatch, hooks):
 
     monkeypatch.setattr(CSRGraph, "adjacency", refuse)
     for count, args in ((apps.count_triangles, ()), (apps.count_cliques, (4,)),
+                        (partial(apps.count_cliques, level="lo"), (4,)),
                         (apps.count_subgraphs, (_c4(),))):
         found, result = count(g, *args, **hooks)
         assert found and result.plans[0].endswith(":array")
@@ -249,3 +256,82 @@ def test_walk_hands_over_the_rows_a_terminate_hook_stopped_at(budget):
     rows = [tuple(r) for b in batches for r in b.tolist()]
     assert result.terminated and result.plans == ("clique:walk",)
     assert rows and rows[-1][-1] == 5 and len(rows) == sum(result.pattern_map.values())
+
+
+LOCAL_ORIENTATIONS = ["degree", "core", "id"]
+
+
+def _id_oriented(g):
+    """`g` with each edge pointing at its larger endpoint: unlike degree or
+    core order, this lets the degree filter reject local-graph candidates."""
+    keep = g.sources() < g.neighbors
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(g.sources()[keep],
+                                                         minlength=g.vertex_count))))
+    return OrientedGraph(g.vertex_count, offsets, g.neighbors[keep], g.degrees())
+
+
+def _assert_local_routes_agree(g, k, budget, orientation, use_df):
+    """Counts, counters and `process_rows` rows of the local plan's bitset
+    route equal its walk's, row for row."""
+    if orientation == "id":
+        g, orientation = _id_oriented(g), "auto"
+    listed, walked = [], []
+    result = _assert_routes_agree(g, apps.clique_local_spec(k), budget,
+                                  orientation=orientation, use_df=use_df)
+    assert result.plans == ("local:array",)
+    with _row_budget(budget):
+        mine(g, apps.clique_local_spec(k, process_rows=listed.append),
+             orientation=orientation, use_df=use_df)
+    walk = mine(g, apps.clique_local_spec(k, process_rows=walked.append),
+                orientation=orientation, use_df=use_df, use_mnc=False)
+    assert walk.plans == ("local:walk",)
+    for b in listed:
+        assert b.dtype == np.int64 and b.shape[1:] == (k,) and len(b)
+    rows = [tuple(r) for b in listed for r in b.tolist()]
+    assert rows == [tuple(r) for b in walked for r in b.tolist()]
+    assert len(rows) == sum(result.pattern_map.values())
+    return result
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@given(seed=st.integers(0, 10 ** 6), k=st.integers(1, 6),
+       orientation=st.sampled_from(LOCAL_ORIENTATIONS), use_df=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_local_cliques(budget, seed, k, orientation, use_df):
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(0, 20), rng.uniform(0.2, 0.9))
+    _assert_local_routes_agree(g, k, budget, orientation, use_df)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_local_cliques_on_edge_case_graphs(budget):
+    for g in edge_case_graphs():
+        for k in range(1, 7):
+            for orientation in LOCAL_ORIENTATIONS:
+                for use_df in (True, False):
+                    _assert_local_routes_agree(g, k, budget, orientation, use_df)
+
+
+@pytest.mark.parametrize("leaves, route", [(64, "local:array"), (65, "local:walk")])
+def test_local_hub_root(leaves, route):
+    # a star whose leaves also form a clique: every degree ties, so degree
+    # orientation points the centre 0 at all its leaves, one bit per leaf
+    g = Graph.from_edges(leaves + 1, list(combinations(range(leaves + 1), 2)))
+    spec = apps.clique_local_spec(3)
+    result = mine(g, spec, orientation="degree")
+    assert result.plans == (route,)
+    assert result.pattern_map == mine(g, spec, orientation="degree", use_mnc=False).pattern_map
+    assert sum(result.pattern_map.values()) == comb(leaves + 1, 3)
+
+
+@pytest.mark.parametrize("change", [
+    {"init_local": lambda g, root: localgraph.init_local_graph(g, root)},
+    {"update_local": lambda lg, level, v: localgraph.LocalGraph.shrink(lg, level, v)},
+    {"process": lambda emb: None},
+], ids=["init_local", "update_local", "process"])
+def test_custom_local_graphs_keep_the_walk(change):
+    g = random_graph(random.Random(11), 20, 0.5)
+    spec = replace(apps.clique_local_spec(4), **change)
+    result = mine(g, spec, orientation="core")
+    assert result.plans == ("local:walk",)
+    assert result.pattern_map == mine(g, apps.clique_local_spec(4), orientation="core").pattern_map

@@ -129,7 +129,9 @@ class TestSubcommands:
         (["match", "-p", "@c4.pat", "@k4.el", "--list", "@out.txt", "--no-mnc"], ["match:walk"]),
         (["tc", "@k4.el"], ["triangle:array"]),
         (["clique", "-k", "4", "@k4.el", "--no-mnc"], ["clique:walk"]),
-        (["clique", "-k", "4", "@k4.el", "--level", "lo", "--orient", "core"], ["local:walk"]),
+        (["clique", "-k", "4", "@k4.el", "--level", "lo", "--orient", "core"], ["local:array"]),
+        (["clique", "-k", "4", "@k4.el", "--level", "lo", "--orient", "core", "--no-mnc"],
+         ["local:walk"]),
         (["fsm", "-k", "1", "@two_edges.el", "--labels", "@two_edges.lbl", "--minsup", "2"],
          ["fsm"]),
     ])
@@ -346,6 +348,32 @@ class TestErrorsAndToggles:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert "1000000000001 vertices" in captured.err
+
+    @pytest.mark.parametrize("big", ["1152921504606846974", "9223372036854775807",
+                                     "9223372036854775808", "99999999999999999999"])
+    def test_vertex_id_beyond_int64_offsets(self, capsys, tmp_path, big):
+        # ids of 2^63 or more overflow int64, and from 2^60 - 2 on the row
+        # offsets alone are past the largest array numpy allows
+        huge = tmp_path / "huge.el"
+        huge.write_text(f"0 1\n0 {big}\n")
+        assert run(["tc", str(huge)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"gpm: {huge}: {int(big) + 1} vertices (largest id + 1) "
+                                "do not fit in memory\n")
+
+    @pytest.mark.parametrize("loader", ["graph", "labels", "pattern"])
+    def test_non_utf8_input(self, files, capsys, tmp_path, loader):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"0 1\n\xff 2\n" if loader != "labels" else b"0 A\n1 \xff\n2 A\n3 B\n")
+        argv = {"graph": ["tc", str(bad)],
+                "labels": ["match", "-p", files["wedge.pat"], files["two_edges.el"],
+                           "--labels", str(bad)],
+                "pattern": ["match", "-p", str(bad), files["k4.el"]]}[loader]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gpm: {bad}: not UTF-8 text (invalid start byte)\n"
 
     def test_usage_error(self, capsys):
         assert run(["clique"]) == 2
