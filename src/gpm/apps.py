@@ -58,10 +58,10 @@ def count_motifs(g, k, *, level="hi", **options):
     Motifs are structural, so labels are ignored; every motif of size k
     appears in the map, zero counts included. Returns `(counts, enumerated,
     run)`; at level "lo" `run` covers the whole local count (for k = 4 the
-    wedge kernel plus the 4-clique walk), `enumerated` adds the kernel's
-    wedges to the walk's candidates, and `run.plans` leads with
-    "formula:mc3" or "formula:mc4". `options` go to every `mine` call,
-    including the local counters' triangle or 4-clique walk.
+    wedge kernel plus the 4-clique count), `enumerated` adds the kernel's
+    wedges, and `run.plans` leads with "formula:mc3" or "formula:mc4".
+    `options` go to every `mine` call, including the local counters'
+    triangle or 4-clique count (`triangle:array` / `clique:array`).
     """
     if g.labels is not None:
         g = Graph(g.vertex_count, g.row_offsets, g.neighbors)
@@ -73,15 +73,15 @@ def count_motifs(g, k, *, level="hi", **options):
         t0 = time.perf_counter()
         options = {"workers": 1, **options}
         if k == 3:
-            counts, walk = localcount.mc3_local_counts(g, **options)
+            counts, found = localcount.mc3_local_counts(g, **options)
             wedges = 0
         else:
-            counts, walk, kernel, _ = localcount.mc4_local_counts(g, **options)
+            counts, found, kernel, _ = localcount.mc4_local_counts(g, **options)
             wedges = kernel.enumerated
-        run = replace(walk, pattern_map=counts, enumerated=walk.enumerated + wedges,
-                      accepted=walk.accepted + wedges,
+        run = replace(found, pattern_map=counts, enumerated=found.enumerated + wedges,
+                      accepted=found.accepted + wedges,
                       wall_ms=(time.perf_counter() - t0) * 1000.0,
-                      plans=(f"formula:mc{k}",) + walk.plans)
+                      plans=(f"formula:mc{k}",) + found.plans)
     else:
         raise ValueError("formula-based motif counting supports k in {3, 4}")
     for p in all_patterns(k):

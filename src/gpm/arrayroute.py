@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import OrientedGraph, gather
+from .graph import gather
 
 # Candidates one slice of a frontier gathers at once; a row whose own
 # candidates are more forms a slice alone.
@@ -43,13 +43,15 @@ MAX_LOCAL_MEMBERS = 64
 MAX_GENERIC_K = 11
 
 
-def _slices(cost):
+def _slices(cost, budget=None):
     """Consecutive row ranges whose `cost` (candidates gathered per row) sums
-    to at most ROW_BUDGET; a row costing more is a range of its own."""
+    to at most `budget`, else ROW_BUDGET as it is at the call; a row costing
+    more is a range of its own."""
+    budget = ROW_BUDGET if budget is None else budget
     ends = np.cumsum(cost)
     a, n = 0, len(ends)
     while a < n:
-        b = int(np.searchsorted(ends, (ends[a - 1] if a else 0) + ROW_BUDGET, side="right"))
+        b = int(np.searchsorted(ends, (ends[a - 1] if a else 0) + budget, side="right"))
         b = max(b, a + 1)
         yield slice(a, b)
         a = b
@@ -88,16 +90,11 @@ def _grow(plan, st, roots, anchors, keep):
         st.map[plan.key] = found
 
 
-def count_match(plan, st):
+def count_match(plan, st, roots):
     """Count (and hand to `process_rows`) the embeddings of a `_MatchPlan`'s
-    pattern."""
+    pattern grown from `roots`."""
     g = plan.g
     deg = g.degrees()
-    roots = np.arange(g.vertex_count)
-    if plan.use_df:
-        roots = roots[deg >= plan.df_thresh[0]]
-    if plan.g_labels is not None:
-        roots = roots[g.labels[roots] == plan.want_label[0]]
     # every candidate is a neighbour of the anchor; test the other checked positions
     tested = [[i for i in range(d) if plan.check_mask[d] >> i & 1
                and not (i == plan.anchors[d] and plan.req[d] >> i & 1)] for d in range(plan.k)]
@@ -122,23 +119,17 @@ def count_match(plan, st):
     _grow(plan, st, roots, plan.anchors, keep)
 
 
-def count_clique(plan, st, closing=False):
-    """Count (and hand to `process_rows`) the k-cliques of a `_CliquePlan`:
-    each position extends the last one and must touch every earlier one.
-    With `closing` (the triangle plan) depth 2 counts only the candidates
-    adjacent to the root, with no degree filter, as the walk's list
-    intersection does."""
+def count_clique(plan, st, roots, closing=False):
+    """Count (and hand to `process_rows`) the k-cliques of a `_CliquePlan`
+    grown from `roots`: each position extends the last one and must touch
+    every earlier one. With `closing` (the triangle plan) depth 2 counts
+    only the candidates adjacent to the root, with no degree filter, as the
+    walk's list intersection does."""
     g = plan.g
-    deg = g.source_degrees if isinstance(g, OrientedGraph) else g.degrees()
+    deg = g.source_degrees
     min_deg = plan.k - 1
-    roots = np.arange(g.vertex_count)
-    if plan.use_df:
-        roots = roots[deg >= min_deg]
 
     def keep(par, u, depth):
-        if plan.ascending:
-            up = u > par[:, -1]
-            par, u = par[up], u[up]
         if closing and depth == 2:
             ok = g.has_edges(par[:, 0], u)
             par, u = par[ok], u[ok]
@@ -157,16 +148,16 @@ def count_clique(plan, st, closing=False):
     _grow(plan, st, roots, range(-1, plan.k - 1), keep)
 
 
-def count_generic(plan, st):
-    """Count a `_GenericPlan`'s connected induced k-subgraphs by pattern into
-    the state `st`."""
-    n, k = plan.g.vertex_count, plan.k
+def count_generic(plan, st, roots):
+    """Count a `_GenericPlan`'s connected induced k-subgraphs grown from
+    `roots` by pattern into the state `st`."""
+    k = plan.k
     tally = {}
     if k == 1:
-        tally = {0: n} if n else {}
+        tally = {0: len(roots)} if len(roots) else {}
     else:
-        _generic_level(plan, st, plan.g.degrees(), np.arange(n)[:, None],
-                       np.zeros(n, dtype=np.int64), 1, tally)
+        _generic_level(plan, st, plan.g.degrees(), roots[:, None],
+                       np.zeros(len(roots), dtype=np.int64), 1, tally)
     for packed, count in tally.items():
         codes = tuple(packed >> (l * (l - 1) // 2) & ((1 << l) - 1) for l in range(1, k))
         key, wanted = plan.pattern_key(codes)
@@ -263,9 +254,9 @@ def _local_masks(g, min_deg):
     return members, passes, adj
 
 
-def count_local(plan, st):
+def count_local(plan, st, roots):
     """Count (and hand to `process_rows`) the k-cliques of a `_LocalPlan`
-    over the built-in local graph on bitsets (see `_local_masks`).
+    from `roots` over the built-in local graph on bitsets (`_local_masks`).
 
     A row at position d >= 1 is a root and the mask of its level-(d-1)
     candidates, as the walk's `LocalGraph` lists them. Every candidate
@@ -276,9 +267,6 @@ def count_local(plan, st):
     """
     g, k = plan.g, plan.k
     emit = plan.spec.process_rows
-    roots = np.arange(g.vertex_count)
-    if plan.use_df:
-        roots = roots[g.source_degrees >= k - 1]
     if k == 1:
         found = len(roots)
         if emit is not None and found:

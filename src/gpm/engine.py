@@ -11,8 +11,8 @@ descend step (`_PlanBase._descend`) that pushes an accepted candidate, runs
 `local_reduce`, then finalizes the embedding at size k or updates the
 connectivity map and extends again, and pops.
 
-* clique: oriented walk extending the last vertex, candidates checked for
-  adjacency to the whole embedding via the connectivity map;
+* clique: walk oriented by degree, core or (orientation "none") vertex id,
+  extending the last vertex; candidates must touch the whole embedding;
 * triangle: the clique walk, closing with a list intersection;
 * local: the clique walk over a user-maintained shrinking local graph
   (see `localgraph`), reading only its `candidates(level)`;
@@ -169,9 +169,9 @@ class _PlanBase:
 
     A plan supplies `_extend(st, depth)`, which filters the candidates for
     embedding position `depth` and hands each accepted one to `_descend`.
-    Its counters reach the state even when `terminate` raises.
-    `array` (the `_plans` policy, narrowed by a plan that needs more) runs
-    the plan's `run_array(st)` in place of the walk.
+    Its counters reach the state even when `terminate` raises. Both routes
+    start from `roots()`; `array` (the `_plans` policy, narrowed by a plan
+    that needs more) runs `run_array(st, roots)` in place of the walk.
     """
 
     key = None
@@ -201,6 +201,10 @@ class _PlanBase:
         self.adj = g.adjacency()
         self.deg = (g.source_degrees if isinstance(g, OrientedGraph) else g.degrees()).tolist()
         return _WorkerState(g, self.adj if self.use_mnc else None)
+
+    def roots(self):
+        """The ascending root vertices; the base plan starts at every vertex."""
+        return np.arange(self.g.vertex_count)
 
     def run_root(self, root, st):
         self._descend(st, root, 0, 0)
@@ -278,12 +282,10 @@ class _CliquePlan(_PlanBase):
         super().__init__(g, spec, opts)
         self.k = k
         self.key = key
-        self.ascending = not isinstance(g, OrientedGraph)
 
-    def run_root(self, root, st):
-        if self.use_df and self.deg[root] < self.k - 1:
-            return
-        self._descend(st, root, 0, 0)
+    def roots(self):
+        roots = super().roots()
+        return roots[self.g.source_degrees >= self.k - 1] if self.use_df else roots
 
     def _extend(self, st, depth):
         emb = st.emb
@@ -292,15 +294,12 @@ class _CliquePlan(_PlanBase):
         df = self.use_df
         deg = self.deg
         to_add = self.spec.to_add
-        ascending = self.ascending
         need = (1 << depth) - 1
         min_deg = self.k - 1
         *others, last = emb.vertices
         considered = accepted = 0
         try:
             for u in adj[last]:
-                if ascending and u <= last:
-                    continue
                 considered += 1
                 if df and deg[u] < min_deg:
                     continue
@@ -331,8 +330,6 @@ class _TrianglePlan(_CliquePlan):
         root, u = st.emb.vertices
         to_add = self.spec.to_add
         for a in sorted(set(self.adj[root]).intersection(self.adj[u])):
-            if self.ascending and a <= u:
-                continue
             st.considered += 1
             if to_add is not None and not to_add(st.emb, a):
                 continue
@@ -352,8 +349,6 @@ class _LocalPlan(_CliquePlan):
                       <= arrayroute.MAX_LOCAL_MEMBERS)
 
     def run_root(self, root, st):
-        if self.use_df and self.deg[root] < self.k - 1:
-            return
         st.lg = self.spec.init_local(self.g, root)
         self._descend(st, root, 0, 0)
 
@@ -411,12 +406,13 @@ class _MatchPlan(_PlanBase):
             self.g_labels = g.labels.tolist()
             self.want_label = [pattern.labels[seq[i]] for i in range(self.k)]
 
-    def run_root(self, root, st):
-        if self.use_df and self.deg[root] < self.df_thresh[0]:
-            return
-        if self.g_labels is not None and self.g_labels[root] != self.want_label[0]:
-            return
-        self._descend(st, root, 0, 0)
+    def roots(self):
+        g, roots = self.g, super().roots()
+        if self.use_df:
+            roots = roots[g.degrees() >= self.df_thresh[0]]
+        if self.g_labels is not None:
+            roots = roots[g.labels[roots] == self.want_label[0]]
+        return roots
 
     def _extend(self, st, depth):
         emb = st.emb
@@ -607,20 +603,21 @@ class _GenericPlan(_PlanBase):
 
 
 def _run_plan(plan, workers):
-    """Run `plan` on one worker state: its array route when `plan.array`,
-    else the walk over every root in id order.
+    """Run `plan` on one worker state from its `roots()`: its array route
+    when `plan.array`, else the walk, one root after another.
 
     Returns the states used (a list of one; `workers` does not change the
     run). A `terminate` hook that fires ends the walk and sets
     `plan.terminated`.
     """
+    roots = plan.roots()
     if plan.array:
         st = _WorkerState(plan.g)
-        plan.run_array(st)
+        plan.run_array(st, roots)
         return [st]
     st = plan.make_state()
     try:
-        for root in range(plan.g.vertex_count):
+        for root in roots.tolist():
             plan.run_root(root, st)
     except _StopMining:
         plan.terminated = True
@@ -629,10 +626,9 @@ def _run_plan(plan, workers):
 
 
 def _resolve_orientation(g, orientation):
-    if isinstance(g, OrientedGraph) or orientation == "none":
+    if isinstance(g, OrientedGraph):
         return g
-    strategy = "degree" if orientation == "auto" else orientation
-    return orient(g, strategy)
+    return orient(g, {"auto": "degree", "none": "id"}.get(orientation, orientation))
 
 
 def _build_explicit_plan(g, pattern, spec, opts, orientation):
@@ -698,11 +694,10 @@ def mine(g, spec, *, workers=None, orientation="auto", use_mnc=None, use_df=True
     `workers` (default: `GPM_THREADS`, else 1) must be >= 1 and is echoed in
     the result; every run walks its roots on one thread. `orientation` in
     {"auto", "degree", "core", "none"} controls the acyclic orientation used
-    for clique patterns ("none" falls back to on-the-fly ascending-id
-    symmetry breaking). `use_mnc` toggles the neighborhood connectivity map;
-    passing it at all runs the walk (the ablation), while None lets
-    hook-free counting take the array route. `use_df` toggles degree
-    filtering.
+    for clique patterns ("none" orients by vertex id). `use_mnc` toggles the
+    neighborhood connectivity map; passing it at all runs the walk (the
+    ablation), while None lets hook-free counting take the array route.
+    `use_df` toggles degree filtering.
     """
     if workers is None:
         workers = workers_from_env()

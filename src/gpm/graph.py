@@ -399,13 +399,15 @@ def core_numbers(g):
 def orient(g, strategy="degree"):
     """Direct each edge along a total vertex order, producing an acyclic graph.
 
-    degree strategy: toward the higher-degree endpoint, ties toward the larger
-    id. core strategy: toward the higher core number, ties by degree then id.
+    Each edge points to the larger id (id strategy), the higher degree, ties
+    by id (degree), or the higher core number, ties by degree then id (core).
     """
     n = g.vertex_count
     deg = g.degrees()
     ids = np.arange(n, dtype=np.int64)
-    if strategy == "degree":
+    if strategy == "id":
+        order = ids
+    elif strategy == "degree":
         order = np.lexsort((ids, deg))
     elif strategy == "core":
         order = np.lexsort((ids, deg, core_numbers(g)))

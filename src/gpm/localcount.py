@@ -7,10 +7,11 @@ enumerated. For 4-motifs one numpy wedge kernel (`wedge_kernel`) computes,
 from the graph's CSR ranges and edge-key index, every pair's co-degree and
 every edge's triangle count: the co-degrees give the non-induced 4-cycle
 count, the triangle counts give the raw diamond / tailed-triangle / 4-path /
-3-star terms (the closed forms of ESCAPE and PGD). Only 4-cliques are enumerated. The correction
-constants are calibrated once against the brute-force oracle on a basis of
-small graphs (see `calibrate_corrections`) and
-frozen below; tests re-derive and assert them.
+3-star terms (the closed forms of ESCAPE and PGD). `mine` counts the
+triangles and 4-cliques on `triangle:array` / `clique:array`, with the
+walk's counters. The correction constants are calibrated once against the
+brute-force oracle on a basis of small graphs (see `calibrate_corrections`)
+and frozen below; tests re-derive and assert them.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .arrayroute import _slices
 from .engine import MiningResult, ProblemSpec, mine
 from .graph import gather
 from .patterns import canonical_code, clique, named_motifs, triangle
@@ -82,13 +84,8 @@ def wedge_kernel(g):
     vertex_prefix = edge_prefix[offs]
 
     cycle_diagonals = diamond = tailed = path = star = 0
-    a0 = 0
-    while a0 < n:
-        a1 = int(np.searchsorted(vertex_prefix, vertex_prefix[a0] + PAIR_BUDGET,
-                                 side="right")) - 1
-        a1 = min(max(a1, a0 + 1), n)
-        e0, e1 = int(offs[a0]), int(offs[a1])
-        a0 = a1
+    for s in _slices(np.diff(vertex_prefix), PAIR_BUDGET):
+        e0, e1 = int(offs[s.start]), int(offs[s.stop])
         # every wedge a-w-b of the chunk: edge (a, w), far endpoint b
         edge, far = gather(lo[e0:e1], span[e0:e1])
         keys, codeg = np.unique(src[e0 + edge] * n + nbr[far], return_counts=True)
@@ -120,9 +117,9 @@ def wedge_kernel(g):
 def mc3_local_counts(g, workers=1, **options):
     """3-motif counts {wedge, triangle} without enumerating wedges.
 
-    One triangle enumeration; the wedge total is the star sum Σ C(d, 2) over
-    vertex degrees minus three per triangle. `options` (orientation, use_df,
-    use_mnc, ...) go to that walk's `mine` call.
+    One triangle count (`triangle:array`); the wedge total is the star sum
+    Σ C(d, 2) over vertex degrees minus three per triangle. `options`
+    (orientation, use_df, use_mnc, ...) go to that count's `mine` call.
     """
     deg = g.degrees()
     raw_wedge = int(np.sum(deg * (deg - 1) // 2))
@@ -137,16 +134,17 @@ def mc3_local_counts(g, workers=1, **options):
 
 
 def mc4_local_counts(g, workers=1, **options):
-    """All six 4-motif counts from one wedge kernel and one 4-clique walk.
+    """All six 4-motif counts from one wedge kernel and one 4-clique count.
 
     `wedge_kernel` gives the non-induced 4-cycle count C4 and the raw
-    diamond / tailed-triangle / 4-path / 3-star terms; the 4-clique walk gives
-    K4. The frozen corrections turn the raw terms into exact vertex-induced
-    counts, and the induced 4-cycles are C4 - diamond - 3 * K4. `options`
-    (orientation, use_df, use_mnc, ...) go to the walk's `mine` call.
+    diamond / tailed-triangle / 4-path / 3-star terms; the 4-clique count
+    (`clique:array`) gives K4. The frozen corrections turn the raw terms
+    into exact vertex-induced counts, and the induced 4-cycles are
+    C4 - diamond - 3 * K4. `options` (orientation, use_df, use_mnc, ...) go
+    to the 4-clique count's `mine` call.
 
     Returns `(counts, clique_run, kernel_run, enumerated)`, where
-    `enumerated` is the walk's candidates plus the kernel's wedges.
+    `enumerated` is the 4-clique count's candidates plus the kernel's wedges.
     """
     terms, kernel_run = wedge_kernel(g)
     clique_spec = ProblemSpec(vertex_induced=True, k=4, patterns=(clique(4),))

@@ -7,6 +7,7 @@ a fast path that never touches isomorphism machinery).
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -394,19 +395,15 @@ def all_patterns(k):
     """All connected unlabeled patterns on k vertices, one per isomorphism class."""
     if not (3 <= k <= 5):
         raise ValueError("all_patterns supports 3 <= k <= 5")
-    total = k * (k - 1) // 2
-    seen = {}
-    pair_list = list(combinations(range(k), 2))
-    for mask in range(1 << total):
-        edges = [pair_list[i] for i in range(total) if (mask >> i) & 1]
-        if len(edges) < k - 1:
-            continue
-        try:
-            p = Pattern(k, edges)
-        except ValueError:
-            continue
-        seen.setdefault(canonical_code(p), p)
-    return [seen[c] for c in sorted(seen, key=lambda c: (len(seen[c].edges), c))]
+    pairs = list(combinations(range(k), 2))
+    seen, found = set(), []
+    for mask in range(1 << len(pairs)):
+        edges = {e for i, e in enumerate(pairs) if mask >> i & 1}
+        if _edge_bits(k, edges, range(k)) not in seen:  # first of its orbit
+            seen.update(_edge_bits(k, edges, p) for p in permutations(range(k)))
+            with suppress(ValueError):
+                found.append(Pattern(k, edges))
+    return sorted(found, key=lambda p: (len(p.edges), canonical_code(p)))
 
 
 # -- motif naming -----------------------------------------------------------------

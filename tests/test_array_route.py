@@ -23,7 +23,7 @@ import gpm.arrayroute
 from gpm import apps, mine
 from gpm.engine import ProblemSpec
 from gpm import localgraph
-from gpm.graph import CSRGraph, Graph, OrientedGraph
+from gpm.graph import CSRGraph, Graph, orient
 from gpm.patterns import Pattern, all_patterns, named_motifs, triangle, wedge
 
 from conftest import edge_case_graphs, random_graph
@@ -261,20 +261,13 @@ def test_walk_hands_over_the_rows_a_terminate_hook_stopped_at(budget):
 LOCAL_ORIENTATIONS = ["degree", "core", "id"]
 
 
-def _id_oriented(g):
-    """`g` with each edge pointing at its larger endpoint: unlike degree or
-    core order, this lets the degree filter reject local-graph candidates."""
-    keep = g.sources() < g.neighbors
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(g.sources()[keep],
-                                                         minlength=g.vertex_count))))
-    return OrientedGraph(g.vertex_count, offsets, g.neighbors[keep], g.degrees())
-
-
 def _assert_local_routes_agree(g, k, budget, orientation, use_df):
     """Counts, counters and `process_rows` rows of the local plan's bitset
-    route equal its walk's, row for row."""
+    route equal its walk's, row for row. The local plan refuses orientation
+    "none", so "id" passes a graph oriented by id: unlike degree or core
+    order, that lets the degree filter reject local-graph candidates."""
     if orientation == "id":
-        g, orientation = _id_oriented(g), "auto"
+        g, orientation = orient(g, "id"), "auto"
     listed, walked = [], []
     result = _assert_routes_agree(g, apps.clique_local_spec(k), budget,
                                   orientation=orientation, use_df=use_df)
@@ -335,3 +328,21 @@ def test_custom_local_graphs_keep_the_walk(change):
     result = mine(g, spec, orientation="core")
     assert result.plans == ("local:walk",)
     assert result.pattern_map == mine(g, apps.clique_local_spec(4), orientation="core").pattern_map
+
+
+def test_budget_one_cuts_every_slice_to_one_row_or_the_budget(monkeypatch):
+    """The slicer reads ROW_BUDGET at each call: at budget 1 every slice a
+    route cuts is a single row or gathers at most one candidate."""
+    slices, cut = gpm.arrayroute._slices, []
+
+    def spy(cost, *budget):
+        for s in slices(cost, *budget):
+            cut.append((s.stop - s.start, int(np.sum(cost[s]))))
+            yield s
+
+    monkeypatch.setattr(gpm.arrayroute, "_slices", spy)
+    g = random_graph(random.Random(3), 20, 0.4)
+    for spec in (apps.motif_spec(4), apps.clique_spec(4), apps.clique_local_spec(4),
+                 apps.subgraph_listing_spec(_c4())):
+        _assert_routes_agree(g, spec, 1)
+    assert cut and all(rows == 1 or cost <= 1 for rows, cost in cut)

@@ -245,6 +245,23 @@ class TestDeterminismAndToggles:
             c, _ = apps.count_cliques(g, k, orientation="core")
             assert a == b == c
 
+    @pytest.mark.parametrize("use_mnc", [None, True, False])
+    @pytest.mark.parametrize("use_df", [True, False])
+    def test_orientation_none_is_the_id_orientation(self, rng, use_df, use_mnc):
+        # counts, counters, routes and listed rows of orientation "none" are
+        # those of the caller orienting every edge toward the larger id
+        for _ in range(6):
+            g = random_graph(rng, rng.randint(0, 16), rng.uniform(0.2, 0.9))
+            for k in range(1, 7):
+                runs = []
+                for graph, orientation in ((g, "none"), (orient(g, "id"), "auto")):
+                    rows = []
+                    r = mine(graph, apps.clique_spec(k, process_rows=rows.append),
+                             orientation=orientation, use_df=use_df, use_mnc=use_mnc)
+                    runs.append((r.pattern_map, r.enumerated, r.accepted, r.plans,
+                                 [row for b in rows for row in b.tolist()]))
+                assert runs[0] == runs[1]
+
 
 class TestHooks:
     def test_terminate_on_first_triangle(self, k4):

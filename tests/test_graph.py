@@ -284,7 +284,7 @@ class TestOrientation:
         og = orient(k4, "degree")
         assert [og.degree(v) for v in range(4)] == [3, 3, 3, 3]
 
-    @pytest.mark.parametrize("strategy", ["degree", "core"])
+    @pytest.mark.parametrize("strategy", ["degree", "core", "id"])
     def test_acyclic_and_edge_preserving(self, rng, strategy):
         for _ in range(10):
             g = random_graph(rng, rng.randint(2, 50), 0.2)
@@ -294,6 +294,13 @@ class TestOrientation:
             for v in range(og.vertex_count):
                 nbrs = list(og.neighbors_of(v))
                 assert nbrs == sorted(nbrs)
+
+    def test_id_orientation_points_at_the_larger_id(self, rng):
+        g = random_graph(rng, 30, 0.3)
+        og = orient(g, "id")
+        assert og.sources().tolist() == g.sources()[g.sources() < g.neighbors].tolist()
+        assert og.neighbors.tolist() == g.neighbors[g.sources() < g.neighbors].tolist()
+        assert og.source_degrees.tolist() == g.degrees().tolist()
 
     def test_unknown_strategy(self, k4):
         with pytest.raises(ValueError):
@@ -359,7 +366,7 @@ class TestCsrIndex:
             starts = [rng.randint(0, 100) for _ in counts]
             assert _gathered(starts, counts) == _gathered_by_loop(starts, counts)
 
-    @pytest.mark.parametrize("strategy", [None, "degree", "core"])
+    @pytest.mark.parametrize("strategy", [None, "degree", "core", "id"])
     def test_edge_keys_are_the_sorted_edges(self, rng, strategy):
         for _ in range(10):
             g = random_graph(rng, rng.randint(1, 40), 0.2)
@@ -378,7 +385,7 @@ class TestCsrIndex:
         g = Graph.from_edges(3, [])
         assert g.sources().tolist() == [] and g.edge_keys().tolist() == []
 
-    @pytest.mark.parametrize("strategy", [None, "degree", "core"])
+    @pytest.mark.parametrize("strategy", [None, "degree", "core", "id"])
     def test_has_edges_matches_has_edge(self, rng, strategy):
         for _ in range(10):
             g = random_graph(rng, rng.randint(1, 30), rng.uniform(0.05, 0.5))
