@@ -63,6 +63,7 @@ def count_motifs(g, k, *, level="hi", **options):
     `options` go to every `mine` call, including the local counters'
     triangle or 4-clique count (`triangle:array` / `clique:array`).
     """
+    patterns = all_patterns(k)
     if g.labels is not None:
         g = Graph(g.vertex_count, g.row_offsets, g.neighbors)
     if level == "hi":
@@ -84,7 +85,7 @@ def count_motifs(g, k, *, level="hi", **options):
                       plans=(f"formula:mc{k}",) + found.plans)
     else:
         raise ValueError("formula-based motif counting supports k in {3, 4}")
-    for p in all_patterns(k):
+    for p in patterns:
         counts.setdefault(canonical_code(p), 0)
     return counts, run.enumerated, run
 

@@ -7,14 +7,14 @@ embedding lists in. Rows are an `(R, d)` int64 array of graph vertices, one
 row per embedding. A level gathers the rows' CSR neighbours with
 `graph.gather`, tests adjacency with `CSRGraph.has_edges` and applies the
 walk's filters as vector masks, each in the walk's counting position, so
-`enumerated`, `accepted` and the pattern map equal the walk's. The match,
-clique and triangle plans grow one anchor position's neighbours per level
-(`_grow`) and hand each slice of finished rows to `process_rows`: rows are
-gathered in row order and candidates ascending, and slices are extended
-depth-first, so the rows arrive in the walk's (lexicographic) order. The
-generic plan extends every position and materialises nothing at size k: it
-counts each distinct packed connectivity code (`np.unique`) and classifies
-it once.
+`enumerated`, `accepted` and the pattern map equal the walk's. The match
+plan, and with it the clique and triangle plans, grows one anchor position's
+neighbours per level (`count_match`, `_grow`) and hands each slice of
+finished rows to `process_rows`: rows are gathered in row order and
+candidates ascending, and slices are extended depth-first, so the rows
+arrive in the walk's (lexicographic) order. The generic plan extends every
+position and materialises nothing at size k: it counts each distinct packed
+connectivity code (`np.unique`) and classifies it once.
 
 The local plan keeps kClist's shrinking local graph as bitsets instead
 (`count_local`): a row is a root and one uint64 mask over the root's
@@ -90,26 +90,42 @@ def _grow(plan, st, roots, anchors, keep):
         st.map[plan.key] = found
 
 
-def count_match(plan, st, roots):
+def count_match(plan, st, roots, closing=False):
     """Count (and hand to `process_rows`) the embeddings of a `_MatchPlan`'s
-    pattern grown from `roots`."""
+    pattern grown from `roots`, a clique's included. A plan that is not
+    `distinct` (a clique on an acyclic orientation) skips the test that a
+    candidate is not already in the row. With `closing` (the triangle plan)
+    depth 2 counts only the candidates adjacent to the root, with no degree
+    filter, as the walk's list intersection does."""
     g = plan.g
-    deg = g.degrees()
+    deg = plan.degrees
     # every candidate is a neighbour of the anchor; test the other checked positions
     tested = [[i for i in range(d) if plan.check_mask[d] >> i & 1
                and not (i == plan.anchors[d] and plan.req[d] >> i & 1)] for d in range(plan.k)]
     required = [np.array([bool(plan.req[d] >> i & 1) for i in t]) for d, t in enumerate(tested)]
 
     def keep(par, u, depth):
-        ok = (par != u[:, None]).all(axis=1)
-        st.considered += int(np.count_nonzero(ok))
+        if closing and depth == 2:
+            ok = g.has_edges(par[:, 0], u)
+            par, u = par[ok], u[ok]
+            st.considered += len(u)
+            st.accepted += len(u)
+            return par, u
+        # True keeps every row without building (and indexing by) a mask
+        ok = True
+        if plan.distinct:
+            ok = (par != u[:, None]).all(axis=1)
+            st.considered += int(np.count_nonzero(ok))
+        else:
+            st.considered += len(u)
         if plan.use_df and plan.df_thresh[depth]:
             ok &= deg[u] >= plan.df_thresh[depth]
         if plan.g_labels is not None:
             ok &= g.labels[u] == plan.want_label[depth]
         for j in plan.smaller[depth]:
             ok &= par[:, j] < u
-        u, par = u[ok], par[ok]
+        if ok is not True:
+            u, par = u[ok], par[ok]
         if tested[depth]:
             fit = (g.has_edges(par[:, tested[depth]], u[:, None]) == required[depth]).all(axis=1)
             u, par = u[fit], par[fit]
@@ -117,35 +133,6 @@ def count_match(plan, st, roots):
         return par, u
 
     _grow(plan, st, roots, plan.anchors, keep)
-
-
-def count_clique(plan, st, roots, closing=False):
-    """Count (and hand to `process_rows`) the k-cliques of a `_CliquePlan`
-    grown from `roots`: each position extends the last one and must touch
-    every earlier one. With `closing` (the triangle plan) depth 2 counts
-    only the candidates adjacent to the root, with no degree filter, as the
-    walk's list intersection does."""
-    g = plan.g
-    deg = g.source_degrees
-    min_deg = plan.k - 1
-
-    def keep(par, u, depth):
-        if closing and depth == 2:
-            ok = g.has_edges(par[:, 0], u)
-            par, u = par[ok], u[ok]
-            st.considered += len(u)
-        else:
-            st.considered += len(u)
-            if plan.use_df:
-                ok = deg[u] >= min_deg
-                par, u = par[ok], u[ok]
-            if depth > 1:
-                ok = g.has_edges(par[:, :-1], u[:, None]).all(axis=1)
-                par, u = par[ok], u[ok]
-        st.accepted += len(u)
-        return par, u
-
-    _grow(plan, st, roots, range(-1, plan.k - 1), keep)
 
 
 def count_generic(plan, st, roots):
@@ -156,7 +143,7 @@ def count_generic(plan, st, roots):
     if k == 1:
         tally = {0: len(roots)} if len(roots) else {}
     else:
-        _generic_level(plan, st, plan.g.degrees(), roots[:, None],
+        _generic_level(plan, st, plan.degrees, roots[:, None],
                        np.zeros(len(roots), dtype=np.int64), 1, tally)
     for packed, count in tally.items():
         codes = tuple(packed >> (l * (l - 1) // 2) & ((1 << l) - 1) for l in range(1, k))

@@ -11,14 +11,16 @@ descend step (`_PlanBase._descend`) that pushes an accepted candidate, runs
 `local_reduce`, then finalizes the embedding at size k or updates the
 connectivity map and extends again, and pops.
 
-* clique: walk oriented by degree, core or (orientation "none") vertex id,
-  extending the last vertex; candidates must touch the whole embedding;
-* triangle: the clique walk, closing with a list intersection;
-* local: the clique walk over a user-maintained shrinking local graph
-  (see `localgraph`), reading only its `candidates(level)`;
 * match: matching-order guided search for one explicit pattern with
   per-position adjacency / non-adjacency constraints and symmetry-breaking
   id orders;
+* clique: the match pipeline on the graph oriented by degree, core or
+  (orientation "none") vertex id, each position anchored on the last and
+  adjacent to all earlier ones; the orientation replaces the id orders and
+  the test that a candidate is not already embedded;
+* triangle: the clique plan, closing with a list intersection;
+* local: the clique walk over a user-maintained shrinking local graph
+  (see `localgraph`), reading only its `candidates(level)`;
 * generic: pattern-oblivious vertex extension for implicit-pattern problems,
   deduplicated by a canonical-sequence filter (exactly one accepted DFS
   sequence per connected vertex set).
@@ -193,14 +195,15 @@ class _PlanBase:
         self._terminate = spec.terminate
         self._local_reduce = spec.local_reduce
         self._dbg_tick = 0
+        # the degree filters read degrees in the source graph
+        self.degrees = g.source_degrees if isinstance(g, OrientedGraph) else g.degrees()
 
     def make_state(self):
         """A walk state; first builds the neighbour lists and the degree list
         the walk reads, which the array route never needs."""
-        g = self.g
-        self.adj = g.adjacency()
-        self.deg = (g.source_degrees if isinstance(g, OrientedGraph) else g.degrees()).tolist()
-        return _WorkerState(g, self.adj if self.use_mnc else None)
+        self.adj = self.g.adjacency()
+        self.deg = self.degrees.tolist()
+        return _WorkerState(self.g, self.adj if self.use_mnc else None)
 
     def roots(self):
         """The ascending root vertices; the base plan starts at every vertex."""
@@ -272,49 +275,117 @@ class _PlanBase:
                 raise HookMisuseError("connectivity map disagrees with the graph")
 
 
-class _CliquePlan(_PlanBase):
-    """Explicit k-clique: extend the last vertex; candidates must touch all."""
+class _MatchPlan(_PlanBase):
+    """Single explicit pattern guided by a matching order.
 
-    name = "clique"
-    run_array = arrayroute.count_clique
+    Candidates come from one required-adjacent anchor position; the
+    connectivity map supplies the full adjacency bit-set which is compared
+    against the order's required (and, when vertex-induced, forbidden)
+    position masks; symmetry-breaking id orders close the pipeline.
+    """
 
-    def __init__(self, g, spec, opts, k, key):
+    name = "match"
+    run_array = arrayroute.count_match
+    # candidates that are already embedded are skipped
+    distinct = True
+    # labeled matching: the graph's labels and each position's pattern label
+    g_labels = want_label = None
+
+    def __init__(self, g, spec, opts, pattern, key):
         super().__init__(g, spec, opts)
-        self.k = k
         self.key = key
+        self.k = pattern.vertex_count
+        order = matching_order(pattern)
+        self.anchors = [min(order.required[i]) if order.required[i] else 0
+                        for i in range(self.k)]
+        self.req = [sum(1 << j for j in order.required[i]) for i in range(self.k)]
+        if spec.vertex_induced:
+            self.check_mask = [(1 << i) - 1 for i in range(self.k)]
+        else:
+            self.check_mask = list(self.req)
+        self.smaller = [[a for a, b in order.orders if b == i] for i in range(self.k)]
+        seq = order.sequence
+        self.df_thresh = [pattern.degree(seq[i]) for i in range(self.k)]
+        if pattern.labels is not None:
+            self.g_labels = g.labels.tolist()
+            self.want_label = [pattern.labels[seq[i]] for i in range(self.k)]
 
     def roots(self):
         roots = super().roots()
-        return roots[self.g.source_degrees >= self.k - 1] if self.use_df else roots
+        if self.use_df:
+            roots = roots[self.degrees >= self.df_thresh[0]]
+        if self.g_labels is not None:
+            roots = roots[self.g.labels[roots] == self.want_label[0]]
+        return roots
 
     def _extend(self, st, depth):
         emb = st.emb
+        members = emb.members
+        verts = emb.vertices
         bits = st.mnc.bits if st.mnc is not None else None
         adj = self.adj
-        df = self.use_df
-        deg = self.deg
         to_add = self.spec.to_add
-        need = (1 << depth) - 1
-        min_deg = self.k - 1
-        *others, last = emb.vertices
+        anchor_v = verts[self.anchors[depth]]
+        req = self.req[depth]
+        cmask = self.check_mask[depth]
+        smaller = self.smaller[depth]
+        df_t = self.df_thresh[depth] if self.use_df else 0
+        deg = self.deg
+        g_labels = self.g_labels
+        want = None if g_labels is None else self.want_label[depth]
+        distinct = self.distinct
         considered = accepted = 0
         try:
-            for u in adj[last]:
+            for u in adj[anchor_v]:
+                if distinct and u in members:
+                    continue
                 considered += 1
-                if df and deg[u] < min_deg:
+                if df_t and deg[u] < df_t:
+                    continue
+                if g_labels is not None and g_labels[u] != want:
                     continue
                 if bits is not None:
-                    if bits.get(u, 0) != need:
-                        continue
-                elif others and not all(_list_has(adj, v, u) for v in others):
+                    mask = bits.get(u, 0)
+                else:
+                    mask = 0
+                    for i in range(depth):
+                        if _list_has(adj, verts[i], u):
+                            mask |= 1 << i
+                if mask & cmask != req:
+                    continue
+                ok = True
+                for j in smaller:
+                    if verts[j] >= u:
+                        ok = False
+                        break
+                if not ok:
                     continue
                 if to_add is not None and not to_add(emb, u):
                     continue
                 accepted += 1
-                self._descend(st, u, need, depth)
+                self._descend(st, u, mask, depth)
         finally:
             st.considered += considered
             st.accepted += accepted
+
+
+class _CliquePlan(_MatchPlan):
+    """Explicit k-clique on an oriented graph: the match pipeline with each
+    position anchored on the previous one and adjacent to every earlier one.
+    The orientation breaks the symmetry, so there are no id orders, and a
+    candidate (an out-neighbour of the last position) is never a member."""
+
+    name = "clique"
+    distinct = False
+
+    def __init__(self, g, spec, opts, k, key):
+        _PlanBase.__init__(self, g, spec, opts)
+        self.k = k
+        self.key = key
+        self.anchors = list(range(-1, k - 1))
+        self.req = self.check_mask = [(1 << i) - 1 for i in range(k)]
+        self.smaller = [[]] * k
+        self.df_thresh = [k - 1] * k
 
 
 class _TrianglePlan(_CliquePlan):
@@ -322,7 +393,7 @@ class _TrianglePlan(_CliquePlan):
     and only the intersection counts as considered."""
 
     name = "triangle"
-    run_array = partialmethod(arrayroute.count_clique, closing=True)
+    run_array = partialmethod(arrayroute.count_match, closing=True)
 
     def _extend(self, st, depth):
         if depth == 1:
@@ -370,98 +441,6 @@ class _LocalPlan(_CliquePlan):
                 continue
             st.accepted += 1
             self._descend(st, u, need, depth)
-
-
-class _MatchPlan(_PlanBase):
-    """Single explicit pattern guided by a matching order.
-
-    Candidates come from one required-adjacent anchor position; the
-    connectivity map supplies the full adjacency bit-set which is compared
-    against the order's required (and, when vertex-induced, forbidden)
-    position masks; symmetry-breaking id orders close the pipeline.
-    """
-
-    name = "match"
-    run_array = arrayroute.count_match
-
-    def __init__(self, g, spec, opts, pattern, key):
-        super().__init__(g, spec, opts)
-        self.key = key
-        self.k = pattern.vertex_count
-        order = matching_order(pattern)
-        self.anchors = [min(order.required[i]) if order.required[i] else 0
-                        for i in range(self.k)]
-        self.req = [sum(1 << j for j in order.required[i]) for i in range(self.k)]
-        if spec.vertex_induced:
-            self.check_mask = [(1 << i) - 1 for i in range(self.k)]
-        else:
-            self.check_mask = list(self.req)
-        self.smaller = [[a for a, b in order.orders if b == i] for i in range(self.k)]
-        seq = order.sequence
-        self.df_thresh = [pattern.degree(seq[i]) for i in range(self.k)]
-        # labeled matching: candidates must carry the position's pattern label
-        self.want_label = [None] * self.k
-        self.g_labels = None
-        if pattern.labels is not None and g.labels is not None:
-            self.g_labels = g.labels.tolist()
-            self.want_label = [pattern.labels[seq[i]] for i in range(self.k)]
-
-    def roots(self):
-        g, roots = self.g, super().roots()
-        if self.use_df:
-            roots = roots[g.degrees() >= self.df_thresh[0]]
-        if self.g_labels is not None:
-            roots = roots[g.labels[roots] == self.want_label[0]]
-        return roots
-
-    def _extend(self, st, depth):
-        emb = st.emb
-        members = emb.members
-        verts = emb.vertices
-        bits = st.mnc.bits if st.mnc is not None else None
-        adj = self.adj
-        to_add = self.spec.to_add
-        anchor_v = verts[self.anchors[depth]]
-        req = self.req[depth]
-        cmask = self.check_mask[depth]
-        smaller = self.smaller[depth]
-        df_t = self.df_thresh[depth] if self.use_df else 0
-        deg = self.deg
-        g_labels = self.g_labels
-        want = self.want_label[depth]
-        considered = accepted = 0
-        try:
-            for u in adj[anchor_v]:
-                if u in members:
-                    continue
-                considered += 1
-                if df_t and deg[u] < df_t:
-                    continue
-                if g_labels is not None and g_labels[u] != want:
-                    continue
-                if bits is not None:
-                    mask = bits.get(u, 0)
-                else:
-                    mask = 0
-                    for i in range(depth):
-                        if _list_has(adj, verts[i], u):
-                            mask |= 1 << i
-                if mask & cmask != req:
-                    continue
-                ok = True
-                for j in smaller:
-                    if verts[j] >= u:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if to_add is not None and not to_add(emb, u):
-                    continue
-                accepted += 1
-                self._descend(st, u, mask, depth)
-        finally:
-            st.considered += considered
-            st.accepted += accepted
 
 
 def _is_canonical_extension(verts, codes, u, umask):
@@ -633,10 +612,9 @@ def _resolve_orientation(g, orientation):
 
 def _build_explicit_plan(g, pattern, spec, opts, orientation):
     key = canonical_code(pattern)
-    # the oriented clique fast paths are label-blind; labeled cliques take the
-    # matching-order route like any other labeled pattern
-    labeled = pattern.labels is not None and g.labels is not None
-    if is_clique(pattern) and not labeled:
+    # the clique plans are label-blind; labeled cliques take the matching-order
+    # route like any other labeled pattern
+    if is_clique(pattern) and pattern.labels is None:
         og = _resolve_orientation(g, orientation)
         if pattern.vertex_count == 3:
             return _TrianglePlan(og, spec, dict(opts, use_mnc=False), 3, key)
@@ -652,6 +630,8 @@ def _plans(g, spec, opts, orientation, use_mnc):
     generic plan. `use_mnc` None is the per-plan connectivity-map policy and
     lets a hook-free spec outside debug mode take the array route; the
     built-in local graph's `init_local` counts as no hook."""
+    if spec.explicit and g.labels is None and any(p.labels is not None for p in spec.patterns):
+        raise ValueError("the pattern has vertex labels but the graph has none")
     builtin_local = arrayroute.builtin_local(spec)
     opts = dict(opts, array=use_mnc is None and not opts.get("debug")
                 and all(getattr(spec, hook) is None for hook in _WALK_HOOKS
@@ -659,8 +639,6 @@ def _plans(g, spec, opts, orientation, use_mnc):
     if spec.init_local is not None:
         if not spec.explicit or len(spec.patterns) != 1 or not is_clique(spec.patterns[0]):
             raise ValueError("local-graph search is wired for single explicit cliques")
-        if orientation == "none":
-            raise ValueError("local-graph clique search requires an orientation")
         pattern = spec.patterns[0]
         og = _resolve_orientation(g, orientation)
         yield _LocalPlan(og, spec, dict(opts, use_mnc=False), pattern.vertex_count,

@@ -100,6 +100,8 @@ def _iter_edge_preserving_maps(g, pattern):
     each pattern edge onto a graph edge (non-induced). Naive backtracking,
     anchored on an arbitrary connected order of the pattern.
     """
+    if pattern.labels is not None and g.labels is None:
+        raise ValueError("the pattern has vertex labels but the graph has none")
     k = pattern.vertex_count
     p_adj = pattern.adjacency_sets()
     # connected visit order with, per step, the earlier neighbors to check
@@ -120,7 +122,7 @@ def _iter_edge_preserving_maps(g, pattern):
     assign = [None] * k
 
     def ok_label(pv, gv):
-        return p_labels is None or g_labels is None or p_labels[pv] == g_labels[gv]
+        return p_labels is None or p_labels[pv] == g_labels[gv]
 
     def backtrack(idx, used):
         if idx == k:

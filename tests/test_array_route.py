@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 
 import gpm.arrayroute
 from gpm import apps, mine
-from gpm.engine import ProblemSpec
+from gpm.engine import ProblemSpec, _CliquePlan
 from gpm import localgraph
-from gpm.graph import CSRGraph, Graph, orient
+from gpm.graph import CSRGraph, Graph
 from gpm.patterns import Pattern, all_patterns, named_motifs, triangle, wedge
 
 from conftest import edge_case_graphs, random_graph
@@ -179,6 +179,34 @@ def test_cliques_on_edge_case_graphs(budget):
                     assert result.plans == _clique_plans(k)
 
 
+@given(seed=st.integers(0, 10 ** 6), k=st.integers(3, 6),
+       orientation=st.sampled_from(["degree", "core", "id"]))
+@settings(max_examples=25, deadline=None)
+def test_cliques_need_no_distinctness_test(seed, k, orientation):
+    """A clique candidate is an out-neighbour of the last position on an
+    acyclic orientation, so it is never in the embedding: testing for that
+    anyway (`distinct`) changes no count, counter or listed row, on the
+    array route or on the connectivity-map walk."""
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(0, 16), rng.uniform(0.2, 0.9))
+
+    def runs():
+        found = []
+        for use_mnc in (None, True):
+            batches = []
+            result = mine(g, apps.clique_spec(k, process_rows=batches.append),
+                          orientation=orientation, use_mnc=use_mnc)
+            found.append((result.plans, result.pattern_map, result.enumerated, result.accepted,
+                          [tuple(r) for b in batches for r in b.tolist()]))
+        return found
+
+    skipped = runs()
+    assert [plans[0].split(":")[1] for plans, *_ in skipped] == ["array", "walk"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_CliquePlan, "distinct", True)
+        assert runs() == skipped
+
+
 def _c4():
     return named_motifs(4)["4-cycle"]
 
@@ -258,16 +286,14 @@ def test_walk_hands_over_the_rows_a_terminate_hook_stopped_at(budget):
     assert rows and rows[-1][-1] == 5 and len(rows) == sum(result.pattern_map.values())
 
 
-LOCAL_ORIENTATIONS = ["degree", "core", "id"]
+LOCAL_ORIENTATIONS = ["degree", "core", "none"]
 
 
 def _assert_local_routes_agree(g, k, budget, orientation, use_df):
     """Counts, counters and `process_rows` rows of the local plan's bitset
-    route equal its walk's, row for row. The local plan refuses orientation
-    "none", so "id" passes a graph oriented by id: unlike degree or core
-    order, that lets the degree filter reject local-graph candidates."""
-    if orientation == "id":
-        g, orientation = orient(g, "id"), "auto"
+    route equal its walk's, row for row. Unlike degree or core order, the
+    vertex-id orientation ("none") lets the degree filter reject local-graph
+    candidates."""
     listed, walked = [], []
     result = _assert_routes_agree(g, apps.clique_local_spec(k), budget,
                                   orientation=orientation, use_df=use_df)

@@ -442,15 +442,28 @@ class TestErrorsAndToggles:
         with pytest.raises(ValueError, match="GPM_THREADS"):
             mine(Graph.from_edges(3, [(0, 1)]), triangle_spec())
 
-    def test_level_lo_rejected_without_orientation(self, files):
-        assert run(["clique", "-k", "4", files["k4.el"], "--level", "lo",
-                    "--orient", "none"]) == 2
+    def test_level_lo_runs_without_orientation(self, capsys, tmp_path):
+        g = random_graph(random.Random(5), 40, 0.4)
+        path = tmp_path / "g.el"
+        path.write_text("".join(f"{u} {v}\n" for u in range(g.vertex_count)
+                                for v in g.adjacency()[u] if u < v))
+        for k in (4, 5):
+            outs = [_capture(capsys, ["clique", "-k", str(k), str(path), "--level", "lo",
+                                      "--orient", orient]) for orient in ("none", "core")]
+            assert outs[0] == outs[1]
+            assert outs[0][0] == 0 and json.loads(outs[0][1])[0]["support"] > 0
+
+    def test_labeled_pattern_on_unlabeled_graph_refused(self, files, capsys):
+        for cmd in (["match"], ["oracle", "match"], ["oracle", "mni"]):
+            assert run(cmd + ["-p", files["bb.pat"], files["k4.el"]]) == 2
+            assert capsys.readouterr().err == (
+                "gpm: the pattern has vertex labels but the graph has none\n")
 
     def test_list_file_closed_when_the_run_is_refused(self, files, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert run(["clique", "-k", "4", files["k4.el"], "--level", "lo",
-                        "--orient", "none", "--list", files["out.txt"]]) == 2
+            assert run(["match", "-p", files["bb.pat"], files["k4.el"],
+                        "--list", files["out.txt"]]) == 2
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 

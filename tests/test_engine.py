@@ -455,6 +455,31 @@ class TestLabeledMatching:
             b, _, _ = apps.count_motifs(plain, k)
             assert a == b
 
+    @pytest.mark.parametrize("labeled_clique", [False, True])
+    def test_labeled_pattern_on_unlabeled_graph_refused(self, rng, labeled_clique):
+        from gpm.patterns import Pattern
+        g = random_graph(rng, 12, 0.4)
+        p = (Pattern(3, [(0, 1), (1, 2), (0, 2)], labels=(0, 0, 1)) if labeled_clique
+             else Pattern(2, [(0, 1)], labels=(0, 1)))
+        # refused before any plan runs, even after an unlabeled pattern
+        both = replace(apps.subgraph_listing_spec(wedge(), process=lambda emb: pytest.fail("ran")),
+                       patterns=(wedge(), p))
+        for spec in (apps.subgraph_listing_spec(p), both):
+            with pytest.raises(ValueError, match="vertex labels but the graph has none"):
+                mine(g, spec)
+
+
+def test_count_motifs_checks_k_before_mining(monkeypatch):
+    def no_mining(*args, **kwargs):
+        pytest.fail("mined")
+
+    monkeypatch.setattr(apps, "mine", no_mining)
+    g = random_graph(random.Random(3), 10, 0.5)
+    for level in ("hi", "lo"):
+        for k in (2, 6):
+            with pytest.raises(ValueError, match="3 <= k <= 5"):
+                apps.count_motifs(g, k, level=level)
+
 
 def _pinned_graph():
     # Erdős–Rényi core plus a pendant vertex and a pendant path, so the

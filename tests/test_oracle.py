@@ -95,6 +95,14 @@ class TestMni:
         assert oracle.mni_oracle(g, p) == 0
 
 
+def test_labeled_pattern_on_unlabeled_graph_refused():
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    p = Pattern(2, [(0, 1)], labels=(0, 1))
+    for count in (oracle.count_edge_induced, oracle.mni_oracle):
+        with pytest.raises(ValueError, match="vertex labels but the graph has none"):
+            count(g, p)
+
+
 @given(seed=st.integers(0, 10 ** 6))
 @settings(max_examples=20, deadline=None)
 def test_permutation_invariance(seed):
