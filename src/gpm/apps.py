@@ -11,11 +11,14 @@ from dataclasses import replace
 
 from .engine import ProblemSpec, mine
 from .graph import Graph
-from .patterns import all_patterns, canonical_code, clique, triangle
+from .patterns import all_patterns, canonical_code, clique
+
+# a canonical code stores the vertex count in one byte
+MAX_CLIQUE_K = 255
 
 
 def triangle_spec(**hooks):
-    return ProblemSpec(vertex_induced=True, k=3, patterns=(triangle(),), **hooks)
+    return clique_spec(3, **hooks)
 
 
 def clique_spec(k, **hooks):
@@ -39,14 +42,15 @@ def subgraph_listing_spec(pattern, **hooks):
 
 
 def count_triangles(g, *, process_rows=None, **options):
-    """`(count, MiningResult)`. `process_rows(rows)`, when given, receives the
-    embeddings counted as `(R, k)` int64 arrays in walk order (see
-    `ProblemSpec`); `count_cliques` and `count_subgraphs` take it too."""
-    result = mine(g, triangle_spec(process_rows=process_rows), **options)
-    return result.pattern_map.get(canonical_code(triangle()), 0), result
+    """`(count, MiningResult)` of the 3-clique. `process_rows(rows)`, when
+    given, receives the embeddings counted as `(R, k)` int64 arrays in walk
+    order (see `ProblemSpec`), as in `count_cliques` and `count_subgraphs`."""
+    return count_cliques(g, 3, process_rows=process_rows, **options)
 
 
 def count_cliques(g, k, *, level="hi", process_rows=None, **options):
+    if k > MAX_CLIQUE_K:
+        raise ValueError(f"clique size must be <= {MAX_CLIQUE_K}, got {k}")
     spec = (clique_spec if level == "hi" else clique_local_spec)(k, process_rows=process_rows)
     result = mine(g, spec, **options)
     return result.pattern_map.get(canonical_code(clique(k)), 0), result
@@ -61,7 +65,7 @@ def count_motifs(g, k, *, level="hi", **options):
     wedge kernel plus the 4-clique count), `enumerated` adds the kernel's
     wedges, and `run.plans` leads with "formula:mc3" or "formula:mc4".
     `options` go to every `mine` call, including the local counters'
-    triangle or 4-clique count (`triangle:array` / `clique:array`).
+    3- or 4-clique count (`clique:array`).
     """
     patterns = all_patterns(k)
     if g.labels is not None:
@@ -72,7 +76,6 @@ def count_motifs(g, k, *, level="hi", **options):
     elif k in (3, 4):
         from . import localcount
         t0 = time.perf_counter()
-        options = {"workers": 1, **options}
         if k == 3:
             counts, found = localcount.mc3_local_counts(g, **options)
             wedges = 0

@@ -1,5 +1,5 @@
-"""Array route of the engine's generic, match, clique, triangle and local
-plans: counting and listing without per-embedding hooks.
+"""Array route of the engine's generic, match, clique and local plans:
+counting and listing without per-embedding hooks.
 
 Instead of walking one candidate at a time, each level extends a slice of
 embeddings at once, in the structure-of-arrays form Pangolin keeps its
@@ -8,13 +8,13 @@ row per embedding. A level gathers the rows' CSR neighbours with
 `graph.gather`, tests adjacency with `CSRGraph.has_edges` and applies the
 walk's filters as vector masks, each in the walk's counting position, so
 `enumerated`, `accepted` and the pattern map equal the walk's. The match
-plan, and with it the clique and triangle plans, grows one anchor position's
-neighbours per level (`count_match`, `_grow`) and hands each slice of
-finished rows to `process_rows`: rows are gathered in row order and
-candidates ascending, and slices are extended depth-first, so the rows
-arrive in the walk's (lexicographic) order. The generic plan extends every
-position and materialises nothing at size k: it counts each distinct packed
-connectivity code (`np.unique`) and classifies it once.
+plan, and with it the clique plan, grows one anchor position's neighbours
+per level (`count_match`, `_grow`) and hands each slice of finished rows
+to `process_rows`: rows are gathered in row order and candidates
+ascending, and slices are extended depth-first, so the rows arrive in the
+walk's (lexicographic) order. The generic plan extends every position and
+materialises nothing at size k: it counts each distinct packed connectivity
+code (`np.unique`) and classifies it once.
 
 The local plan keeps kClist's shrinking local graph as bitsets instead
 (`count_local`): a row is a root and one uint64 mask over the root's
@@ -90,13 +90,11 @@ def _grow(plan, st, roots, anchors, keep):
         st.map[plan.key] = found
 
 
-def count_match(plan, st, roots, closing=False):
+def count_match(plan, st, roots):
     """Count (and hand to `process_rows`) the embeddings of a `_MatchPlan`'s
     pattern grown from `roots`, a clique's included. A plan that is not
     `distinct` (a clique on an acyclic orientation) skips the test that a
-    candidate is not already in the row. With `closing` (the triangle plan)
-    depth 2 counts only the candidates adjacent to the root, with no degree
-    filter, as the walk's list intersection does."""
+    candidate is not already in the row."""
     g = plan.g
     deg = plan.degrees
     # every candidate is a neighbour of the anchor; test the other checked positions
@@ -105,12 +103,6 @@ def count_match(plan, st, roots, closing=False):
     required = [np.array([bool(plan.req[d] >> i & 1) for i in t]) for d, t in enumerate(tested)]
 
     def keep(par, u, depth):
-        if closing and depth == 2:
-            ok = g.has_edges(par[:, 0], u)
-            par, u = par[ok], u[ok]
-            st.considered += len(u)
-            st.accepted += len(u)
-            return par, u
         # True keeps every row without building (and indexing by) a mask
         ok = True
         if plan.distinct:

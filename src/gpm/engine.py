@@ -18,7 +18,6 @@ connectivity map and extends again, and pops.
   (orientation "none") vertex id, each position anchored on the last and
   adjacent to all earlier ones; the orientation replaces the id orders and
   the test that a candidate is not already embedded;
-* triangle: the clique plan, closing with a list intersection;
 * local: the clique walk over a user-maintained shrinking local graph
   (see `localgraph`), reading only its `candidates(level)`;
 * generic: pattern-oblivious vertex extension for implicit-pattern problems,
@@ -45,7 +44,6 @@ import os
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partialmethod
 
 import numpy as np
 
@@ -80,10 +78,10 @@ class ProblemSpec:
     The vertex walk calls `process(emb)` on each embedding it counts, then
     `terminate(emb)`, which can end the run. `process_rows(rows)` receives
     the counted embeddings as `(R, k)` int64 arrays in walk order (roots,
-    then each position's candidates, ascending). It keeps the match, clique
-    and triangle plans on the array route, one slice per call; the walk
-    (generic problems with it) hands over up to `arrayroute.ROW_BUDGET` rows
-    per call.
+    then each position's candidates, ascending). It keeps the match and
+    clique plans on the array route, one slice per call; the walk (generic
+    problems with it) hands over up to `arrayroute.ROW_BUDGET` rows per
+    call.
 
     Support: the walk combines `get_support(emb)` (default 1) by `reduce`
     (default +); fsm calls `get_support(node)` once per pattern node and
@@ -388,26 +386,6 @@ class _CliquePlan(_MatchPlan):
         self.df_thresh = [k - 1] * k
 
 
-class _TrianglePlan(_CliquePlan):
-    """Explicit triangle: the closing vertex comes from a list intersection,
-    and only the intersection counts as considered."""
-
-    name = "triangle"
-    run_array = partialmethod(arrayroute.count_match, closing=True)
-
-    def _extend(self, st, depth):
-        if depth == 1:
-            return super()._extend(st, depth)
-        root, u = st.emb.vertices
-        to_add = self.spec.to_add
-        for a in sorted(set(self.adj[root]).intersection(self.adj[u])):
-            st.considered += 1
-            if to_add is not None and not to_add(st.emb, a):
-                continue
-            st.accepted += 1
-            self._descend(st, a, 0b11, 2)
-
-
 class _LocalPlan(_CliquePlan):
     """Extension candidates come from a per-root local graph the hooks shrink."""
 
@@ -615,10 +593,8 @@ def _build_explicit_plan(g, pattern, spec, opts, orientation):
     # the clique plans are label-blind; labeled cliques take the matching-order
     # route like any other labeled pattern
     if is_clique(pattern) and pattern.labels is None:
-        og = _resolve_orientation(g, orientation)
-        if pattern.vertex_count == 3:
-            return _TrianglePlan(og, spec, dict(opts, use_mnc=False), 3, key)
-        return _CliquePlan(og, spec, opts, pattern.vertex_count, key)
+        return _CliquePlan(_resolve_orientation(g, orientation), spec, opts,
+                           pattern.vertex_count, key)
     if isinstance(g, OrientedGraph):
         raise TypeError("non-clique patterns need the undirected graph")
     return _MatchPlan(g, spec, opts, pattern, key)

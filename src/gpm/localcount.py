@@ -8,10 +8,10 @@ from the graph's CSR ranges and edge-key index, every pair's co-degree and
 every edge's triangle count: the co-degrees give the non-induced 4-cycle
 count, the triangle counts give the raw diamond / tailed-triangle / 4-path /
 3-star terms (the closed forms of ESCAPE and PGD). `mine` counts the
-triangles and 4-cliques on `triangle:array` / `clique:array`, with the
-walk's counters. The correction constants are calibrated once against the
-brute-force oracle on a basis of small graphs (see `calibrate_corrections`)
-and frozen below; tests re-derive and assert them.
+triangles and 4-cliques on `clique:array`, with the walk's counters. The
+correction constants are calibrated once against the brute-force oracle on
+a basis of small graphs (see `calibrate_corrections`) and frozen below;
+tests re-derive and assert them.
 """
 from __future__ import annotations
 
@@ -114,17 +114,16 @@ def wedge_kernel(g):
     return terms, run
 
 
-def mc3_local_counts(g, workers=1, **options):
+def mc3_local_counts(g, **options):
     """3-motif counts {wedge, triangle} without enumerating wedges.
 
-    One triangle count (`triangle:array`); the wedge total is the star sum
+    One triangle count (`clique:array`); the wedge total is the star sum
     Σ C(d, 2) over vertex degrees minus three per triangle. `options`
     (orientation, use_df, use_mnc, ...) go to that count's `mine` call.
     """
     deg = g.degrees()
     raw_wedge = int(np.sum(deg * (deg - 1) // 2))
-    result = mine(g, ProblemSpec(vertex_induced=True, k=3, patterns=(triangle(),)),
-                  workers=workers, **options)
+    result = mine(g, ProblemSpec(vertex_induced=True, k=3, patterns=(triangle(),)), **options)
     tri = result.pattern_map.get(canonical_code(triangle()), 0)
     counts = {
         canonical_code(named_motifs(3)["wedge"]): raw_wedge - MC3_WEDGE_TRIANGLE_FACTOR * tri,
@@ -133,7 +132,7 @@ def mc3_local_counts(g, workers=1, **options):
     return counts, result
 
 
-def mc4_local_counts(g, workers=1, **options):
+def mc4_local_counts(g, **options):
     """All six 4-motif counts from one wedge kernel and one 4-clique count.
 
     `wedge_kernel` gives the non-induced 4-cycle count C4 and the raw
@@ -148,7 +147,7 @@ def mc4_local_counts(g, workers=1, **options):
     """
     terms, kernel_run = wedge_kernel(g)
     clique_spec = ProblemSpec(vertex_induced=True, k=4, patterns=(clique(4),))
-    clique_run = mine(g, clique_spec, workers=workers, **options)
+    clique_run = mine(g, clique_spec, **options)
 
     names = named_motifs(4)
     k4 = clique_run.pattern_map.get(canonical_code(names["4-clique"]), 0)

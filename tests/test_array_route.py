@@ -1,5 +1,5 @@
-"""The array route of the generic, match, clique, triangle and local plans
-against the walk.
+"""The array route of the generic, match, clique and local plans against
+the walk.
 
 `mine(g, spec)` takes the array route for hook-free counting and for
 `process_rows` listing; passing `use_mnc` forces the walk. Pattern maps,
@@ -45,7 +45,7 @@ def _row_budget(budget):
 
 def _expected_route(walk_route, g):
     name = walk_route.split(":")[0]
-    if (name in ("match", "clique", "triangle", "local")
+    if (name in ("match", "clique", "local")
             or (name == "generic" and g.labels is None)):
         return f"{name}:array"
     return walk_route
@@ -121,7 +121,7 @@ def test_multi_pattern_explicit_spec(budget, seed):
                        patterns=(names["4-cycle"], triangle(), names["diamond"], wedge(),
                                  names["4-path"]))
     result = _assert_routes_agree(_graph(seed), spec, budget)
-    assert result.plans == ("match:array", "triangle:array", "match:array", "match:array",
+    assert result.plans == ("match:array", "clique:array", "match:array", "match:array",
                             "match:array")
 
 
@@ -152,10 +152,6 @@ def test_hooks_and_ablations_keep_the_walk(make, options):
 ORIENTATIONS = ["degree", "core", "none"]
 
 
-def _clique_plans(k):
-    return ("triangle:array",) if k == 3 else ("clique:array",)
-
-
 @pytest.mark.parametrize("budget", BUDGETS)
 @given(seed=st.integers(0, 10 ** 6), k=st.integers(1, 6),
        orientation=st.sampled_from(ORIENTATIONS), use_df=st.booleans())
@@ -165,7 +161,7 @@ def test_cliques(budget, seed, k, orientation, use_df):
     g = random_graph(rng, rng.randint(0, 16), rng.uniform(0.2, 0.9))
     result = _assert_routes_agree(g, apps.clique_spec(k), budget, orientation=orientation,
                                   use_df=use_df)
-    assert result.plans == _clique_plans(k)
+    assert result.plans == ("clique:array",)
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
@@ -176,7 +172,7 @@ def test_cliques_on_edge_case_graphs(budget):
                 for use_df in (True, False):
                     result = _assert_routes_agree(g, apps.clique_spec(k), budget,
                                                   orientation=orientation, use_df=use_df)
-                    assert result.plans == _clique_plans(k)
+                    assert result.plans == ("clique:array",)
 
 
 @given(seed=st.integers(0, 10 ** 6), k=st.integers(3, 6),
@@ -205,6 +201,26 @@ def test_cliques_need_no_distinctness_test(seed, k, orientation):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_CliquePlan, "distinct", True)
         assert runs() == skipped
+
+
+@pytest.mark.parametrize("use_mnc", [None, True, False], ids=["array", "mnc", "no-mnc"])
+@given(seed=st.integers(0, 10 ** 6), orientation=st.sampled_from(ORIENTATIONS),
+       use_df=st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_triangles_are_the_3_clique(use_mnc, seed, orientation, use_df):
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(0, 16), rng.uniform(0.2, 0.9))
+    options = {"orientation": orientation, "use_df": use_df}
+    if use_mnc is not None:
+        options["use_mnc"] = use_mnc
+    runs = []
+    for count in (apps.count_triangles, partial(apps.count_cliques, k=3)):
+        batches = []
+        found, result = count(g, process_rows=batches.append, **options)
+        runs.append((found, result.pattern_map, result.enumerated, result.accepted,
+                     result.plans, [tuple(r) for b in batches for r in b.tolist()]))
+    assert runs[0] == runs[1]
+    assert runs[0][4] == (("clique:array",) if use_mnc is None else ("clique:walk",))
 
 
 def _c4():

@@ -127,7 +127,7 @@ class TestSubcommands:
         (["match", "-p", "@c4.pat", "@k4.el"], ["match:array"]),
         (["match", "-p", "@c4.pat", "@k4.el", "--list", "@out.txt"], ["match:array"]),
         (["match", "-p", "@c4.pat", "@k4.el", "--list", "@out.txt", "--no-mnc"], ["match:walk"]),
-        (["tc", "@k4.el"], ["triangle:array"]),
+        (["tc", "@k4.el"], ["clique:array"]),
         (["clique", "-k", "4", "@k4.el", "--no-mnc"], ["clique:walk"]),
         (["clique", "-k", "4", "@k4.el", "--level", "lo", "--orient", "core"], ["local:array"]),
         (["clique", "-k", "4", "@k4.el", "--level", "lo", "--orient", "core", "--no-mnc"],
@@ -466,6 +466,16 @@ class TestErrorsAndToggles:
                         "--list", files["out.txt"]]) == 2
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    @pytest.mark.parametrize("level", ["hi", "lo"])
+    def test_clique_size_bound(self, files, capsys, level):
+        assert run(["clique", "-k", "256", files["k4.el"], "--level", level]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gpm: clique size must be <= 255, got 256\n"
+        code, out = _capture(capsys, ["clique", "-k", "255", files["k4.el"], "--level", level])
+        assert code == 0
+        assert json.loads(out) == [{"pattern": "255-clique", "support": 0}]
 
     def test_motif_lo_k5_rejected(self, files):
         assert run(["motif", "-k", "5", files["k4.el"], "--level", "lo"]) == 2

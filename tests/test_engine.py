@@ -481,6 +481,27 @@ def test_count_motifs_checks_k_before_mining(monkeypatch):
                 apps.count_motifs(g, k, level=level)
 
 
+def test_count_cliques_checks_k_before_building_a_pattern(monkeypatch):
+    def no_pattern(k):
+        pytest.fail("built a pattern")
+
+    monkeypatch.setattr(apps, "clique", no_pattern)
+    g = random_graph(random.Random(3), 10, 0.5)
+    for level in ("hi", "lo"):
+        for k in (256, 10 ** 5):
+            with pytest.raises(ValueError, match=f"<= 255, got {k}"):
+                apps.count_cliques(g, k, level=level)
+
+
+@pytest.mark.parametrize("level", ["hi", "lo"])
+@pytest.mark.parametrize("k", [3, 4])
+def test_count_motifs_workers_default_to_the_environment(monkeypatch, level, k):
+    monkeypatch.setenv("GPM_THREADS", "3")
+    g = random_graph(random.Random(4), 12, 0.4)
+    assert apps.count_motifs(g, k, level=level)[2].workers == 3
+    assert apps.count_motifs(g, k, level=level, workers=2)[2].workers == 2
+
+
 def _pinned_graph():
     # Erdős–Rényi core plus a pendant vertex and a pendant path, so the
     # degree filters have something to reject
@@ -490,7 +511,7 @@ def _pinned_graph():
 
 
 @pytest.mark.parametrize("spec, plan, expect", [
-    (apps.triangle_spec(), "_TrianglePlan", (293, 293, 103)),
+    (apps.triangle_spec(), "_CliquePlan", (655, 293, 103)),
     (apps.clique_spec(4), "_CliquePlan", (770, 304, 12)),
     (apps.subgraph_listing_spec(named_motifs(4)["4-cycle"]), "_MatchPlan", (6205, 1263, 532)),
     (apps.motif_spec(4), "_GenericPlan", (29360, 12239, 10699)),
