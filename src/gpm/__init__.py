@@ -18,7 +18,7 @@ __all__ = [
     "canonical_code", "core_numbers", "extend", "has_edge", "is_clique",
     "is_min_extension", "load_edge_list", "load_pattern", "matching_order",
     "min_dfs_code", "mine", "mine_fsm", "mni", "orient", "rightmost_extensions",
-    "symmetry_orders", "validate_graph",
+    "validate_graph",
 ]
 
 # the submodule that defines each name of __all__
@@ -28,7 +28,7 @@ _HOME = {name: module for module, names in [
     ("fsm", "PatternNode mine_fsm mni rightmost_extensions"),
     ("graph", "Graph OrientedGraph core_numbers has_edge load_edge_list orient validate_graph"),
     ("patterns", "MatchingOrder Pattern all_patterns canonical_code is_clique load_pattern "
-                 "matching_order symmetry_orders"),
+                 "matching_order"),
     ("dfscode", "is_min_extension min_dfs_code")] for name in names.split()}
 
 

@@ -56,8 +56,6 @@ def _add_walk(parser, *, mnc=True):
                                  "local-graph walk, which keeps no map)")
     parser.add_argument("--no-df", action="store_true",
                         help="disable degree filtering (ablation)")
-    parser.add_argument("--no-sb", action="store_true",
-                        help="refused: disabling symmetry breaking changes counts")
 
 
 def _add_list(parser):
@@ -80,7 +78,7 @@ def _build_parser():
     p = sub.add_parser("tc", help="triangle counting")
     _add_input(p, labels=False)
     _add_run(p)
-    # the triangle walk closes with a list intersection and keeps no map
+    # a 3-clique keeps no map; `clique -k 3 --no-mnc` reaches its walk
     _add_walk(p, mnc=False)
     _add_list(p)
 
@@ -195,9 +193,6 @@ def run(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
 
-    if getattr(args, "no_sb", False):
-        return _fail("--no-sb is refused: every subcommand reports counts and "
-                     "disabling symmetry breaking changes them")
     if args.command != "oracle":
         if args.threads is None:
             from .engine import workers_from_env

@@ -277,9 +277,9 @@ class _MatchPlan(_PlanBase):
     """Single explicit pattern guided by a matching order.
 
     Candidates come from one required-adjacent anchor position; the
-    connectivity map supplies the full adjacency bit-set which is compared
-    against the order's required (and, when vertex-induced, forbidden)
-    position masks; symmetry-breaking id orders close the pipeline.
+    connectivity map supplies the full adjacency bit-set, which must match the
+    order's required mask on the position's check mask (every earlier position
+    when vertex-induced); symmetry-breaking id orders close the pipeline.
     """
 
     name = "match"

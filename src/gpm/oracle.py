@@ -57,6 +57,8 @@ def connected_vertex_sets(g, k):
 
 def count_vertex_induced(g, k):
     """Map canonical pattern code -> number of connected induced k-subgraphs."""
+    if k < 1:
+        raise ValueError(f"motif size k must be at least 1, got {k}")
     if g.vertex_count > MAX_ORACLE_VERTICES or k > MAX_ORACLE_SIZE:
         raise ValueError("instance exceeds oracle bounds")
     masks = _bit_adjacency(g)

@@ -1,5 +1,5 @@
-"""Small-pattern algebra: canonical codes, automorphisms, symmetry-breaking
-partial orders, matching orders, and pattern enumeration.
+"""Small-pattern algebra: canonical codes, automorphisms, matching orders with
+their symmetry-breaking partial orders, and pattern enumeration.
 
 Everything here is brute-force over vertex permutations, bounded at 8 vertices;
 the mining workloads only ever analyze patterns this small (larger cliques take
@@ -254,77 +254,19 @@ def automorphisms(p):
     return _automorphisms(p.vertex_count, p.edges, p.labels)
 
 
-# -- symmetry-breaking partial orders --------------------------------------------
-
-def _chain_constraints(p, sequence):
-    """Ordering constraints along a vertex sequence via a stabilizer chain.
-
-    Walk the sequence; at step j, every later vertex lying in the orbit of
-    sequence[j] under the group stabilizing sequence[:j] must receive a larger
-    graph id. Returned as (i, j) pairs over sequence positions, i < j, meaning
-    id(match[i]) < id(match[j]). Together the constraints admit exactly one
-    matched sequence per automorphism class.
-    """
-    group = list(automorphisms(p))
-    pos_of = {v: i for i, v in enumerate(sequence)}
-    constraints = set()
-    for j, vj in enumerate(sequence):
-        orbit = {perm[vj] for perm in group}
-        for w in orbit:
-            if w != vj and pos_of[w] > j:
-                constraints.add((j, pos_of[w]))
-        group = [perm for perm in group if perm[vj] == vj]
-    return constraints
-
-
-def _transitive_reduction(pairs, size):
-    """Drop constraints implied by transitivity; pairs all point forward."""
-    succ = {i: set() for i in range(size)}
-    for a, b in pairs:
-        succ[a].add(b)
-    reduced = set()
-    for a, b in sorted(pairs):
-        # reachable from a without using (a, b)?
-        stack = [c for c in succ[a] if c != b]
-        seen = set(stack)
-        found = False
-        while stack:
-            c = stack.pop()
-            if b in succ[c]:
-                found = True
-                break
-            for d in succ[c]:
-                if d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        if not found:
-            reduced.add((a, b))
-    return tuple(sorted(reduced))
-
-
-def symmetry_orders(p, order):
-    """Partial-order constraints (position pairs) for the given matching order."""
-    seq = order.sequence if isinstance(order, MatchingOrder) else tuple(order)
-    cons = _chain_constraints(p, seq)
-    return _transitive_reduction(cons, p.vertex_count)
-
+# -- matching orders and their symmetry-breaking partial orders ------------------
 
 @dataclass(frozen=True)
 class MatchingOrder:
     """Vertex visit order plus the per-position constraints the engine checks.
 
-    required[i] / forbidden[i]: earlier positions that must / must not be
-    adjacent to the vertex matched at position i. orders: (i, j) position
-    pairs meaning the graph id matched at i is smaller than at j.
+    required[i]: earlier positions that must be adjacent to the vertex matched
+    at position i. orders: (i, j) position pairs meaning the graph id matched
+    at i is smaller than at j.
     """
     sequence: tuple
     required: tuple
-    forbidden: tuple
     orders: tuple
-
-    @property
-    def k(self):
-        return len(self.sequence)
 
 
 def matching_order(p):
@@ -334,10 +276,12 @@ def matching_order(p):
     vertices are tried and the best score vector wins. Scores are kept
     negated (constraints and edges) so that the best is the smallest.
 
-    The constraint count for a candidate is the number of stabilizer-chain
-    orbits of earlier picks that contain it (the constraints symmetry_orders
-    will later emit for that position), so the chain is carried along the
-    prefix instead of being rebuilt per candidate.
+    The walk carries the stabilizer chain along the prefix: orbits[j] is the
+    orbit of sequence[j] under the automorphisms fixing sequence[:j]. A
+    candidate's constraint count is the number of those orbits holding it,
+    and every other member of orbits[j] must receive a larger graph id than
+    position j. Together these orders admit exactly one matched sequence per
+    automorphism class; `orders` keeps their transitive reduction.
     """
     k = p.vertex_count
     adj = p.adjacency_sets()
@@ -362,24 +306,18 @@ def matching_order(p):
             orbits.append({perm[c] for perm in group})
             group = [perm for perm in group if perm[c] == c]
             score.append(key[:3])
-        return tuple(seq), tuple(score)
+        return tuple(score), tuple(seq), orbits
 
-    best_seq = best_score = None
-    for start in range(k):
-        seq, score = grow(start)
-        if best_score is None or score < best_score or (score == best_score and seq < best_seq):
-            best_seq, best_score = seq, score
-
-    seq = best_seq
-    required = []
-    forbidden = []
-    for i, v in enumerate(seq):
-        req = frozenset(j for j in range(i) if seq[j] in adj[v])
-        forb = frozenset(j for j in range(i) if seq[j] not in adj[v])
-        required.append(req)
-        forbidden.append(forb)
-    orders = symmetry_orders(p, seq)
-    return MatchingOrder(seq, tuple(required), tuple(forbidden), orders)
+    _, seq, orbits = min(grow(start) for start in range(k))
+    pos = {v: i for i, v in enumerate(seq)}
+    # the stabilizers nest, so these pairs are transitively closed: a pair is
+    # implied by the others exactly when some middle position links its ends
+    pairs = {(j, pos[w]) for j, orbit in enumerate(orbits) for w in orbit if w != seq[j]}
+    orders = tuple(sorted((a, b) for a, b in pairs
+                          if not any((a, c) in pairs and (c, b) in pairs for c in range(a + 1, b))))
+    required = tuple(frozenset(j for j in range(i) if seq[j] in adj[v])
+                     for i, v in enumerate(seq))
+    return MatchingOrder(seq, required, orders)
 
 
 def _induced(p, verts):

@@ -331,6 +331,19 @@ class TestErrorsAndToggles:
     def test_no_sb_refused(self, files, capsys):
         assert run(["tc", files["k4.el"], "--no-sb"]) == 2
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_oracle_motif_size_below_one_refused(self, files, capsys, k):
+        assert run(["oracle", "motif", "-k", k, files["k4.el"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gpm: motif size k must be at least 1, got {k}\n"
+
+    def test_oracle_motif_single_vertex(self, files, capsys):
+        code, out = _capture(capsys, ["oracle", "motif", "-k", "1", files["k4.el"],
+                                      "--format", "tsv"])
+        assert code == 0
+        assert out == "0100\t4\n"
+
     def test_missing_file(self, capsys):
         assert run(["tc", "/nonexistent/path.el"]) == 2
 

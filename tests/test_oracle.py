@@ -29,6 +29,12 @@ class TestVertexInduced:
         with pytest.raises(ValueError):
             oracle.count_vertex_induced(g, 6)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_size_below_one_refused(self, k):
+        g = Graph.from_edges(2, [(0, 1)])
+        with pytest.raises(ValueError, match="at least 1"):
+            oracle.count_vertex_induced(g, k)
+
     def test_total_equals_connected_sets(self, rng):
         g = random_graph(rng, 30, 0.2)
         counts = oracle.count_vertex_induced(g, 4)

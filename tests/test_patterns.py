@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gpm.patterns import (Pattern, all_patterns, automorphisms, canonical_code, clique,
                           cycle, is_clique, load_pattern, matching_order, motif_name,
-                          named_motifs, path, star, symmetry_orders, triangle, wedge)
+                          named_motifs, path, star, triangle, wedge)
 
 
 def _relabel(p, perm):
@@ -151,27 +151,29 @@ class TestOrbits:
 
 class TestSymmetryOrders:
     def test_triangle_identity(self):
-        assert symmetry_orders(triangle(), (0, 1, 2)) == ((0, 1), (1, 2))
+        # (0, 2) follows from the other two, so the reduction drops it
+        assert matching_order(triangle()).orders == ((0, 1), (1, 2))
 
     def test_single_edge(self):
-        assert symmetry_orders(Pattern(2, [(0, 1)]), (0, 1)) == ((0, 1),)
+        assert matching_order(Pattern(2, [(0, 1)])).orders == ((0, 1),)
 
     def test_diamond_chosen_order_constrains_first_pair(self):
         p = named_motifs(4)["diamond"]
         mo = matching_order(p)
         assert (0, 1) in mo.orders
 
-    @given(seed=st.integers(0, 10 ** 6), k=st.integers(2, 4))
+    @given(seed=st.integers(0, 10 ** 6), k=st.integers(2, 5), labeled=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_exactly_one_sequence_per_class(self, seed, k):
+    def test_exactly_one_sequence_per_class(self, seed, k, labeled):
         """Engine-free uniqueness check: the constrained sequence count must
         equal the number of embeddings divided by the automorphism count.
         """
         rng = random.Random(seed)
-        pattern = _random_connected_pattern(rng, k)
-        n = rng.randint(k, 10)
+        pattern = _random_connected_pattern(rng, k, labeled=labeled)
+        n = rng.randint(k, 8)
         g_edges = {(a, b) for a in range(n) for b in range(a + 1, n)
                    if rng.random() < 0.5}
+        g_labels = [rng.choice(pattern.labels) for _ in range(n)] if labeled else None
         adj = {v: set() for v in range(n)}
         for a, b in g_edges:
             adj[a].add(b)
@@ -187,6 +189,8 @@ class TestSymmetryOrders:
         for perm in permutations(range(n), k):
             ok = all((perm[b] in adj[perm[a]]) == (seq[b] in p_adj[seq[a]])
                      for a in range(k) for b in range(a + 1, k))
+            if labeled:
+                ok = ok and all(g_labels[perm[i]] == pattern.labels[seq[i]] for i in range(k))
             if not ok:
                 continue
             total += 1
@@ -214,7 +218,6 @@ class TestMatchingOrder:
         mo = matching_order(clique(4))
         for i in range(1, 4):
             assert mo.required[i] == frozenset(range(i))
-            assert mo.forbidden[i] == frozenset()
 
     def test_connected_extension_invariant(self, rng):
         for _ in range(20):
