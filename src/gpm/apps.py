@@ -48,7 +48,13 @@ def count_triangles(g, *, process_rows=None, **options):
     return count_cliques(g, 3, process_rows=process_rows, **options)
 
 
+def _check_level(level):
+    if level not in ("hi", "lo"):
+        raise ValueError(f"level must be 'hi' or 'lo', got {level!r}")
+
+
 def count_cliques(g, k, *, level="hi", process_rows=None, **options):
+    _check_level(level)
     if k > MAX_CLIQUE_K:
         raise ValueError(f"clique size must be <= {MAX_CLIQUE_K}, got {k}")
     spec = (clique_spec if level == "hi" else clique_local_spec)(k, process_rows=process_rows)
@@ -67,6 +73,7 @@ def count_motifs(g, k, *, level="hi", **options):
     `options` go to every `mine` call, including the local counters'
     3- or 4-clique count (`clique:array`).
     """
+    _check_level(level)
     patterns = all_patterns(k)
     if g.labels is not None:
         g = Graph(g.vertex_count, g.row_offsets, g.neighbors)

@@ -58,6 +58,8 @@ from .patterns import Pattern, canonical_code, is_clique, matching_order
 _WALK_HOOKS = ("process", "terminate", "get_support", "reduce", "to_add", "to_extend",
                "get_pattern", "local_reduce", "init_local")
 
+ORIENTATIONS = {"auto": "degree", "degree": "degree", "core": "core", "none": "id", "id": "id"}
+
 
 class HookMisuseError(RuntimeError):
     """A low-level hook violated an engine invariant (debug mode only)."""
@@ -585,7 +587,7 @@ def _run_plan(plan, workers):
 def _resolve_orientation(g, orientation):
     if isinstance(g, OrientedGraph):
         return g
-    return orient(g, {"auto": "degree", "none": "id"}.get(orientation, orientation))
+    return orient(g, ORIENTATIONS[orientation])
 
 
 def _build_explicit_plan(g, pattern, spec, opts, orientation):
@@ -647,8 +649,8 @@ def mine(g, spec, *, workers=None, orientation="auto", use_mnc=None, use_df=True
 
     `workers` (default: `GPM_THREADS`, else 1) must be >= 1 and is echoed in
     the result; every run walks its roots on one thread. `orientation` in
-    {"auto", "degree", "core", "none"} controls the acyclic orientation used
-    for clique patterns ("none" orients by vertex id). `use_mnc` toggles the
+    `ORIENTATIONS` controls the acyclic orientation used for clique patterns
+    ("none" and "id" orient by vertex id). `use_mnc` toggles the
     neighborhood connectivity map; passing it at all runs the walk (the
     ablation), while None lets hook-free counting take the array route.
     `use_df` toggles degree filtering.
@@ -657,6 +659,8 @@ def mine(g, spec, *, workers=None, orientation="auto", use_mnc=None, use_df=True
         workers = workers_from_env()
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if orientation not in ORIENTATIONS:
+        raise ValueError(f"unknown orientation {orientation!r}")
     t0 = time.perf_counter()
     merged = {}
     enumerated = accepted = 0
@@ -705,6 +709,8 @@ def extend(g, spec, vertices, *, orientation="auto", use_df=False):
         raise ValueError("extend needs a single-pattern spec")
     if not spec.explicit and not spec.vertex_induced:
         raise ValueError("extend supports vertex-induced problems")
+    if orientation not in ORIENTATIONS:
+        raise ValueError(f"unknown orientation {orientation!r}")
     opts = {"use_df": use_df}
     plan = next(_plans(g, spec, opts, orientation, False))
     st = plan.make_state()

@@ -298,14 +298,18 @@ def _label_lines(path, vertex_count):
         if v in raw_labels:
             raise GraphParseError(f"{path}:{lineno}: duplicate label for vertex {v}")
         raw_labels[v] = parts[1]
-    # ids in the file are distinct and in range, so the count tells; the scan
-    # for the first few missing ids stops early on a huge vertex range
+    # ids in the file are distinct and in range, so the count tells
     if len(raw_labels) < vertex_count:
-        missing = list(islice((v for v in range(vertex_count) if v not in raw_labels), 6))
-        raise GraphParseError(f"{path}: missing labels for vertices {missing[:5]}"
-                              + ("..." if len(missing) > 5 else ""))
+        raise GraphParseError(f"{path}: missing labels for vertices "
+                              f"{missing_ids(raw_labels, vertex_count)}")
     ids, names = label_ids([raw_labels[v] for v in range(vertex_count)])
     return np.array(ids, dtype=np.int64), names
+
+
+def missing_ids(present, count):
+    """The first five ids of 0..count-1 not in `present`, "..." if more."""
+    missing = list(islice((v for v in range(count) if v not in present), 6))
+    return f"{missing[:5]}" + ("..." if len(missing) > 5 else "")
 
 
 def label_ids(tokens, names=None):

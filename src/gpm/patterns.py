@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .graph import GraphParseError, label_ids, split_lines
+from .graph import GraphParseError, label_ids, missing_ids, split_lines
 
 BRUTE_FORCE_BOUND = 8
 
@@ -35,30 +35,24 @@ class Pattern:
         self.labels = None if labels is None else tuple(labels)
         if self.labels is not None and len(self.labels) != vertex_count:
             raise ValueError("label tuple length mismatch")
-        if not self._connected():
+        # k vertices need k - 1 edges: counted first, so a huge k builds nothing
+        if len(self.edges) < self.vertex_count - 1 or not self._connected():
             raise ValueError("pattern must be connected")
         self._hash = hash((self.vertex_count, self.edges, self.labels))
 
     def _connected(self):
         if self.vertex_count <= 1:
             return True
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
+        adj = self.adjacency_sets()
+        seen, stack = {0}, [0]
         while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
+            for u in adj[stack.pop()] - seen:
+                seen.add(u)
+                stack.append(u)
         return len(seen) == self.vertex_count
 
     def adjacency(self):
-        adj = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return [sorted(a) for a in adj]
+        return [sorted(a) for a in self.adjacency_sets()]
 
     def adjacency_sets(self):
         adj = [set() for _ in range(self.vertex_count)]
@@ -126,9 +120,8 @@ def load_pattern(path_, label_names=None):
     pattern and graph number labels alike; without it the pattern's own
     tokens are numbered (see `graph.label_ids`).
     """
-    edges = []
+    edges = set()
     raw_labels = {}
-    max_id = -1
     for lineno, _, parts in split_lines(path_):
         if parts[0] == "v":
             if len(parts) != 3:
@@ -142,7 +135,6 @@ def load_pattern(path_, label_names=None):
             if v in raw_labels:
                 raise GraphParseError(f"{path_}:{lineno}: duplicate label for vertex {v}")
             raw_labels[v] = parts[2]
-            max_id = max(max_id, v)
             continue
         if len(parts) != 2:
             raise GraphParseError(f"{path_}:{lineno}: expected 'u v' or 'v id label'")
@@ -154,16 +146,17 @@ def load_pattern(path_, label_names=None):
             raise GraphParseError(f"{path_}:{lineno}: negative vertex id")
         if u == v:
             raise GraphParseError(f"{path_}:{lineno}: self loop")
-        edges.append((u, v))
-        max_id = max(max_id, u, v)
+        edges.add((min(u, v), max(u, v)))
     if not edges:
         raise GraphParseError(f"{path_}: pattern has no edges")
-    n = max_id + 1
+    n = max(max(v for _, v in edges), max(raw_labels, default=0)) + 1
+    if len(edges) < n - 1:  # refused before any work that grows with n
+        raise GraphParseError(f"{path_}: pattern must be connected")
     labels = None
     if raw_labels:
-        missing = [v for v in range(n) if v not in raw_labels]
-        if missing:
-            raise GraphParseError(f"{path_}: pattern labels missing for vertices {missing}")
+        if len(raw_labels) < n:
+            raise GraphParseError(f"{path_}: pattern labels missing for vertices "
+                                  f"{missing_ids(raw_labels, n)}")
         labels, _ = label_ids([raw_labels[v] for v in range(n)], label_names)
     try:
         return Pattern(n, edges, labels=labels)
@@ -189,6 +182,12 @@ def _edge_bits(k, edge_set, perm):
     return bits
 
 
+def _check_bound(k, what):
+    if k > BRUTE_FORCE_BOUND:
+        raise ValueError(f"pattern too large for brute-force {what} "
+                         f"(k={k} > {BRUTE_FORCE_BOUND})")
+
+
 @lru_cache(maxsize=4096)
 def _canonical_key(vertex_count, edges, labels):
     if len(edges) == vertex_count * (vertex_count - 1) // 2:
@@ -196,9 +195,7 @@ def _canonical_key(vertex_count, edges, labels):
         bits = (1 << len(edges)) - 1
         lbl = tuple(sorted(labels)) if labels is not None else ()
         return bits, lbl
-    if vertex_count > BRUTE_FORCE_BOUND:
-        raise ValueError(f"pattern too large for brute-force canonicalization "
-                         f"(k={vertex_count} > {BRUTE_FORCE_BOUND})")
+    _check_bound(vertex_count, "canonicalization")
     edge_set = set(edges)
     best = None
     for perm in permutations(range(vertex_count)):
@@ -231,8 +228,7 @@ def canonical_code(p):
 
 @lru_cache(maxsize=4096)
 def _automorphisms(vertex_count, edges, labels):
-    if vertex_count > BRUTE_FORCE_BOUND:
-        raise ValueError("pattern too large for brute-force automorphisms")
+    _check_bound(vertex_count, "automorphisms")
     edge_set = set(edges)
     autos = []
     for perm in permutations(range(vertex_count)):
@@ -270,10 +266,10 @@ class MatchingOrder:
 
 
 def matching_order(p):
-    """Choose a matching order greedily: prefer prefixes that pick up
-    symmetry-breaking constraints early, then denser prefixes, then the
-    smallest canonical code; ties finally fall back to vertex id. All start
-    vertices are tried and the best score vector wins. Scores are kept
+    """Choose a matching order greedily: prefer candidates that pick up
+    symmetry-breaking constraints early, then those with more edges into the
+    prefix; ties fall back to vertex id. All start vertices are tried and the
+    best score vector wins, ties to the smallest start. Scores are kept
     negated (constraints and edges) so that the best is the smallest.
 
     The walk carries the stabilizer chain along the prefix: orbits[j] is the
@@ -287,26 +283,20 @@ def matching_order(p):
     adj = p.adjacency_sets()
 
     def grow(start):
-        seq = [start]
+        seq, orbits, score = [], [], []
         group = list(automorphisms(p))
-        orbits = [{perm[start] for perm in group}]
-        group = [perm for perm in group if perm[start] == start]
-        score = []
-        while len(seq) < k:
-            prefix = set(seq)
-            cands = sorted({u for v in seq for u in adj[v]} - prefix)
-            keys = []
-            for c in cands:
-                sub = _induced(p, seq + [c])
-                keys.append((-sum(1 for ob in orbits if c in ob), -sub.edge_count(),
-                             canonical_code(sub), c))
-            key = min(keys)
-            c = key[3]
+        c = start
+        while True:
             seq.append(c)
             orbits.append({perm[c] for perm in group})
             group = [perm for perm in group if perm[c] == c]
-            score.append(key[:3])
-        return tuple(score), tuple(seq), orbits
+            if len(seq) == k:
+                return tuple(score), tuple(seq), orbits
+            prefix = set(seq)
+            key = min((-sum(1 for ob in orbits if c in ob), -len(adj[c] & prefix), c)
+                      for c in {u for v in seq for u in adj[v]} - prefix)
+            c = key[2]
+            score.append(key[:2])
 
     _, seq, orbits = min(grow(start) for start in range(k))
     pos = {v: i for i, v in enumerate(seq)}
@@ -318,13 +308,6 @@ def matching_order(p):
     required = tuple(frozenset(j for j in range(i) if seq[j] in adj[v])
                      for i, v in enumerate(seq))
     return MatchingOrder(seq, required, orders)
-
-
-def _induced(p, verts):
-    index = {v: i for i, v in enumerate(verts)}
-    sub_edges = [(index[u], index[v]) for u, v in p.edges if u in index and v in index]
-    labels = tuple(p.labels[v] for v in verts) if p.labels is not None else None
-    return Pattern(len(verts), sub_edges, labels=labels)
 
 
 # -- pattern enumeration ----------------------------------------------------------

@@ -447,6 +447,35 @@ class TestErrorsAndToggles:
         assert run(["match", "-p", str(pat), files["tailed.el"]]) == 2
         assert capsys.readouterr().err == f"gpm: {pat}: {message}\n"
 
+    @pytest.mark.parametrize("text", ["0 1\n1 3000000000000\n",
+                                      "v 0 A\nv 1 B\n0 1\n1 1000000\n"],
+                             ids=["unlabeled", "labeled"])
+    def test_pattern_with_a_huge_vertex_id(self, files, capsys, tmp_path, monkeypatch, text):
+        # k vertices need k - 1 edges, so nothing is built per vertex
+        for name in ("adjacency", "adjacency_sets"):
+            monkeypatch.setattr(Pattern, name, lambda self: pytest.fail("built adjacency"))
+        pat = tmp_path / "huge.pat"
+        pat.write_text(text)
+        assert run(["match", "-p", str(pat), files["tailed.el"],
+                    "--labels", files["tailed.lbl"]]) == 2
+        assert capsys.readouterr().err == f"gpm: {pat}: pattern must be connected\n"
+
+    @pytest.mark.parametrize("text, graph, what", [
+        ("".join(f"{i} {i + 1}\n" for i in range(8)), [], "canonicalization"),
+        ("".join(f"v {i} A\n" for i in range(9))
+         + "".join(f"{a} {b}\n" for a in range(9) for b in range(a + 1, 9)),
+         ["--labels", "tailed.lbl"], "automorphisms"),
+    ], ids=["9-path", "labeled-9-clique"])
+    def test_pattern_past_the_brute_force_bound(self, files, capsys, tmp_path, text, graph,
+                                                what):
+        pat = tmp_path / "big.pat"
+        pat.write_text(text)
+        assert run(["match", "-p", str(pat), files["tailed.el"]]
+                   + [files.get(arg, arg) for arg in graph]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gpm: pattern too large for brute-force {what} (k=9 > 8)\n"
+
     def test_bad_threads_env(self, files, capsys, monkeypatch):
         monkeypatch.setenv("GPM_THREADS", "abc")
         assert run(["tc", files["k4.el"]]) == 2

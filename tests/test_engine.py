@@ -493,6 +493,27 @@ def test_count_cliques_checks_k_before_building_a_pattern(monkeypatch):
                 apps.count_cliques(g, k, level=level)
 
 
+@pytest.mark.parametrize("count", [apps.count_cliques, apps.count_motifs],
+                         ids=["cliques", "motifs"])
+@pytest.mark.parametrize("k", [3, 4])
+def test_level_other_than_hi_or_lo_refused(monkeypatch, count, k):
+    monkeypatch.setattr(apps, "mine", lambda *args, **kwargs: pytest.fail("mined"))
+    g = random_graph(random.Random(3), 10, 0.5)
+    with pytest.raises(ValueError, match="level must be 'hi' or 'lo', got 'middle'"):
+        count(g, k, level="middle")
+
+
+@pytest.mark.parametrize("spec", [apps.motif_spec(3), apps.subgraph_listing_spec(wedge())],
+                         ids=["motif", "match"])
+def test_unknown_orientation_refused(spec):
+    g = random_graph(random.Random(3), 10, 0.5)
+    with pytest.raises(ValueError, match="unknown orientation 'bogus'"):
+        mine(g, spec, orientation="bogus")
+    with pytest.raises(ValueError, match="unknown orientation 'bogus'"):
+        extend(g, spec, [0], orientation="bogus")
+    assert mine(g, spec, orientation="id").pattern_map == mine(g, spec).pattern_map
+
+
 @pytest.mark.parametrize("level", ["hi", "lo"])
 @pytest.mark.parametrize("k", [3, 4])
 def test_count_motifs_workers_default_to_the_environment(monkeypatch, level, k):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpm import patterns
+from gpm.graph import GraphParseError
 from gpm.patterns import (Pattern, all_patterns, automorphisms, canonical_code, clique,
                           cycle, is_clique, load_pattern, matching_order, motif_name,
                           named_motifs, path, star, triangle, wedge)
@@ -20,9 +22,9 @@ def _relabel(p, perm):
     return Pattern(p.vertex_count, edges, labels=labels)
 
 
-def _random_connected_pattern(rng, k, labeled=False):
+def _random_connected_pattern(rng, k, labeled=False, density=0.5):
     while True:
-        edges = [e for e in combinations(range(k), 2) if rng.random() < 0.5]
+        edges = [e for e in combinations(range(k), 2) if rng.random() < density]
         try:
             labels = [rng.randrange(3) for _ in range(k)] if labeled else None
             return Pattern(k, edges, labels=labels)
@@ -38,6 +40,14 @@ class TestPattern:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self loop"):
             Pattern(2, [(0, 0)])
+
+    def test_huge_vertex_count_refused_at_once(self, monkeypatch):
+        # a connected pattern on k vertices has at least k - 1 edges, so this
+        # is refused before any per-vertex list is built
+        for name in ("adjacency", "adjacency_sets"):
+            monkeypatch.setattr(Pattern, name, lambda self: pytest.fail("built adjacency"))
+        with pytest.raises(ValueError, match="pattern must be connected"):
+            Pattern(10 ** 12, [(0, 1)])
 
     def test_is_clique(self):
         assert is_clique(triangle())
@@ -200,8 +210,41 @@ class TestSymmetryOrders:
         assert total % aut == 0
         assert accepted == total // aut
 
+    @given(seed=st.integers(0, 10 ** 6), k=st.integers(6, 8), labeled=st.booleans(),
+           density=st.sampled_from([0.3, 0.5, 0.7]))
+    @settings(max_examples=100, deadline=None)
+    def test_exactly_one_sequence_per_class_up_to_8_vertices(self, seed, k, labeled, density):
+        """The graph is the pattern under a random relabeling, so its ordered
+        embeddings along the matching order are the relabeled automorphisms;
+        the orders must accept exactly one of them."""
+        rng = random.Random(seed)
+        pattern = _random_connected_pattern(rng, k, labeled=labeled, density=density)
+        ids = list(range(k))
+        rng.shuffle(ids)
+        graph = _relabel(pattern, ids)
+        group = automorphisms(pattern)
+        mo = matching_order(pattern)
+        embeddings = {tuple(ids[perm[v]] for v in mo.sequence) for perm in group}
+        assert len(embeddings) == len(group)
+        for emb in embeddings:
+            assert all(tuple(sorted((emb[i], emb[j]))) in graph.edges
+                       for i, req in enumerate(mo.required) for j in req)
+            assert not labeled or all(graph.labels[emb[i]] == pattern.labels[v]
+                                      for i, v in enumerate(mo.sequence))
+        accepted = [emb for emb in embeddings if all(emb[i] < emb[j] for i, j in mo.orders)]
+        assert len(accepted) == 1
+
 
 class TestMatchingOrder:
+    def test_computes_no_canonical_code(self, monkeypatch, rng):
+        monkeypatch.setattr(patterns, "canonical_code",
+                            lambda p: pytest.fail("computed a canonical code"))
+        labeled = Pattern(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)],
+                          labels=(0, 1, 1, 0, 1))
+        for p in (labeled, cycle(6), _random_connected_pattern(rng, 7)):
+            mo = matching_order(p)
+            assert sorted(mo.sequence) == list(range(p.vertex_count))
+
     def test_diamond_triangle_first(self):
         p = named_motifs(4)["diamond"]
         mo = matching_order(p)
@@ -273,10 +316,36 @@ def test_load_pattern(tmp_path):
     assert pat.labels == (0, 1, 0)
 
 
+def test_load_pattern_names_at_most_five_missing_labels(tmp_path):
+    q = tmp_path / "path.el"
+    q.write_text("v 0 A\n" + "".join(f"{i} {i + 1}\n" for i in range(19)))
+    with pytest.raises(GraphParseError) as exc:
+        load_pattern(str(q))
+    assert str(exc.value) == f"{q}: pattern labels missing for vertices [1, 2, 3, 4, 5]..."
+
+
+def test_load_pattern_refuses_a_huge_vertex_id_at_once(tmp_path, monkeypatch):
+    for name in ("adjacency", "adjacency_sets"):
+        monkeypatch.setattr(Pattern, name, lambda self: pytest.fail("built adjacency"))
+    for text in ("0 1\n1 3000000000000\n", "v 0 A\nv 1 B\n0 1\n1 1000000\n"):
+        q = tmp_path / "huge.pat"
+        q.write_text(text)
+        with pytest.raises(GraphParseError) as exc:
+            load_pattern(str(q))
+        assert str(exc.value) == f"{q}: pattern must be connected"
+
+
 def test_brute_force_bound_enforced():
     almost = Pattern(9, [e for e in combinations(range(9), 2) if e != (7, 8)])
     with pytest.raises(ValueError, match="brute-force"):
         canonical_code(almost)
+
+
+def test_brute_force_bound_names_the_size():
+    labeled = Pattern(9, list(combinations(range(9), 2)), labels=[0] * 9)
+    with pytest.raises(ValueError, match=r"^pattern too large for brute-force automorphisms "
+                                         r"\(k=9 > 8\)$"):
+        automorphisms(labeled)
 
 
 def test_large_cliques_bypass_bound():
