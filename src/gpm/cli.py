@@ -9,6 +9,7 @@ abort (frequent-subgraph memory cap, or a graph too large to allocate).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -113,7 +114,8 @@ def _build_parser():
                         "of the patterns alive at once (8 bytes per pattern vertex "
                         f"per embedding, plus {NODE_OVERHEAD_BYTES} per pattern) and "
                         "the extension's gather (8 bytes per pattern vertex, plus 32, "
-                        "per neighbour gathered)")
+                        "per neighbour gathered); patterns of -k edges are counted "
+                        "from their parents' rows, and their arrays are never built")
     _add_input(p)
     _add_run(p)
 
@@ -279,7 +281,11 @@ def _run_oracle(args, g):
 
 
 def main():
-    sys.exit(run())
+    code = run()
+    # what is left is mostly module objects; frozen, the interpreter's final
+    # collection has nothing to walk
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

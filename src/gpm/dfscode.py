@@ -66,53 +66,54 @@ def rightmost_path(code):
     return path_
 
 
-def decode(code):
-    """Rebuild the labeled pattern a code describes (positions become vertices)."""
-    n = code_vertex_count(code)
-    labels = [None] * n
-    edges = []
+def _code_labels(code):
+    """Each position's label, taken from the first code edge that names it."""
+    labels = [None] * code_vertex_count(code)
     for i, j, li, lj in code:
         if labels[i] is None:
             labels[i] = li
         if labels[j] is None:
             labels[j] = lj
-        edges.append((min(i, j), max(i, j)))
     if any(l is None for l in labels):
         raise ValueError("code does not define every vertex label")
-    return Pattern(n, edges, labels=tuple(labels))
+    return labels
 
 
-def _grow_min(pattern, target=None):
-    """Grow the minimal DFS code of `pattern` one edge at a time.
+def decode(code):
+    """Rebuild the labeled pattern a code describes (positions become vertices)."""
+    labels = _code_labels(code)
+    return Pattern(len(labels), [(min(i, j), max(i, j)) for i, j, _, _ in code],
+                   labels=tuple(labels))
 
-    With `target` given, compare each chosen edge against the target code and
-    stop early on mismatch (returns False); otherwise returns the full code.
+
+def _grow_min(adj, labels, target=None):
+    """Grow the minimal DFS code of a connected labeled graph one edge at a time.
+
+    `adj` holds each vertex's neighbour set. With `target` given, compare each
+    chosen edge against the target code and stop early on mismatch (returns
+    False); otherwise returns the full code.
     """
-    n_edges = pattern.edge_count()
+    n_edges = sum(map(len, adj)) // 2
     if n_edges > MAX_CODE_EDGES:
         raise ValueError(f"pattern exceeds the {MAX_CODE_EDGES}-edge DFS-code bound")
-    adj = pattern.adjacency()
-    adj_sets = pattern.adjacency_sets()
-    labels = pattern.labels if pattern.labels is not None else (0,) * pattern.vertex_count
 
     # seed: minimal ordered label pair over all directed edges
     best = None
-    for u in range(pattern.vertex_count):
-        for v in adj[u]:
+    for u, nbrs in enumerate(adj):
+        for v in nbrs:
             key = (labels[u], labels[v])
             if best is None or key < best:
                 best = key
     code = [(0, 1, best[0], best[1])]
     if target is not None and code[0] != target[0]:
         return False
-    embs = [(u, v) for u in range(pattern.vertex_count) for v in adj[u]
+    embs = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs
             if (labels[u], labels[v]) == best]
 
     while len(code) < n_edges:
         nv = code_vertex_count(code)
         rmp = rightmost_path(code)
         r = rmp[0]
-        used_pairs = None
         cands = {}
         for verts in embs:
             used = {(min(verts[e[0]], verts[e[1]]), max(verts[e[0]], verts[e[1]]))
@@ -121,7 +122,7 @@ def _grow_min(pattern, target=None):
             vr = verts[r]
             for p in rmp[1:]:
                 vp = verts[p]
-                if vp in adj_sets[vr] and (min(vr, vp), max(vr, vp)) not in used:
+                if vp in adj[vr] and (min(vr, vp), max(vr, vp)) not in used:
                     key = (r, p, labels[vr], labels[vp])
                     cands.setdefault(key, []).append(verts)
             for p in rmp:
@@ -142,7 +143,8 @@ def min_dfs_code(pattern):
     """The lexicographically minimal DFS code of a labeled pattern."""
     if pattern.edge_count() == 0:
         raise ValueError("DFS codes require at least one edge")
-    return _grow_min(pattern)
+    labels = pattern.labels if pattern.labels is not None else (0,) * pattern.vertex_count
+    return _grow_min(pattern.adjacency_sets(), labels)
 
 
 def is_min_extension(code):
@@ -151,7 +153,22 @@ def is_min_extension(code):
     if len(code) == 1:
         i, j, li, lj = code[0]
         return (i, j) == (0, 1) and li <= lj
-    return _grow_min(decode(code), target=code)
+    # the code's own labels and adjacency, checked as `Pattern` checks them
+    labels = _code_labels(code)
+    adj = [set() for _ in labels]
+    for i, j, _, _ in code:
+        if i == j or min(i, j) < 0:
+            raise ValueError(f"code edge ({i}, {j}) does not join two positions")
+        adj[i].add(j)
+        adj[j].add(i)
+    seen, stack = {0}, [0]
+    while stack:
+        for u in adj[stack.pop()] - seen:
+            seen.add(u)
+            stack.append(u)
+    if len(seen) < len(labels):
+        raise ValueError("pattern must be connected")
+    return _grow_min(adj, labels, target=code)
 
 
 def render_code(code, label_names=None):

@@ -4,11 +4,13 @@ Depth-first walk over the sub-pattern tree: seeds are single-edge label
 pairs, children extend a pattern by one edge along the rightmost path, and
 only extensions whose DFS code is minimal survive (each pattern is therefore
 reached from exactly one seed). Embeddings of a pattern are gathered into
-its node during extension; support is the minimum image count over pattern
-positions (domain support, `mni`), which is anti-monotone and drives subtree
-pruning. A spec's `get_support(node)` hook replaces `mni`: it sees each
-node once, with all of its rows. The seeds are walked in order on one
-thread; `mine_fsm`'s `workers` argument is accepted and ignored.
+its node during extension, except at the last level, whose children are
+counted from their parent's rows and built only when read; support is the
+minimum image count over pattern positions (domain support, `mni`), which is
+anti-monotone and drives subtree pruning. A spec's `get_support(node)` hook
+replaces `mni`: it sees each node once, with all of its rows. The seeds are
+walked in order on one thread; `mine_fsm`'s `workers` argument is accepted
+and ignored.
 
 A node holds its embeddings as one `(E, positions)` int64 array, one row per
 vertex assignment (structure-of-arrays embedding lists, as in Pangolin).
@@ -19,11 +21,16 @@ are looked up in the graph's edge-key index, forward edges gathered from its
 CSR ranges), and domain support is a distinct count per column. Automorphic
 duplicates (two rows covering the same edge set) are kept: domains are sets,
 so duplicates cannot inflate the support, and dropping them would shrink the
-domains.
+domains. At the last level, with the default support and no edge filter,
+each child's distinct count per column is taken straight from the parent's
+rows and its extension bin, so its own array is never built (Peregrine
+computes MNI domains while matching in the same way).
 """
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -51,16 +58,34 @@ class FsmEmbedding:
 class PatternNode:
     """A sub-pattern-tree node: DFS code plus its gathered embedding array.
 
-    `emb` is an `(E, positions)` int64 array, one row per embedding.
+    `emb` is an `(E, positions)` int64 array, one row per embedding, and
+    `n_emb` is E. A last-level node made by `counted` already knows its
+    support and E, and builds `emb` on first read.
     """
 
-    __slots__ = ("code", "emb", "_support")
+    __slots__ = ("code", "n_emb", "_emb", "_build", "_support")
 
     def __init__(self, code, embeddings):
         self.code = code
-        self.emb = np.asarray(embeddings, dtype=np.int64).reshape(
+        self._emb = np.asarray(embeddings, dtype=np.int64).reshape(
             -1, code_vertex_count(code))
+        self.n_emb = len(self._emb)
+        self._build = None
         self._support = None
+
+    @classmethod
+    def counted(cls, code, n_emb, support, build):
+        """A node whose rows `build()` makes when `emb` is first read."""
+        node = cls.__new__(cls)
+        node.code, node.n_emb, node._support = code, n_emb, support
+        node._emb, node._build = None, build
+        return node
+
+    @property
+    def emb(self):
+        if self._emb is None:
+            self._emb, self._build = self._build(), None
+        return self._emb
 
     @property
     def edge_count(self):
@@ -73,7 +98,7 @@ class PatternNode:
         return self._support
 
     def __repr__(self):
-        return f"PatternNode(code={self.code}, n_emb={len(self.emb)})"
+        return f"PatternNode(code={self.code}, n_emb={self.n_emb})"
 
 
 def mni(node):
@@ -99,7 +124,8 @@ class _MemoryBudget:
 
 
 def _node_bytes(node):
-    return node.emb.nbytes + NODE_OVERHEAD_BYTES
+    built = 0 if node._emb is None else node._emb.nbytes
+    return built + NODE_OVERHEAD_BYTES
 
 
 def _stable_order(values):
@@ -141,6 +167,91 @@ def _allowed(edge_filter, node, rows, a, b):
                     dtype=bool)
 
 
+def _bins(node, g, budget, edge_filter=None, only=None):
+    """Yield `(key, rows, w)` for each non-empty one-edge extension bin whose
+    extended code is minimal.
+
+    `key` is the child's code edge. The child's rows are `node.emb[rows]`,
+    with `w` appended as a last column for a forward edge (`w` is None for a
+    backward one). Bins come backward edges first, then forward edges by
+    rightmost-path position and new vertex label, each bin's rows in parent
+    order and then neighbour order; minimality is checked per non-empty bin,
+    in that order. With `only=(i, j)`, only the bins of code edges from
+    position i to position j are made. `budget` is charged each forward
+    gather's working arrays while its bins are yielded.
+    """
+    code, emb = node.code, node.emb
+    rmp = rightmost_path(code)
+    r = rmp[0]
+    nv = emb.shape[1]
+    lab = [0] * nv
+    for i, j, li, lj in code:
+        lab[i], lab[j] = li, lj
+
+    # backward edges; rows are injective, so the code uses graph edge
+    # (v_r, v_p) exactly when it has an edge between positions r and p
+    used = {(min(i, j), max(i, j)) for i, j, _, _ in code}
+    vr = emb[:, r]
+    for p in rmp[1:]:
+        if (p, r) in used or only not in (None, (r, p)):
+            continue
+        vp = emb[:, p]
+        rows = np.flatnonzero(g.has_edges(vr, vp))
+        if edge_filter is not None:
+            rows = rows[_allowed(edge_filter, node, rows, vr[rows], vp[rows])]
+        key = (r, p, lab[r], lab[p])
+        if len(rows) and is_min_extension(code + (key,)):
+            yield key, rows, None
+
+    # forward edges: every neighbour w of v_p outside the row's image
+    offs = g.row_offsets
+    for p in rmp:
+        if only not in (None, (p, nv)):
+            continue
+        vp = emb[:, p]
+        counts = offs[vp + 1] - offs[vp]
+        # rows, at, w, keep and the column compares, charged as nv + 4 words
+        # a candidate
+        work = int(counts.sum()) * (nv + 4) * 8
+        budget.add(work)
+        try:
+            rows, at = gather(offs[vp], counts)
+            w = g.neighbors[at]
+            # w neighbours v_p, so only the row's other positions can hold it
+            others = [c for c in range(nv) if c != p]
+            keep = emb[:, others[0]][rows] != w
+            for c in others[1:]:
+                keep &= emb[:, c][rows] != w
+            if edge_filter is not None:
+                keep[keep] = _allowed(edge_filter, node, rows[keep], vp[rows[keep]], w[keep])
+            sel = np.flatnonzero(keep)
+            wl = g.labels[w[sel]]
+            # only the candidates of minimal bins are sorted into their bins
+            minimal = np.bincount(wl) > 0
+            for l in np.flatnonzero(minimal).tolist():
+                minimal[l] = is_min_extension(code + ((p, nv, lab[p], l),))
+            into = np.flatnonzero(minimal[wl])
+            sel, wl = sel[into], wl[into]
+            # stable, so each label's rows stay in parent order, then neighbour order
+            order = _stable_order(wl)
+            sel, wl = sel[order], wl[order]
+            rows, w = rows[sel], w[sel]
+            for a, b in _runs(wl):
+                yield (p, nv, lab[p], int(wl[a])), rows[a:b], w[a:b]
+            # free the gather's arrays before their charge is released
+            del rows, at, w, keep, sel, wl, into, order
+        finally:
+            budget.sub(work)
+
+
+def _child_rows(emb, rows, w, budget):
+    """One bin's child array, charged to `budget` before it is built."""
+    budget.add(len(rows) * (emb.shape[1] + (w is not None)) * 8)
+    if w is None:
+        return emb[rows]
+    return np.column_stack([emb[:, c][rows] for c in range(emb.shape[1])] + [w])
+
+
 def rightmost_extensions(node, g, budget=None, edge_filter=None):
     """Children of a node: distinct minimal-code one-edge extensions.
 
@@ -155,72 +266,54 @@ def rightmost_extensions(node, g, budget=None, edge_filter=None):
     """
     if budget is None:
         budget = _MemoryBudget(float("inf"))
-    code, emb = node.code, node.emb
-    rmp = rightmost_path(code)
-    r = rmp[0]
-    nv = emb.shape[1]
-    lab = [0] * nv
-    for i, j, li, lj in code:
-        lab[i], lab[j] = li, lj
-    bins = {}
-
-    # backward edges; rows are injective, so the code uses graph edge
-    # (v_r, v_p) exactly when it has an edge between positions r and p
-    used = {(min(i, j), max(i, j)) for i, j, _, _ in code}
-    vr = emb[:, r]
-    for p in rmp[1:]:
-        if (p, r) in used:
-            continue
-        vp = emb[:, p]
-        rows = np.flatnonzero(g.has_edges(vr, vp))
-        if edge_filter is not None:
-            rows = rows[_allowed(edge_filter, node, rows, vr[rows], vp[rows])]
-        key = (r, p, lab[r], lab[p])
-        if len(rows) and is_min_extension(code + (key,)):
-            budget.add(len(rows) * nv * 8)
-            bins[key] = emb[rows]
-
-    # forward edges: every neighbour w of v_p outside the row's image
-    offs = g.row_offsets
-    for p in rmp:
-        vp = emb[:, p]
-        counts = offs[vp + 1] - offs[vp]
-        # rows, at, w and keep, and the parent rows: nv + 4 words a candidate
-        work = int(counts.sum()) * (nv + 4) * 8
-        budget.add(work)
-        rows, at = gather(offs[vp], counts)
-        w = g.neighbors[at]
-        parent = emb[rows]
-        keep = parent[:, 0] != w
-        for c in range(1, nv):
-            keep &= parent[:, c] != w
-        if edge_filter is not None:
-            keep[keep] = _allowed(edge_filter, node, rows[keep], vp[rows[keep]], w[keep])
-        sel = np.flatnonzero(keep)
-        wl = g.labels[w[sel]]
-        # stable, so each label's rows stay in parent order, then neighbour order
-        order = _stable_order(wl)
-        sel, wl = sel[order], wl[order]
-        for a, b in _runs(wl):
-            key = (p, nv, lab[p], int(wl[a]))
-            if is_min_extension(code + (key,)):
-                budget.add((b - a) * (nv + 1) * 8)
-                bins[key] = np.concatenate([parent[sel[a:b]], w[sel[a:b], None]], axis=1)
-        # free the gather's arrays before their charge is released
-        del rows, at, w, parent, keep
-        budget.sub(work)
-
+    bins = {key: _child_rows(node.emb, rows, w, budget)
+            for key, rows, w in _bins(node, g, budget, edge_filter)}
     children = []
     for key in sorted(bins):
         budget.add(NODE_OVERHEAD_BYTES)
-        children.append(PatternNode(code + (key,), bins[key]))
+        children.append(PatternNode(node.code + (key,), bins[key]))
     return children
 
 
-def _walk(node, g, k_edges, accept, prune, results, budget, edge_filter=None):
+def _distinct(values, table, index):
+    """Number of distinct vertex ids in `values`: each value's index is
+    scattered into its slot of `table`, and one index per slot reads back."""
+    table[values] = index
+    return int(np.count_nonzero(table[values] == index))
+
+
+def _rebuild(parent, g, key, budget):
+    """A counted child's rows, exactly as `rightmost_extensions` builds them."""
+    with closing(_bins(parent, g, budget, only=key[:2])) as bins:
+        return next(_child_rows(parent.emb, rows, w, budget)
+                    for found, rows, w in bins if found == key)
+
+
+def _count_leaves(node, g, budget):
+    """The children `rightmost_extensions` would return, with their `mni`
+    support and row count taken from the parent's rows; a child's array is
+    built, and charged, only when its `emb` is read."""
+    emb = node.emb
+    table = np.empty(g.vertex_count, dtype=np.int64)
+    counts = {}
+    for key, rows, w in _bins(node, g, budget):
+        index = np.arange(len(rows))
+        columns = [emb[:, c][rows] for c in range(emb.shape[1])]
+        if w is not None:
+            columns.append(w)
+        counts[key] = (len(rows), min(_distinct(col, table, index) for col in columns))
+    children = []
+    for key in sorted(counts):
+        budget.add(NODE_OVERHEAD_BYTES)
+        children.append(PatternNode.counted(node.code + (key,), *counts[key],
+                                            partial(_rebuild, node, g, key, budget)))
+    return children
+
+
+def _walk(node, k_edges, accept, prune, results, budget, extend):
     """Walk the subtree under `node`, recording frequent codes in `results`;
     returns the number of embeddings its nodes hold."""
-    considered = len(node.emb)
+    considered = node.n_emb
     frequent = accept(node)
     if prune and not frequent:
         return considered
@@ -228,17 +321,18 @@ def _walk(node, g, k_edges, accept, prune, results, budget, edge_filter=None):
         results[node.code] = node.support
     if node.edge_count >= k_edges:
         return considered
-    for child in rightmost_extensions(node, g, budget, edge_filter):
+    for child in extend(node):
         try:
-            considered += _walk(child, g, k_edges, accept, prune, results, budget, edge_filter)
+            considered += _walk(child, k_edges, accept, prune, results, budget, extend)
         finally:
             budget.sub(_node_bytes(child))
     return considered
 
 
-def _mine(g, k_edges, accept, prune, memory_cap, edge_filter=None):
+def _mine(g, k_edges, accept, prune, memory_cap, edge_filter=None, count_leaves=True):
     """Check the input, then walk the seeds in order; returns
-    ({code: support}, embeddings considered)."""
+    ({code: support}, embeddings considered). With `count_leaves`, the last
+    level's supports are `mni`'s, counted without building the children."""
     if g.labels is None:
         raise ValueError("frequent subgraph mining requires a labeled graph")
     # the DFS-code minimality check refuses longer codes; fail before mining
@@ -248,10 +342,16 @@ def _mine(g, k_edges, accept, prune, memory_cap, edge_filter=None):
     if memory_cap < 1:
         raise ValueError(f"the memory cap must be at least 1 byte, got {memory_cap}")
     budget = _MemoryBudget(memory_cap)
+
+    def extend(node):
+        if count_leaves and node.edge_count + 1 == k_edges:
+            return _count_leaves(node, g, budget)
+        return rightmost_extensions(node, g, budget, edge_filter)
+
     results = {}
     considered = 0
     for seed in _seed_nodes(g):
-        considered += _walk(seed, g, k_edges, accept, prune, results, budget, edge_filter)
+        considered += _walk(seed, k_edges, accept, prune, results, budget, extend)
     return results, considered
 
 
@@ -284,7 +384,9 @@ def mine_spec(g, spec, memory_cap=DEFAULT_MEMORY_CAP):
     subtrees. `spec.get_support(node)` replaces `mni` as the support of a
     node, called once per node with its `code` and `(E, positions)` `emb`
     rows; a `reduce` hook is refused, since supports are not combined.
-    `to_add_edge` vetoes extension edges. Returns ({code: support},
+    `to_add_edge` vetoes extension edges. Without either hook, the last
+    level's nodes are counted from their parents' rows, and a node's `emb` is
+    built only if `is_implicit_pattern` reads it. Returns ({code: support},
     embeddings considered).
     """
     if spec.reduce is not None:
@@ -302,4 +404,4 @@ def mine_spec(g, spec, memory_cap=DEFAULT_MEMORY_CAP):
         return bool(accept_hook(node))
 
     return _mine(g, spec.k, accept, bool(spec.support_anti_monotonic), memory_cap,
-                 spec.to_add_edge)
+                 spec.to_add_edge, spec.get_support is None and spec.to_add_edge is None)

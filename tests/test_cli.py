@@ -1,7 +1,11 @@
 import gc
 import json
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -401,6 +405,28 @@ class TestErrorsAndToggles:
         code = run(["fsm", "-k", "3", str(g), "--labels", str(lbl),
                     "--minsup", "1", "--mem-cap", "512"])
         assert code == 3
+
+    @pytest.mark.parametrize("case, want", [("tc", 0), ("usage", 2), ("mem-cap", 3)])
+    def test_console_entry_matches_run(self, files, capsys, tmp_path, case, want):
+        # `python -m gpm.cli` goes through `main`, whose exit path `run` skips
+        g, lbl = tmp_path / "dense.el", tmp_path / "dense.lbl"
+        g.write_text("\n".join(f"{a} {b}" for a in range(30)
+                               for b in range(a + 1, 30) if (a + b) % 2))
+        lbl.write_text("\n".join(f"{v} A" for v in range(30)))
+        argv = {"tc": ["tc", files["k4.el"]],
+                "usage": ["clique", files["k4.el"]],
+                "mem-cap": ["fsm", "-k", "3", str(g), "--labels", str(lbl),
+                            "--minsup", "1", "--mem-cap", "512"]}[case]
+        code = run(argv)
+        captured = capsys.readouterr()
+        src = str(Path(gpm.arrayroute.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "gpm.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+        assert code == want
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
 
     def test_mnc_df_toggles_keep_counts(self, files, capsys):
         base = None

@@ -141,6 +141,28 @@ class TestMinCode:
             assert min_dfs_code(p) == min_dfs_code(q)
 
 
+_code_edges = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2),
+                        st.integers(0, 2))
+
+
+@given(code=st.lists(_code_edges, min_size=2, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_is_min_extension_on_any_code(code):
+    # the verdict of growing the decoded pattern's minimal code against
+    # `code`, or the ValueError of a code that is not a connected pattern
+    code = tuple(code)
+    try:
+        mn = min_dfs_code(decode(code))
+        want = code[:len(mn)] == mn
+    except ValueError:
+        want = ValueError
+    try:
+        got = is_min_extension(code)
+    except ValueError:
+        got = ValueError
+    assert got == want
+
+
 def test_edge_count_bound():
     with pytest.raises(ValueError, match="bound"):
         min_dfs_code(Pattern(6, [(a, b) for a in range(6) for b in range(a + 1, 6)]))

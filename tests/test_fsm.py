@@ -358,3 +358,102 @@ class TestEmbeddingArrays:
         spec = ProblemSpec(vertex_induced=False, explicit=False, k=MAX_CODE_EDGES + 1)
         with pytest.raises(ValueError, match="at most"):
             mine_spec(g, spec)
+
+
+def _reference_seeds(g):
+    """One-edge nodes from the graph alone, rows in CSR order."""
+    bins = {}
+    labels = g.labels.tolist()
+    for u, v in zip(g.sources().tolist(), g.neighbors.tolist()):
+        if labels[u] <= labels[v]:
+            bins.setdefault((labels[u], labels[v]), []).append((u, v))
+    return [PatternNode(((0, 1) + key,), bins[key]) for key in sorted(bins)]
+
+
+def _reference_walk(g, k, min_sup, prune):
+    """fsm from the public `rightmost_extensions` and `mni` alone: returns
+    ({code: support}, rows considered, {code: rows} of every node visited)."""
+    results, rows = {}, {}
+
+    def walk(node):
+        rows[node.code] = node.emb.tolist()
+        support = mni(node)
+        if support >= min_sup:
+            results[node.code] = support
+        elif prune:
+            return
+        if node.edge_count < k:
+            for child in rightmost_extensions(node, g):
+                walk(child)
+
+    for seed in _reference_seeds(g):
+        walk(seed)
+    return results, sum(map(len, rows.values())), rows
+
+
+class TestLeafCounting:
+    @given(seed=st.integers(0, 10 ** 6), labels=st.integers(1, 4), k=st.integers(1, 4),
+           prune=st.booleans(), min_sup=st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_against_reference_walk(self, seed, labels, k, prune, min_sup):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self._against_reference_walk(monkeypatch, seed, labels, k, prune, min_sup)
+
+    @staticmethod
+    def _against_reference_walk(monkeypatch, seed, labels, k, prune, min_sup):
+        import gpm.fsm
+        from gpm.fsm import mine_spec
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(2, 12), 0.35, labels=labels)
+        want, considered, rows = _reference_walk(g, k, min_sup, prune)
+        assert mine_fsm(g, k, min_sup, prune=prune) == want
+
+        def spec(**hooks):
+            hooks.setdefault("is_implicit_pattern", lambda node: node.support >= min_sup)
+            return ProblemSpec(vertex_induced=False, explicit=False, k=k,
+                               support_anti_monotonic=prune, **hooks)
+
+        # `mni` runs on the seeds and on every node above the last level;
+        # the last level's nodes below a seed are counted from their parents
+        calls = []
+        monkeypatch.setattr(gpm.fsm, "mni", lambda node: calls.append(node.code) or mni(node))
+        assert mine_spec(g, spec()) == (want, considered)
+        assert sorted(calls) == sorted(code for code in rows if len(code) == 1 or len(code) < k)
+
+        # a hook that reads `emb` gets the rows `rightmost_extensions` builds
+        seen = {}
+
+        def reads_rows(node):
+            seen[node.code] = node.emb.tolist()
+            return node.support >= min_sup
+
+        assert mine_spec(g, spec(is_implicit_pattern=reads_rows)) == (want, considered)
+        assert seen == rows
+
+        # `get_support` and `to_add_edge` see every node built, leaves included
+        seen.clear()
+
+        def support_from_rows(node):
+            seen[node.code] = node.emb.tolist()
+            return mni(node)
+
+        assert mine_spec(g, spec(get_support=support_from_rows)) == (want, considered)
+        assert seen == rows
+        calls.clear()
+        assert mine_spec(g, spec(to_add_edge=lambda emb, e: True)) == (want, considered)
+        assert sorted(calls) == sorted(rows)
+
+    def test_cap_met_only_by_leaf_arrays(self):
+        from gpm.fsm import mine_spec
+        g = random_graph(random.Random(7), 30, 0.2, labels=2)
+        cap = 200_000
+        want = mine_fsm(g, 3, 1)
+        # counted leaves keep the charged peak near 170 kB; building them,
+        # as a `get_support` hook needs, takes it near 300 kB
+        assert mine_fsm(g, 3, 1, memory_cap=cap) == want
+        built = ProblemSpec(vertex_induced=False, explicit=False, k=3,
+                            is_implicit_pattern=lambda node: node.support >= 1,
+                            get_support=mni)
+        assert mine_spec(g, built)[0] == want
+        with pytest.raises(FsmMemoryError):
+            mine_spec(g, built, memory_cap=cap)
