@@ -164,8 +164,8 @@ def _generic_level(plan, st, deg, rows, keys, depth, tally):
                 # a candidate counts once, from its lowest adjacent position
                 keep &= ~g.has_edges(par[:, :p], u[:, None]).any(axis=1)
             st.considered += int(np.count_nonzero(keep))
-            # canonical-sequence filter: with u's lowest adjacent position at
-            # p, u must exceed the root and every vertex after p
+            # canonical-sequence filter (`engine._floors`): with u's lowest
+            # adjacent position at p, u must exceed the root and every vertex after p
             keep &= u > par[:, [0, *range(p + 1, depth)]].max(axis=1)
             at_row, u, par = at_row[keep], u[keep], par[keep]
             st.accepted += len(u)
@@ -210,7 +210,7 @@ def _local_masks(g, min_deg):
     every member, `passes[r]` those of source degree at least `min_deg`,
     and `adj[e]`, for the CSR entry e = (r, v), the members of r that are
     out-neighbours of v: one bit per oriented triangle (r, v, w), found by
-    looking (r, w) up in the edge keys.
+    looking (r, w) up with `find_edges`.
     """
     n, offsets, nbrs = g.vertex_count, g.row_offsets, g.neighbors
     src = g.sources()
@@ -222,13 +222,10 @@ def _local_masks(g, min_deg):
     np.bitwise_or.at(passes, src[ok], bit[ok])
     adj = np.zeros(len(nbrs), dtype=np.uint64)
     out = np.diff(offsets)
-    keys = g.edge_keys()
     for s in _slices(out[nbrs]):
         at_e, at = gather(offsets[nbrs[s]], out[nbrs[s]])
         e = at_e + s.start
-        q = src[e] * n + nbrs[at]
-        pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
-        hit = keys[pos] == q
+        pos, hit = g.find_edges(src[e], nbrs[at])
         np.bitwise_or.at(adj, e[hit], bit[pos[hit]])
     return members, passes, adj
 

@@ -47,8 +47,8 @@ def _add_run(parser):
 
 
 def _add_walk(parser, *, mnc=True):
-    parser.add_argument("--orient", choices=["degree", "core", "none", "auto"],
-                        default="auto", help="orientation for clique search")
+    parser.add_argument("--orient", choices=["degree", "core", "none", "auto"], default="auto",
+                        help="orientation for clique search (ignored by motif --level hi)")
     if mnc:
         parser.add_argument("--no-mnc", action="store_true",
                             help="run the walk without connectivity-map memoization "
@@ -56,7 +56,7 @@ def _add_walk(parser, *, mnc=True):
                                  "array route; clique --level lo then runs the "
                                  "local-graph walk, which keeps no map)")
     parser.add_argument("--no-df", action="store_true",
-                        help="disable degree filtering (ablation)")
+                        help="disable degree filtering (ablation; ignored by motif --level hi)")
 
 
 def _add_list(parser):

@@ -22,7 +22,8 @@ connectivity map and extends again, and pops.
   (see `localgraph`), reading only its `candidates(level)`;
 * generic: pattern-oblivious vertex extension for implicit-pattern problems,
   deduplicated by a canonical-sequence filter (exactly one accepted DFS
-  sequence per connected vertex set).
+  sequence per connected vertex set), stated once in `_floors`; the array
+  route applies the same rule as a vector mask.
 
 Without per-embedding hooks every plan takes the array route instead:
 `arrayroute` extends whole slices of numpy embedding rows per level (the
@@ -44,6 +45,7 @@ import os
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -423,44 +425,29 @@ class _LocalPlan(_CliquePlan):
             self._descend(st, u, need, depth)
 
 
+def _floors(verts):
+    """The canonical-sequence filter's one statement: a candidate whose
+    lowest adjacent position is i extends the greedy sequence `verts` (start
+    at the minimum, then always take the least vertex adjacent to the prefix)
+    iff it exceeds floors[i], the larger of the root and every vertex after
+    position i. Prefix-closed, so it is safe to prune on."""
+    return list(accumulate(reversed(verts[1:]), max, initial=verts[0]))[::-1]
+
+
 def _is_canonical_extension(verts, codes, u, umask):
-    """True iff verts + [u] is the greedy canonical sequence of its vertex set:
-    start at the minimum, then always take the minimum remaining vertex
-    adjacent to the chosen prefix. Prefix-closed, so it is safe to prune on.
-    """
-    size = len(verts) + 1
-    m = [0] * size
-    for l, c in enumerate([*codes[1:size - 1], umask], start=1):
-        for b in range(c.bit_length()):
-            if c >> b & 1:
-                m[l] |= 1 << b
-                m[b] |= 1 << l
-    vals = verts + [u]
-    if min(vals) < vals[0]:
-        return False
-    visited = 1
-    for step in range(1, size):
-        best = -1
-        bestv = None
-        for idx in range(1, size):
-            if (visited >> idx) & 1:
-                continue
-            if m[idx] & visited:
-                v = vals[idx]
-                if bestv is None or v < bestv:
-                    bestv = v
-                    best = idx
-        if best != step:
-            return False
-        visited |= 1 << step
-    return True
+    """True iff the walk accepts u, adjacent to the positions set in `umask`,
+    after the greedy sequence `verts` (whose `codes` the rule never reads)."""
+    return u > _floors(verts)[(umask & -umask).bit_length() - 1]
+
 
 class _GenericPlan(_PlanBase):
     """Pattern-oblivious vertex extension for implicit-pattern problems.
 
     Each connected vertex set is reached through exactly one accepted DFS
-    sequence (canonical-sequence filter); embeddings at size k are classified
-    by the canonical code of their induced subgraph, or by `get_pattern`.
+    sequence: a candidate must exceed its `_floors` entry, which `_extend`
+    computes once per prefix and `arrayroute._generic_level` vectorises as a
+    mask over its rows. Embeddings at size k are classified by the
+    canonical code of their induced subgraph, or by `get_pattern`.
     The array route takes unlabeled graphs only, and counts without rows.
     """
 
@@ -510,16 +497,12 @@ class _GenericPlan(_PlanBase):
         adj = self.adj
         to_extend = self.spec.to_extend
         to_add = self.spec.to_add
-        if to_extend is None:
-            positions = range(depth)
-            ext_mask = (1 << depth) - 1
-        else:
-            positions = [p for p in range(depth) if to_extend(emb, p)]
-            ext_mask = 0
-            for p in positions:
-                ext_mask |= 1 << p
         depth_mask = (1 << depth) - 1
-        root = verts[0]
+        positions, ext_mask = range(depth), depth_mask
+        if to_extend is not None:
+            positions = [p for p in positions if to_extend(emb, p)]
+            ext_mask = sum(1 << p for p in positions)
+        floors = _floors(verts)
         considered = accepted = 0
         try:
             for p in positions:
@@ -534,23 +517,12 @@ class _GenericPlan(_PlanBase):
                         for i in range(depth):
                             if _list_has(adj, verts[i], u):
                                 mask |= 1 << i
-                    pmask = mask & ext_mask
+                    umask = mask & depth_mask
+                    pmask = umask & ext_mask
                     if (pmask & -pmask).bit_length() - 1 != p:
                         continue
                     considered += 1
-                    # canonical-sequence filter, incremental form: the prefix is
-                    # already greedy for its own set, so the extended sequence is
-                    # greedy iff u neither undercuts the root nor displaces any
-                    # earlier choice it would have been eligible for
-                    if u < root:
-                        continue
-                    umask = mask & depth_mask
-                    reject = False
-                    for i in range(1, depth):
-                        if u < verts[i] and umask & ((1 << i) - 1):
-                            reject = True
-                            break
-                    if reject:
+                    if u <= floors[(umask & -umask).bit_length() - 1]:
                         continue
                     if to_add is not None and not to_add(emb, u):
                         continue

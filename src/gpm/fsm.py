@@ -18,7 +18,9 @@ Every position's label is fixed by the code, so a child's code edge depends
 only on the extended position and the new vertex's label: extension works
 one rightmost-path position at a time over all rows at once (backward edges
 are looked up in the graph's edge-key index, forward edges gathered from its
-CSR ranges), and domain support is a distinct count per column. Automorphic
+CSR ranges), and domain support is a distinct count per column: `_distinct`
+scatters row indices into a table indexed by vertex id and counts the rows
+that read their own index back, for `mni` and the last level alike. Automorphic
 duplicates (two rows covering the same edge set) are kept: domains are sets,
 so duplicates cannot inflate the support, and dropping them would shrink the
 domains. At the last level, with the default support and no edge filter,
@@ -102,11 +104,12 @@ class PatternNode:
 
 
 def mni(node):
-    """Minimum image support: the fewest distinct vertices in any position."""
-    cols = np.sort(node.emb, axis=0)
-    if len(cols) == 0:
-        return 0
-    return 1 + int(np.count_nonzero(cols[1:] != cols[:-1], axis=0).min())
+    """Minimum image support: the fewest distinct vertices in any position,
+    each column counted by `_distinct`."""
+    emb = node.emb
+    table = np.empty(int(emb.max(initial=-1)) + 1, dtype=np.int64)
+    index = np.arange(len(emb))
+    return min(_distinct(col, table, index) for col in emb.T)
 
 
 class _MemoryBudget:

@@ -3,8 +3,8 @@
 Loading, validation, k-core decomposition, and acyclic orientation live here,
 and so does what the numpy kernels derive from the CSR: the source of every
 entry (`CSRGraph.sources`), the cached edge-key index (`CSRGraph.edge_keys`)
-with its vectorised adjacency test (`CSRGraph.has_edges`) and the range
-gather (`gather`). Graphs are immutable after construction.
+with its one vectorised lookup (`CSRGraph.find_edges`, behind `has_edges`)
+and the range gather (`gather`). Graphs are immutable after construction.
 """
 from __future__ import annotations
 
@@ -49,14 +49,19 @@ class CSRGraph:
             self._keys = self.sources() * self.vertex_count + self.neighbors
         return self._keys
 
-    def has_edges(self, u, v):
-        """Boolean array: is `(u, v)` a CSR entry, elementwise over the
-        broadcast id arrays; the vectorised `has_edge`."""
+    def find_edges(self, u, v):
+        """`(at, found)` over the broadcast id arrays: is `(u, v)` a CSR entry,
+        and where `found`, its index `at` into `neighbors`."""
         q = np.asarray(u, dtype=np.int64) * self.vertex_count + v
         keys = self.edge_keys()
         if not len(keys):
-            return np.zeros(q.shape, dtype=bool)
-        return keys[np.minimum(np.searchsorted(keys, q), len(keys) - 1)] == q
+            return np.zeros(q.shape, dtype=np.int64), np.zeros(q.shape, dtype=bool)
+        at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+        return at, keys[at] == q
+
+    def has_edges(self, u, v):
+        """`find_edges`'s `found`: the vectorised `has_edge`."""
+        return self.find_edges(u, v)[1]
 
     def adjacency(self):
         """Neighbor lists as plain Python lists (cached); used by hot loops."""

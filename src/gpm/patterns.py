@@ -1,9 +1,10 @@
 """Small-pattern algebra: canonical codes, automorphisms, matching orders with
 their symmetry-breaking partial orders, and pattern enumeration.
 
-Everything here is brute-force over vertex permutations, bounded at 8 vertices;
-the mining workloads only ever analyze patterns this small (larger cliques take
-a fast path that never touches isomorphism machinery).
+Canonical codes and automorphisms come from one brute-force scan over vertex
+permutations (`_scan`), bounded at 8 vertices; the mining workloads only ever
+analyze patterns this small (larger cliques take a fast path that never
+touches isomorphism machinery).
 """
 from __future__ import annotations
 
@@ -189,22 +190,23 @@ def _check_bound(k, what):
 
 
 @lru_cache(maxsize=4096)
-def _canonical_key(vertex_count, edges, labels):
-    if len(edges) == vertex_count * (vertex_count - 1) // 2:
-        # cliques bypass the permutation search: every relabeling is identical
-        bits = (1 << len(edges)) - 1
-        lbl = tuple(sorted(labels)) if labels is not None else ()
-        return bits, lbl
-    _check_bound(vertex_count, "canonicalization")
+def _scan(vertex_count, edges, labels):
+    """One pass over every relabeling: the least `(edge bits, labels)` key,
+    and the permutations whose key equals the identity's (the label- and
+    edge-preserving ones, the automorphisms), in `permutations` order."""
     edge_set = set(edges)
-    best = None
+    best = ident = None
+    autos = []
     for perm in permutations(range(vertex_count)):
-        bits = _edge_bits(vertex_count, edge_set, perm)
-        lbl = tuple(labels[v] for v in perm) if labels is not None else ()
-        key = (bits, lbl)
+        key = (_edge_bits(vertex_count, edge_set, perm),
+               tuple(labels[v] for v in perm) if labels is not None else ())
+        if ident is None:  # the first permutation is the identity
+            ident = key
+        if key == ident:
+            autos.append(perm)
         if best is None or key < best:
             best = key
-    return best
+    return best, tuple(autos)
 
 
 def canonical_code(p):
@@ -216,8 +218,13 @@ def canonical_code(p):
     widths give different lengths for one vertex count, so they cannot
     collide.
     """
-    bits, lbl = _canonical_key(p.vertex_count, p.edges, p.labels)
     k = p.vertex_count
+    if is_clique(p):
+        # cliques bypass the permutation search: every relabeling is identical
+        bits, lbl = (1 << len(p.edges)) - 1, tuple(sorted(p.labels or ()))
+    else:
+        _check_bound(k, "canonicalization")
+        bits, lbl = _scan(k, p.edges, p.labels)[0]
     nbytes = max(1, (k * (k - 1) // 2 + 7) // 8)
     out = bytes([k]) + bits.to_bytes(nbytes, "big")
     if p.labels is not None:
@@ -226,28 +233,10 @@ def canonical_code(p):
     return out
 
 
-@lru_cache(maxsize=4096)
-def _automorphisms(vertex_count, edges, labels):
-    _check_bound(vertex_count, "automorphisms")
-    edge_set = set(edges)
-    autos = []
-    for perm in permutations(range(vertex_count)):
-        if labels is not None and any(labels[perm[v]] != labels[v] for v in range(vertex_count)):
-            continue
-        ok = True
-        for u, v in edges:
-            a, b = perm[u], perm[v]
-            if (min(a, b), max(a, b)) not in edge_set:
-                ok = False
-                break
-        if ok:
-            autos.append(perm)
-    return tuple(autos)
-
-
 def automorphisms(p):
     """All vertex permutations mapping the pattern onto itself."""
-    return _automorphisms(p.vertex_count, p.edges, p.labels)
+    _check_bound(p.vertex_count, "automorphisms")
+    return _scan(p.vertex_count, p.edges, p.labels)[1]
 
 
 # -- matching orders and their symmetry-breaking partial orders ------------------

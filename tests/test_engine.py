@@ -135,44 +135,75 @@ class TestCanonicalFilter:
         assert all(len(v) == 1 for v in per_set.values())
 
     def test_incremental_equals_full_recomputation(self, rng):
+        """On a greedy prefix, `_is_canonical_extension` (the walk's
+        `_floors` rule) accepts exactly the unused neighbours u for which
+        prefix + [u] is still the greedy sequence of its vertex set."""
         for _ in range(200):
             n = rng.randint(3, 12)
-            g = random_graph(rng, n, 0.4)
-            adj = [set(a) for a in g.adjacency()]
-            k = rng.randint(2, 4)
-            verts = [rng.randrange(n)]
-            codes = [0]
-            for _ in range(k - 1):
-                cands = sorted({u for v in verts for u in adj[v]} - set(verts))
-                if not cands:
-                    break
-                u = rng.choice(cands)
-                mask = sum(1 << i for i, v in enumerate(verts) if u in adj[v])
-                verts.append(u)
-                codes.append(mask)
-            if len(verts) < 2:
+            adj = random_graph(rng, n, 0.4).adjacency()
+            prefix = _greedy_prefix(rng, adj, rng.randint(1, 4))
+            for u in sorted({u for v in prefix for u in adj[v]} - set(prefix)):
+                full = _greedy_order(adj, prefix + [u]) == prefix + [u]
+                assert _is_canonical_extension(prefix, _codes(adj, prefix), u,
+                                               _codes(adj, prefix + [u])[-1]) == full
+
+    @given(seed=st.integers(0, 10 ** 6), every_other=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_walk_extends_by_the_predicate(self, seed, every_other):
+        """From a random greedy prefix, the generic walk's one-level
+        extension is exactly the unused neighbours whose lowest adjacent
+        extended position reaches them and that `_is_canonical_extension`
+        accepts, in walk order."""
+        rng = random.Random(seed)
+        n = rng.randint(2, 16)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.6))
+        adj = g.adjacency()
+        prefix = _greedy_prefix(rng, adj, rng.randint(1, 5))
+        hooks = {}
+        if every_other:
+            hooks["to_extend"] = lambda emb, pos: pos % 2 == 0
+        spec = apps.motif_spec(len(prefix) + 1, **hooks)
+        expected = []
+        for p in range(len(prefix)):
+            if every_other and p % 2:
                 continue
-            *prefix, last = verts
-            umask = codes[-1]
-            full = _is_canonical_extension(prefix, codes[:-1], last, umask)
-            incr = _incremental_accept(prefix, last, umask)
-            if _prefix_canonical(prefix, codes[:-1]):
-                assert full == incr
+            for u in adj[prefix[p]]:
+                umask = _codes(adj, prefix + [u])[-1]
+                reach = umask & (0x5555 if every_other else -1)
+                if u in prefix or (reach & -reach).bit_length() - 1 != p:
+                    continue
+                if _is_canonical_extension(prefix, _codes(adj, prefix), u, umask):
+                    expected.append(u)
+        assert extend(g, spec, prefix) == expected
 
 
-def _prefix_canonical(verts, codes):
-    if len(verts) == 1:
-        return True
-    return _is_canonical_extension(verts[:-1], codes[:-1], verts[-1], codes[-1])
+def _codes(adj, verts):
+    """Each vertex's adjacency bit-set to the positions before it."""
+    return [sum(1 << i for i, v in enumerate(verts[:d]) if u in adj[v])
+            for d, u in enumerate(verts)]
 
 
-def _incremental_accept(prefix, u, umask):
-    if u < prefix[0]:
-        return False
-    for i in range(1, len(prefix)):
-        if u < prefix[i] and umask & ((1 << i) - 1):
-            return False
-    return True
+def _greedy_order(adj, verts):
+    """The greedy canonical sequence of the connected set `verts`: start at
+    the minimum, then always take the least vertex adjacent to the prefix."""
+    rest = set(verts)
+    order = [min(rest)]
+    rest.discard(order[0])
+    while rest:
+        order.append(min(u for u in rest if any(u in adj[v] for v in order)))
+        rest.discard(order[-1])
+    return order
+
+
+def _greedy_prefix(rng, adj, size):
+    """The greedy sequence of a random connected vertex set of up to `size`."""
+    verts = [rng.randrange(len(adj))]
+    while len(verts) < size:
+        frontier = sorted({u for v in verts for u in adj[v]} - set(verts))
+        if not frontier:
+            break
+        verts.append(rng.choice(frontier))
+    return _greedy_order(adj, verts)
 
 
 def _accepted_sequences(g, k):

@@ -394,6 +394,10 @@ class TestCsrIndex:
             n = g.vertex_count
             u, v = np.divmod(np.arange(n * n), n)
             assert g.has_edges(u, v).tolist() == [has_edge(g, a, b) for a, b in zip(u, v)]
+            # where an entry is found, `at` is its index into the CSR arrays
+            at, found = g.find_edges(u, v)
+            assert g.sources()[at[found]].tolist() == u[found].tolist()
+            assert g.neighbors[at[found]].tolist() == v[found].tolist()
             # the ids broadcast: column u of a matrix against one vertex per row
             rows = np.arange(n)[:, None]
             assert g.has_edges(rows, rows.T).tolist() == [
@@ -404,6 +408,8 @@ class TestCsrIndex:
         found = g.has_edges(np.array([[0, 1], [2, 3]]), np.array([1, 2]))
         assert found.shape == (2, 2) and not found.any()
         assert g.has_edges(np.array([], dtype=np.int64), np.array([], dtype=np.int64)).shape == (0,)
+        at, found = g.find_edges(np.array([[0, 1], [2, 3]]), np.array([1, 2]))
+        assert at.shape == found.shape == (2, 2) and not found.any()
 
 
 def _gathered(starts, counts):

@@ -158,6 +158,32 @@ class TestOrbits:
             assert sorted(tuple(sorted((perm[u], perm[v]))) for u, v in p.edges) \
                 == sorted(p.edges)
 
+    @given(k=st.integers(2, 6), seed=st.integers(0, 10 ** 6), labeled=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_automorphisms_are_the_preserving_permutations(self, k, seed, labeled):
+        p = _random_connected_pattern(random.Random(seed), k, labeled=labeled)
+        edges = set(p.edges)
+        brute = tuple(perm for perm in permutations(range(k))
+                      if {tuple(sorted((perm[u], perm[v]))) for u, v in edges} == edges
+                      and (p.labels is None or all(p.labels[perm[v]] == p.labels[v]
+                                                   for v in range(k))))
+        assert automorphisms(p) == brute
+
+    def test_code_and_automorphisms_share_one_scan(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return permutations(*args)
+
+        monkeypatch.setattr(patterns, "permutations", counted)
+        # labels no other test uses, so the pattern is in no cache
+        p = Pattern(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)],
+                    labels=(7001, 7002, 7001, 7002, 7001, 7002))
+        canonical_code(p)
+        automorphisms(p)
+        assert len(calls) == 1
+
 
 class TestSymmetryOrders:
     def test_triangle_identity(self):
