@@ -7,14 +7,14 @@ embedding lists in. Rows are an `(R, d)` int64 array of graph vertices, one
 row per embedding. A level gathers the rows' CSR neighbours with
 `graph.gather`, tests adjacency with `CSRGraph.has_edges` and applies the
 walk's filters as vector masks, each in the walk's counting position, so
-`enumerated`, `accepted` and the pattern map equal the walk's. The match
-plan, and with it the clique plan, grows one anchor position's neighbours
-per level (`count_match`, `_grow`) and hands each slice of finished rows
-to `process_rows`: rows are gathered in row order and candidates
-ascending, and slices are extended depth-first, so the rows arrive in the
-walk's (lexicographic) order. The generic plan extends every position and
-materialises nothing at size k: it counts each distinct packed connectivity
-code (`np.unique`) and classifies it once.
+what it counts into the plan (`considered`, `accepted`, `map`) equals what
+the walk counts there. The match plan, and with it the clique plan, grows
+one anchor position's neighbours per level (`count_match`, `_grow`) and
+hands each slice of finished rows to `process_rows`: rows are gathered in
+row order and candidates ascending, and slices are extended depth-first,
+so the rows arrive in the walk's (lexicographic) order. The generic plan
+extends every position and materialises nothing at size k: it counts each
+distinct packed connectivity code (`np.unique`) and classifies it once.
 
 The local plan keeps kClist's shrinking local graph as bitsets instead
 (`count_local`): a row is a root and one uint64 mask over the root's
@@ -57,13 +57,13 @@ def _slices(cost, budget=None):
         a = b
 
 
-def _grow(plan, st, roots, anchors, keep):
-    """Grow `roots` to size-k rows and count them into the state `st`.
+def _grow(plan, roots, anchors, keep):
+    """Grow `roots` to size-k rows and count them into `plan.map`.
 
     Position `depth` extends each row by the CSR neighbours of its position
     `anchors[depth]`, slice by slice and depth-first; `keep(par, u, depth)`
     applies the plan's filters to the candidates `u` of the rows `par`,
-    counting into `st`, and returns the survivors. Each slice of finished
+    counting into the plan, and returns the survivors. Each slice of finished
     rows goes to `process_rows` in walk order, which is lexicographic.
     """
     g = plan.g
@@ -87,10 +87,10 @@ def _grow(plan, st, roots, anchors, keep):
 
     found = level(roots[:, None], 1) if len(roots) else 0
     if found:
-        st.map[plan.key] = found
+        plan.map[plan.key] = found
 
 
-def count_match(plan, st, roots):
+def count_match(plan, roots):
     """Count (and hand to `process_rows`) the embeddings of a `_MatchPlan`'s
     pattern grown from `roots`, a clique's included. A plan that is not
     `distinct` (a clique on an acyclic orientation) skips the test that a
@@ -107,9 +107,9 @@ def count_match(plan, st, roots):
         ok = True
         if plan.distinct:
             ok = (par != u[:, None]).all(axis=1)
-            st.considered += int(np.count_nonzero(ok))
+            plan.considered += int(np.count_nonzero(ok))
         else:
-            st.considered += len(u)
+            plan.considered += len(u)
         if plan.use_df and plan.df_thresh[depth]:
             ok &= deg[u] >= plan.df_thresh[depth]
         if plan.g_labels is not None:
@@ -121,30 +121,30 @@ def count_match(plan, st, roots):
         if tested[depth]:
             fit = (g.has_edges(par[:, tested[depth]], u[:, None]) == required[depth]).all(axis=1)
             u, par = u[fit], par[fit]
-        st.accepted += len(u)
+        plan.accepted += len(u)
         return par, u
 
-    _grow(plan, st, roots, plan.anchors, keep)
+    _grow(plan, roots, plan.anchors, keep)
 
 
-def count_generic(plan, st, roots):
+def count_generic(plan, roots):
     """Count a `_GenericPlan`'s connected induced k-subgraphs grown from
-    `roots` by pattern into the state `st`."""
+    `roots` by pattern into `plan.map`."""
     k = plan.k
     tally = {}
     if k == 1:
         tally = {0: len(roots)} if len(roots) else {}
     else:
-        _generic_level(plan, st, plan.degrees, roots[:, None],
+        _generic_level(plan, plan.degrees, roots[:, None],
                        np.zeros(len(roots), dtype=np.int64), 1, tally)
     for packed, count in tally.items():
         codes = tuple(packed >> (l * (l - 1) // 2) & ((1 << l) - 1) for l in range(1, k))
         key, wanted = plan.pattern_key(codes)
         if wanted:
-            st.map[key] = st.map.get(key, 0) + count
+            plan.map[key] = plan.map.get(key, 0) + count
 
 
-def _generic_level(plan, st, deg, rows, keys, depth, tally):
+def _generic_level(plan, deg, rows, keys, depth, tally):
     """Extend `rows` (positions 0..depth-1, packed codes `keys`) by position
     `depth` through the walk's filters, slice by slice; at size k add each
     distinct packed code's count to `tally`, else recurse."""
@@ -163,12 +163,12 @@ def _generic_level(plan, st, deg, rows, keys, depth, tally):
             if p:
                 # a candidate counts once, from its lowest adjacent position
                 keep &= ~g.has_edges(par[:, :p], u[:, None]).any(axis=1)
-            st.considered += int(np.count_nonzero(keep))
+            plan.considered += int(np.count_nonzero(keep))
             # canonical-sequence filter (`engine._floors`): with u's lowest
             # adjacent position at p, u must exceed the root and every vertex after p
             keep &= u > par[:, [0, *range(p + 1, depth)]].max(axis=1)
             at_row, u, par = at_row[keep], u[keep], par[keep]
-            st.accepted += len(u)
+            plan.accepted += len(u)
             code = (1 << p) + g.has_edges(par[:, p + 1:], u[:, None]) @ weights[p + 1:]
             grown_keys.append(part_keys[at_row] | code << shift)
             if not last:
@@ -179,7 +179,7 @@ def _generic_level(plan, st, deg, rows, keys, depth, tally):
             for key, count in zip(packed.tolist(), counts.tolist()):
                 tally[key] = tally.get(key, 0) + count
         elif len(grown_keys):
-            _generic_level(plan, st, deg, np.concatenate(grown_rows), grown_keys,
+            _generic_level(plan, deg, np.concatenate(grown_rows), grown_keys,
                            depth + 1, tally)
 
 
@@ -230,7 +230,7 @@ def _local_masks(g, min_deg):
     return members, passes, adj
 
 
-def count_local(plan, st, roots):
+def count_local(plan, roots):
     """Count (and hand to `process_rows`) the k-cliques of a `_LocalPlan`
     from `roots` over the built-in local graph on bitsets (`_local_masks`).
 
@@ -254,8 +254,8 @@ def count_local(plan, st, roots):
         def level(roots, masks, rows, depth):
             kept = masks & passes[roots]
             took = np.bitwise_count(kept).astype(np.int64)
-            st.considered += int(np.bitwise_count(masks).sum())
-            st.accepted += int(took.sum())
+            plan.considered += int(np.bitwise_count(masks).sum())
+            plan.accepted += int(took.sum())
             last = depth == k - 1
             if last and emit is None:
                 return int(took.sum())
@@ -279,4 +279,4 @@ def count_local(plan, st, roots):
 
         found = level(roots, members[roots], None if emit is None else roots[:, None], 1)
     if found:
-        st.map[plan.key] = found
+        plan.map[plan.key] = found

@@ -111,7 +111,8 @@ def _build_parser():
                    help="support threshold, at least 1 (frequent: support >= minsup)")
     p.add_argument("--mem-cap", type=int, default=4 * 2 ** 30,
                    help="memory cap in bytes, at least 1, for the embedding arrays "
-                        "of the patterns alive at once (8 bytes per pattern vertex "
+                        "of the patterns alive at once, the single-edge seeds "
+                        "included until each is walked (8 bytes per pattern vertex "
                         f"per embedding, plus {NODE_OVERHEAD_BYTES} per pattern) and "
                         "the extension's gather (8 bytes per pattern vertex, plus 32, "
                         "per neighbour gathered); patterns of -k edges are counted "

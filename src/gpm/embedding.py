@@ -37,7 +37,7 @@ class Embedding:
 
 
 class ConnectivityMap:
-    """Worker-private map: graph vertex -> bit-set of adjacent embedding positions.
+    """The walk's map: graph vertex -> bit-set of adjacent embedding positions.
 
     Pushing the level-d vertex sets bit d for each of its neighbors outside
     the embedding; the per-level undo log makes pop restore the exact

@@ -1,7 +1,8 @@
 """Depth-first subgraph mining engine.
 
-The walk runs on one thread, one root vertex after another in id order, on
-one worker state (embedding stack, connectivity map, partial pattern map).
+The walk runs on one thread, one root vertex after another in id order.
+A plan object is the whole state of its run: the embedding stack, the
+connectivity map, the partial pattern map and the counters.
 The `workers` argument is validated and echoed in the result but does not
 start threads: the walk is pure Python, so threads only contend for the GIL.
 
@@ -150,32 +151,27 @@ class MiningResult:
     plans: tuple = ()
 
 
-class _WorkerState:
-    __slots__ = ("emb", "mnc", "map", "considered", "accepted", "lg")
-
-    def __init__(self, graph, adj=None):
-        self.emb = Embedding(graph)
-        self.mnc = ConnectivityMap(adj) if adj is not None else None
-        self.map = {}
-        self.considered = 0
-        self.accepted = 0
-        self.lg = None
-
-
-def _list_has(adj, u, v):
-    lst = adj[u]
-    i = bisect_left(lst, v)
-    return i < len(lst) and lst[i] == v
+def _code(adj, verts, u):
+    """The adjacency code of u to the embedding `verts`: bit i is set iff
+    u is in the sorted neighbour list `adj[verts[i]]`."""
+    code = 0
+    for i, v in enumerate(verts):
+        lst = adj[v]
+        j = bisect_left(lst, u)
+        if j < len(lst) and lst[j] == u:
+            code |= 1 << i
+    return code
 
 
 class _PlanBase:
-    """Shared context and the descend step every plan's walk goes through.
+    """A run's context and state, and the descend step every walk takes.
 
-    A plan supplies `_extend(st, depth)`, which filters the candidates for
+    A plan supplies `_extend(depth)`, which filters the candidates for
     embedding position `depth` and hands each accepted one to `_descend`.
-    Its counters reach the state even when `terminate` raises. Both routes
-    start from `roots()`; `array` (the `_plans` policy, narrowed by a plan
-    that needs more) runs `run_array(st, roots)` in place of the walk.
+    Both routes count into the plan's `map`, `considered` and `accepted`,
+    and the walk's counters reach them even when `terminate` raises. Both
+    routes start from `roots()`; `array` (the `_plans` policy, narrowed by a
+    plan that needs more) runs `run_array(roots)` in place of the walk.
     """
 
     key = None
@@ -197,53 +193,57 @@ class _PlanBase:
         self._terminate = spec.terminate
         self._local_reduce = spec.local_reduce
         self._dbg_tick = 0
+        self.map = {}
+        self.considered = self.accepted = 0
+        self.lg = None
         # the degree filters read degrees in the source graph
         self.degrees = g.source_degrees if isinstance(g, OrientedGraph) else g.degrees()
 
-    def make_state(self):
-        """A walk state; first builds the neighbour lists and the degree list
-        the walk reads, which the array route never needs."""
+    def start_walk(self):
+        """Build what only the walk reads: the neighbour lists, the degree
+        list, the embedding stack and, with `use_mnc`, its connectivity map."""
         self.adj = self.g.adjacency()
         self.deg = self.degrees.tolist()
-        return _WorkerState(self.g, self.adj if self.use_mnc else None)
+        self.emb = Embedding(self.g)
+        self.mnc = ConnectivityMap(self.adj) if self.use_mnc else None
 
     def roots(self):
         """The ascending root vertices; the base plan starts at every vertex."""
         return np.arange(self.g.vertex_count)
 
-    def run_root(self, root, st):
-        self._descend(st, root, 0, 0)
+    def run_root(self, root):
+        self._descend(root, 0, 0)
 
-    def _descend(self, st, u, code, depth):
+    def _descend(self, u, code, depth):
         """Push u at position `depth`, then finalize or extend, then pop."""
         if self.debug:
-            self._debug_check(st, u, code, depth)
-        emb = st.emb
+            self._debug_check(u, code, depth)
+        emb = self.emb
         # the stack is edited in place: this runs once per accepted candidate
         emb.vertices.append(u)
         emb.codes.append(code)
         emb.members.add(u)
         try:
             if self._local_reduce is not None:
-                self._local_reduce(emb, depth, st.map)
+                self._local_reduce(emb, depth, self.map)
             if depth == self.k - 1:
-                self._finalize(st, self.key)
-            elif st.mnc is None:
-                self._extend(st, depth + 1)
+                self._finalize(self.key)
+            elif self.mnc is None:
+                self._extend(depth + 1)
             else:
-                st.mnc.push(u, depth, emb.members)
+                self.mnc.push(u, depth, emb.members)
                 try:
-                    self._extend(st, depth + 1)
+                    self._extend(depth + 1)
                 finally:
-                    st.mnc.pop(depth)
+                    self.mnc.pop(depth)
         finally:
             emb.vertices.pop()
             emb.codes.pop()
             emb.members.discard(u)
 
-    def _finalize(self, st, key):
-        emb = st.emb
-        m = st.map
+    def _finalize(self, key):
+        emb = self.emb
+        m = self.map
         sup = 1 if self._get_support is None else self._get_support(emb)
         if key in m:
             m[key] = self._reduce(m[key], sup)
@@ -264,17 +264,16 @@ class _PlanBase:
             self._process_rows(np.array(self._rows, dtype=np.int64))
             self._rows.clear()
 
-    def _debug_check(self, st, u, mask, depth):
+    def _debug_check(self, u, mask, depth):
         # sampled soundness checks: map bits and codes agree with the graph
         self._dbg_tick += 1
         if self._dbg_tick % 32:
             return
-        emb = st.emb
+        emb = self.emb
         if len(emb.members) != len(emb.vertices):
             raise HookMisuseError("duplicate vertex admitted into a vertex-induced embedding")
-        for i, v in enumerate(emb.vertices[:depth]):
-            if bool((mask >> i) & 1) != _list_has(self.adj, v, u):
-                raise HookMisuseError("connectivity map disagrees with the graph")
+        if mask != _code(self.adj, emb.vertices, u):
+            raise HookMisuseError("connectivity map disagrees with the graph")
 
 
 class _MatchPlan(_PlanBase):
@@ -320,11 +319,11 @@ class _MatchPlan(_PlanBase):
             roots = roots[self.g.labels[roots] == self.want_label[0]]
         return roots
 
-    def _extend(self, st, depth):
-        emb = st.emb
+    def _extend(self, depth):
+        emb = self.emb
         members = emb.members
         verts = emb.vertices
-        bits = st.mnc.bits if st.mnc is not None else None
+        bits = self.mnc.bits if self.mnc is not None else None
         adj = self.adj
         to_add = self.spec.to_add
         anchor_v = verts[self.anchors[depth]]
@@ -346,13 +345,7 @@ class _MatchPlan(_PlanBase):
                     continue
                 if g_labels is not None and g_labels[u] != want:
                     continue
-                if bits is not None:
-                    mask = bits.get(u, 0)
-                else:
-                    mask = 0
-                    for i in range(depth):
-                        if _list_has(adj, verts[i], u):
-                            mask |= 1 << i
+                mask = bits.get(u, 0) if bits is not None else _code(adj, verts, u)
                 if mask & cmask != req:
                     continue
                 ok = True
@@ -365,10 +358,10 @@ class _MatchPlan(_PlanBase):
                 if to_add is not None and not to_add(emb, u):
                     continue
                 accepted += 1
-                self._descend(st, u, mask, depth)
+                self._descend(u, mask, depth)
         finally:
-            st.considered += considered
-            st.accepted += accepted
+            self.considered += considered
+            self.accepted += accepted
 
 
 class _CliquePlan(_MatchPlan):
@@ -401,28 +394,28 @@ class _LocalPlan(_CliquePlan):
         self.array = (self.array and np.diff(g.row_offsets).max(initial=0)
                       <= arrayroute.MAX_LOCAL_MEMBERS)
 
-    def run_root(self, root, st):
-        st.lg = self.spec.init_local(self.g, root)
-        self._descend(st, root, 0, 0)
+    def run_root(self, root):
+        self.lg = self.spec.init_local(self.g, root)
+        self._descend(root, 0, 0)
 
-    def _extend(self, st, depth):
-        lg = st.lg
+    def _extend(self, depth):
+        lg = self.lg
         if lg is None:
             return
         spec = self.spec
-        emb = st.emb
+        emb = self.emb
         level = depth - 1
         if depth >= 2:
             spec.update_local(lg, level - 1, emb.vertices[-1])
         need = (1 << depth) - 1
         for u in lg.candidates(level):
-            st.considered += 1
+            self.considered += 1
             if self.use_df and self.deg[u] < self.k - 1:
                 continue
             if spec.to_add is not None and not spec.to_add(emb, u):
                 continue
-            st.accepted += 1
-            self._descend(st, u, need, depth)
+            self.accepted += 1
+            self._descend(u, need, depth)
 
 
 def _floors(verts):
@@ -484,16 +477,16 @@ class _GenericPlan(_PlanBase):
             self._key_cache[(codes, labels)] = cached
         return cached
 
-    def _finalize(self, st, key):
-        key, wanted = self._classify(st.emb)
+    def _finalize(self, key):
+        key, wanted = self._classify(self.emb)
         if wanted:
-            _PlanBase._finalize(self, st, key)
+            _PlanBase._finalize(self, key)
 
-    def _extend(self, st, depth):
-        emb = st.emb
+    def _extend(self, depth):
+        emb = self.emb
         members = emb.members
         verts = emb.vertices
-        bits = st.mnc.bits if st.mnc is not None else None
+        bits = self.mnc.bits if self.mnc is not None else None
         adj = self.adj
         to_extend = self.spec.to_extend
         to_add = self.spec.to_add
@@ -510,13 +503,7 @@ class _GenericPlan(_PlanBase):
                 for u in adj[vp]:
                     if u in members:
                         continue
-                    if bits is not None:
-                        mask = bits.get(u, 0)
-                    else:
-                        mask = 0
-                        for i in range(depth):
-                            if _list_has(adj, verts[i], u):
-                                mask |= 1 << i
+                    mask = bits.get(u, 0) if bits is not None else _code(adj, verts, u)
                     umask = mask & depth_mask
                     pmask = umask & ext_mask
                     if (pmask & -pmask).bit_length() - 1 != p:
@@ -527,33 +514,32 @@ class _GenericPlan(_PlanBase):
                     if to_add is not None and not to_add(emb, u):
                         continue
                     accepted += 1
-                    self._descend(st, u, umask, depth)
+                    self._descend(u, umask, depth)
         finally:
-            st.considered += considered
-            st.accepted += accepted
+            self.considered += considered
+            self.accepted += accepted
 
 
-def _run_plan(plan, workers):
-    """Run `plan` on one worker state from its `roots()`: its array route
-    when `plan.array`, else the walk, one root after another.
+def _run_plan(plan):
+    """Run `plan` from its `roots()`: its array route when `plan.array`,
+    else the walk, one root after another. Either counts into the plan.
 
-    Returns the states used (a list of one; `workers` does not change the
-    run). A `terminate` hook that fires ends the walk and sets
-    `plan.terminated`.
+    Returns `[plan]`, the run's one state; the benchmark tracer sums the
+    counters over this list. A `terminate` hook that fires ends the walk and
+    sets `plan.terminated`.
     """
     roots = plan.roots()
     if plan.array:
-        st = _WorkerState(plan.g)
-        plan.run_array(st, roots)
-        return [st]
-    st = plan.make_state()
+        plan.run_array(roots)
+        return [plan]
+    plan.start_walk()
     try:
         for root in roots.tolist():
-            plan.run_root(root, st)
+            plan.run_root(root)
     except _StopMining:
         plan.terminated = True
     plan.flush_rows()
-    return [st]
+    return [plan]
 
 
 def _resolve_orientation(g, orientation):
@@ -649,11 +635,11 @@ def mine(g, spec, *, workers=None, orientation="auto", use_mnc=None, use_df=True
         opts = {"use_df": use_df, "debug": debug}
         for plan in _plans(g, spec, opts, orientation, use_mnc):
             plans.append(f"{plan.name}:{'array' if plan.array else 'walk'}")
-            for st in _run_plan(plan, workers):
-                enumerated += st.considered
-                accepted += st.accepted
-                for key, val in st.map.items():
-                    merged[key] = reduce_fn(merged[key], val) if key in merged else val
+            _run_plan(plan)
+            enumerated += plan.considered
+            accepted += plan.accepted
+            for key, val in plan.map.items():
+                merged[key] = reduce_fn(merged[key], val) if key in merged else val
             if plan.terminated:
                 terminated = True
                 break
@@ -667,8 +653,8 @@ def mine(g, spec, *, workers=None, orientation="auto", use_mnc=None, use_df=True
 def extend(g, spec, vertices, *, orientation="auto", use_df=False):
     """Accepted extension candidates for one partial embedding.
 
-    Builds the plan `mine` would run, pushes `vertices` onto a fresh worker
-    state (for the local-graph plan, also building the root's local graph
+    Builds the plan `mine` would run, pushes `vertices` onto its walk's
+    embedding (for the local-graph plan, also building the root's local graph
     and shrinking it for every prefix level below the last) and runs the
     plan's own extension step one level deep, with the descend step
     replaced by a sink that records each candidate. The answer is therefore
@@ -685,16 +671,16 @@ def extend(g, spec, vertices, *, orientation="auto", use_df=False):
         raise ValueError(f"unknown orientation {orientation!r}")
     opts = {"use_df": use_df}
     plan = next(_plans(g, spec, opts, orientation, False))
-    st = plan.make_state()
+    plan.start_walk()
     verts = list(vertices)
     for depth, v in enumerate(verts):
-        st.emb.push(v, sum(1 << i for i in range(depth) if _list_has(plan.adj, verts[i], v)))
+        plan.emb.push(v, _code(plan.adj, verts[:depth], v))
     if isinstance(plan, _LocalPlan):
-        st.lg = spec.init_local(plan.g, verts[0])
-        if st.lg is not None:
+        plan.lg = spec.init_local(plan.g, verts[0])
+        if plan.lg is not None:
             for depth in range(2, len(verts)):
-                spec.update_local(st.lg, depth - 2, verts[depth - 1])
+                spec.update_local(plan.lg, depth - 2, verts[depth - 1])
     found = []
-    plan._descend = lambda st, u, code, depth: found.append(u)
-    plan._extend(st, len(verts))
+    plan._descend = lambda u, code, depth: found.append(u)
+    plan._extend(len(verts))
     return found

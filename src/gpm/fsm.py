@@ -313,22 +313,25 @@ def _count_leaves(node, g, budget):
     return children
 
 
-def _walk(node, k_edges, accept, prune, results, budget, extend):
-    """Walk the subtree under `node`, recording frequent codes in `results`;
-    returns the number of embeddings its nodes hold."""
-    considered = node.n_emb
-    frequent = accept(node)
-    if prune and not frequent:
-        return considered
-    if frequent:
-        results[node.code] = node.support
-    if node.edge_count >= k_edges:
-        return considered
-    for child in extend(node):
+def _walk(nodes, k_edges, accept, prune, results, budget, extend):
+    """Walk each of the charged `nodes` and its subtree in order, recording
+    frequent codes in `results`; returns the number of embeddings the nodes
+    hold. A node is popped from the list before it is walked, so that its
+    array is freed when its charge is released."""
+    considered = 0
+    nodes.reverse()
+    while nodes:
+        node = nodes.pop()
         try:
-            considered += _walk(child, k_edges, accept, prune, results, budget, extend)
+            considered += node.n_emb
+            frequent = accept(node)
+            if frequent:
+                results[node.code] = node.support
+            if (frequent or not prune) and node.edge_count < k_edges:
+                considered += _walk(extend(node), k_edges, accept, prune, results, budget,
+                                    extend)
         finally:
-            budget.sub(_node_bytes(child))
+            budget.sub(_node_bytes(node))
     return considered
 
 
@@ -351,10 +354,10 @@ def _mine(g, k_edges, accept, prune, memory_cap, edge_filter=None, count_leaves=
             return _count_leaves(node, g, budget)
         return rightmost_extensions(node, g, budget, edge_filter)
 
+    seeds = _seed_nodes(g)
+    budget.add(sum(_node_bytes(seed) for seed in seeds))
     results = {}
-    considered = 0
-    for seed in _seed_nodes(g):
-        considered += _walk(seed, k_edges, accept, prune, results, budget, extend)
+    considered = _walk(seeds, k_edges, accept, prune, results, budget, extend)
     return results, considered
 
 
@@ -367,7 +370,10 @@ def mine_fsm(g, k_edges, min_sup, *, workers=1, prune=True,
     enumerated and filtered afterwards); the result is identical and the flag
     exists for validation. `k_edges` is at most `dfscode.MAX_CODE_EDGES`, the
     longest code the minimality check handles; `k_edges=None` means that
-    bound. `memory_cap`, at least 1, caps the live embedding arrays' bytes.
+    bound. `memory_cap`, at least 1, caps the bytes of the live embedding
+    arrays: every single-edge seed's from the start, and each other
+    pattern's from when it is built, until its subtree is walked; plus each
+    extension's gather.
     """
     if min_sup < 1:
         raise ValueError("min_sup must be >= 1")

@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import json
 import os
 import random
@@ -547,3 +548,29 @@ class TestErrorsAndToggles:
 
     def test_motif_lo_k5_rejected(self, files):
         assert run(["motif", "-k", "5", files["k4.el"], "--level", "lo"]) == 2
+
+
+def test_benchmark_tracer_reads_the_engine(capsys, tmp_path):
+    # benchmark/tracing.py wraps gpm's cross-module calls by name and sums
+    # each plan's counters from what `engine._run_plan` returns; every name
+    # it wraps but `gpm.cli.mine` must exist, and each plan span's
+    # `enumerated` must be what `--stats` prints
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    g = random_graph(random.Random(5), 30, 0.25)
+    graph = tmp_path / "g.el"
+    graph.write_text("".join(f"{u} {v}\n" for u in range(g.vertex_count)
+                             for v in g.adjacency()[u] if u < v))
+    plan_spans = {f"engine.{plan}" for plan in tracing.ENGINE_PLANS}
+    tracer = tracing.Tracer()
+    with tracer:
+        assert set(tracer.missing) <= {"gpm.cli.mine"}
+        for argv in (["clique", "-k", "3"], ["motif", "-k", "4", "--no-mnc"]):
+            start = len(tracer.spans)
+            assert run(argv + [str(graph), "--stats", "--format", "json"]) == 0
+            stats = json.loads(capsys.readouterr().out)[-1]["stats"]
+            spans = [s for s in tracer.spans[start:] if s[1] in plan_spans]
+            assert len(spans) == 1
+            assert spans[0][6]["enumerated"] == stats["enumerated_embeddings"] > 0

@@ -241,6 +241,16 @@ class TestOracleEquivalence:
                 assert count == oracle.count_vertex_induced(g, k).get(key, 0)
 
 
+@given(seed=st.integers(0, 10 ** 6), k=st.integers(2, 4), labels=st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_labeled_motifs_match_oracle(seed, k, labels):
+    # a labeled graph keeps the generic plan on the walk, and its pattern
+    # keys carry the labels; the oracle's labeled branch is the reference
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(k, 16), rng.uniform(0.1, 0.5), labels=labels)
+    assert mine(g, apps.motif_spec(k)).pattern_map == oracle.count_vertex_induced(g, k)
+
+
 class TestDeterminismAndToggles:
     def test_worker_counts_identical(self, rng):
         g = random_graph(rng, 50, 0.12)
@@ -574,9 +584,9 @@ def test_plan_counters_pinned(monkeypatch, spec, plan, expect):
     ran = []
     run_plan = gpm.engine._run_plan
 
-    def record(p, workers):
+    def record(p):
         ran.append(type(p).__name__)
-        return run_plan(p, workers)
+        return run_plan(p)
 
     monkeypatch.setattr(gpm.engine, "_run_plan", record)
     g = _pinned_graph()

@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpm import oracle
+from gpm import fsm, oracle
 from gpm.dfscode import decode, is_min_extension, render_code
 from gpm.engine import ProblemSpec, mine
 from gpm.fsm import FsmMemoryError, PatternNode, mine_fsm, mni, rightmost_extensions
@@ -184,6 +185,24 @@ class TestWorkersAndLimits:
         g = random_graph(rng, 40, 0.3, labels=1)
         with pytest.raises(FsmMemoryError):
             mine_fsm(g, 3, 1, memory_cap=1024)
+
+    @pytest.mark.parametrize("seed, n, p, k", [(7, 30, 0.2, 3), (3, 25, 0.3, 4)])
+    def test_budget_covers_live_node_arrays(self, monkeypatch, seed, n, p, k):
+        # at every charge, the arrays of the pattern nodes alive at that
+        # moment, plus the fixed charge per node, are within what is charged
+        g = random_graph(random.Random(seed), n, p, labels=2)
+        add = fsm._MemoryBudget.add
+        excess = []
+
+        def checked(budget, nbytes):
+            add(budget, nbytes)
+            live = sum((0 if o._emb is None else o._emb.nbytes) + fsm.NODE_OVERHEAD_BYTES
+                       for o in gc.get_objects() if type(o) is PatternNode)
+            excess.append(live - budget.used)
+
+        monkeypatch.setattr(fsm._MemoryBudget, "add", checked)
+        mine_fsm(g, k, 1)
+        assert excess and max(excess) <= 0
 
     def test_memory_cap_bounds_traced_memory(self):
         # power-law graph (Chung-Lu, n = 3000, average degree 6, exponent
