@@ -3,46 +3,27 @@
 A code is a tuple of edge tuples (i, j, label_i, label_j) over pattern
 positions in discovery order: forward edges (i < j) extend the rightmost path
 with position j = max + 1, backward edges (i > j) close a cycle from the
-rightmost vertex. The lexicographically minimal code over all DFS walks is the
+rightmost vertex to a rightmost-path position it is not yet joined to
+(gSpan's rightmost extension, Yan and Han, ICDM 2002). Two codes compare at
+their first differing edge, and those two edges extend the same code: a
+backward edge precedes a forward one, backward edges go by target position
+ascending, forward edges by source position descending, and ties go to the
+labels (`extension_key`). The minimal code over all DFS walks is the
 canonical key used to deduplicate patterns during frequent subgraph mining.
 """
 from __future__ import annotations
 
-from .patterns import Pattern
+from .patterns import Pattern, connected
 
 MAX_CODE_EDGES = 10
 
 
-def edge_lt(a, b):
-    """Strict order on code edges: structure first, then labels."""
-    ia, ja = a[0], a[1]
-    ib, jb = b[0], b[1]
-    afwd = ia < ja
-    bfwd = ib < jb
-    if afwd != bfwd:
-        if not afwd:
-            return ia < jb
-        return ja <= ib
-    if not afwd:
-        if ia != ib:
-            return ia < ib
-        if ja != jb:
-            return ja < jb
-        return a[2:] < b[2:]
-    if ja != jb:
-        return ja < jb
-    if ia != ib:
-        return ia > ib
-    return a[2:] < b[2:]
-
-
-def _min_edge(edges):
-    it = iter(edges)
-    best = next(it)
-    for e in it:
-        if edge_lt(e, best):
-            best = e
-    return best
+def extension_key(edge):
+    """The order above, as a sort key over the extensions of one code: they
+    leave the rightmost vertex (backward, j - i < 0) or reach the new
+    position (forward, j - i > 0), so `j - i` ranks the positions."""
+    i, j, li, lj = edge
+    return j - i, li, lj
 
 
 def code_vertex_count(code):
@@ -60,10 +41,18 @@ def rightmost_path(code):
                 path_.append(j)
             path_.append(i)
             target = i
-    if not path_:
-        # single backward-only code cannot occur; a lone first edge is forward
-        path_ = [code[0][1], code[0][0]]
     return path_
+
+
+def backward_targets(code, rmp):
+    """The positions of the rightmost path `rmp` (rightmost vertex first) that
+    the rightmost vertex may still close a backward edge to: those the code
+    does not already join to it. Embeddings are injective, so a graph edge
+    between the images of two positions is used by an embedding exactly when
+    the code joins the two positions, and this holds for every embedding."""
+    r = rmp[0]
+    joined = {p for i, j, _, _ in code if r in (i, j) for p in (i, j)}
+    return [p for p in rmp[1:] if p not in joined]
 
 
 def _code_labels(code):
@@ -114,24 +103,20 @@ def _grow_min(adj, labels, target=None):
         nv = code_vertex_count(code)
         rmp = rightmost_path(code)
         r = rmp[0]
+        targets = backward_targets(code, rmp)
         cands = {}
         for verts in embs:
-            used = {(min(verts[e[0]], verts[e[1]]), max(verts[e[0]], verts[e[1]]))
-                    for e in code}
-            image = set(verts)
             vr = verts[r]
-            for p in rmp[1:]:
+            for p in targets:
                 vp = verts[p]
-                if vp in adj[vr] and (min(vr, vp), max(vr, vp)) not in used:
-                    key = (r, p, labels[vr], labels[vp])
-                    cands.setdefault(key, []).append(verts)
+                if vp in adj[vr]:
+                    cands.setdefault((r, p, labels[vr], labels[vp]), []).append(verts)
             for p in rmp:
                 vp = verts[p]
                 for w in adj[vp]:
-                    if w not in image:
-                        key = (p, nv, labels[vp], labels[w])
-                        cands.setdefault(key, []).append(verts + (w,))
-        chosen = _min_edge(cands.keys())
+                    if w not in verts:
+                        cands.setdefault((p, nv, labels[vp], labels[w]), []).append(verts + (w,))
+        chosen = min(cands, key=extension_key)
         if target is not None and chosen != target[len(code)]:
             return False
         code.append(chosen)
@@ -161,12 +146,7 @@ def is_min_extension(code):
             raise ValueError(f"code edge ({i}, {j}) does not join two positions")
         adj[i].add(j)
         adj[j].add(i)
-    seen, stack = {0}, [0]
-    while stack:
-        for u in adj[stack.pop()] - seen:
-            seen.add(u)
-            stack.append(u)
-    if len(seen) < len(labels):
+    if not connected(adj):
         raise ValueError("pattern must be connected")
     return _grow_min(adj, labels, target=code)
 

@@ -36,7 +36,8 @@ from functools import partial
 
 import numpy as np
 
-from .dfscode import MAX_CODE_EDGES, code_vertex_count, is_min_extension, rightmost_path
+from .dfscode import (MAX_CODE_EDGES, _code_labels, backward_targets, code_vertex_count,
+                      is_min_extension, rightmost_path)
 from .graph import gather
 
 DEFAULT_MEMORY_CAP = 4 * 2 ** 30
@@ -187,16 +188,12 @@ def _bins(node, g, budget, edge_filter=None, only=None):
     rmp = rightmost_path(code)
     r = rmp[0]
     nv = emb.shape[1]
-    lab = [0] * nv
-    for i, j, li, lj in code:
-        lab[i], lab[j] = li, lj
+    lab = _code_labels(code)
 
-    # backward edges; rows are injective, so the code uses graph edge
-    # (v_r, v_p) exactly when it has an edge between positions r and p
-    used = {(min(i, j), max(i, j)) for i, j, _, _ in code}
+    # backward edges: v_r to each rightmost-path position it may still close to
     vr = emb[:, r]
-    for p in rmp[1:]:
-        if (p, r) in used or only not in (None, (r, p)):
+    for p in backward_targets(code, rmp):
+        if only not in (None, (r, p)):
             continue
         vp = emb[:, p]
         rows = np.flatnonzero(g.has_edges(vr, vp))

@@ -349,17 +349,17 @@ def validate_graph(g):
         raise ValueError("row_offsets do not cover neighbors")
     if n and len(g.neighbors) and (g.neighbors.min() < 0 or g.neighbors.max() >= n):
         raise ValueError("neighbor id out of range")
-    for v in range(n):
-        nbrs = g.neighbors_of(v)
-        if len(nbrs) == 0:
-            continue
-        if np.any(np.diff(nbrs) <= 0):
-            raise ValueError(f"neighbor list of {v} not strictly ascending")
-        if np.any(nbrs == v):
-            raise ValueError(f"self loop at {v}")
-        for u in nbrs:
-            if not has_edge(g, int(u), v):
-                raise ValueError(f"edge ({v}, {u}) not symmetric")
+    src, nbrs = g.sources(), g.neighbors
+    # a row's entries ascend, so the edge keys do and `find_edges` can search them
+    bad = np.flatnonzero((src[1:] == src[:-1]) & (nbrs[1:] <= nbrs[:-1]))
+    if len(bad):
+        raise ValueError(f"neighbor list of {src[bad[0]]} not strictly ascending")
+    bad = np.flatnonzero(src == nbrs)
+    if len(bad):
+        raise ValueError(f"self loop at {src[bad[0]]}")
+    bad = np.flatnonzero(~g.find_edges(nbrs, src)[1])
+    if len(bad):
+        raise ValueError(f"edge ({src[bad[0]]}, {nbrs[bad[0]]}) not symmetric")
     if g.labels is not None and len(g.labels) != n:
         raise ValueError("label array length mismatch")
     return True

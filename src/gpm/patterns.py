@@ -37,20 +37,9 @@ class Pattern:
         if self.labels is not None and len(self.labels) != vertex_count:
             raise ValueError("label tuple length mismatch")
         # k vertices need k - 1 edges: counted first, so a huge k builds nothing
-        if len(self.edges) < self.vertex_count - 1 or not self._connected():
+        if len(self.edges) < self.vertex_count - 1 or not connected(self.adjacency_sets()):
             raise ValueError("pattern must be connected")
         self._hash = hash((self.vertex_count, self.edges, self.labels))
-
-    def _connected(self):
-        if self.vertex_count <= 1:
-            return True
-        adj = self.adjacency_sets()
-        seen, stack = {0}, [0]
-        while stack:
-            for u in adj[stack.pop()] - seen:
-                seen.add(u)
-                stack.append(u)
-        return len(seen) == self.vertex_count
 
     def adjacency(self):
         return [sorted(a) for a in self.adjacency_sets()]
@@ -80,6 +69,19 @@ class Pattern:
     def __repr__(self):
         lbl = f", labels={self.labels}" if self.labels else ""
         return f"Pattern(k={self.vertex_count}, edges={list(self.edges)}{lbl})"
+
+
+def connected(adj):
+    """True iff every vertex of the neighbour sets `adj` is reached from
+    vertex 0; an empty graph is connected."""
+    if not adj:
+        return True
+    seen, stack = {0}, [0]
+    while stack:
+        for u in adj[stack.pop()] - seen:
+            seen.add(u)
+            stack.append(u)
+    return len(seen) == len(adj)
 
 
 # -- common pattern constructors ------------------------------------------------
@@ -195,10 +197,12 @@ def _scan(vertex_count, edges, labels):
     and the permutations whose key equals the identity's (the label- and
     edge-preserving ones, the automorphisms), in `permutations` order."""
     edge_set = set(edges)
+    # every relabeling of a clique has all its edges
+    complete = 2 * len(edges) == vertex_count * (vertex_count - 1)
     best = ident = None
     autos = []
     for perm in permutations(range(vertex_count)):
-        key = (_edge_bits(vertex_count, edge_set, perm),
+        key = ((1 << len(edges)) - 1 if complete else _edge_bits(vertex_count, edge_set, perm),
                tuple(labels[v] for v in perm) if labels is not None else ())
         if ident is None:  # the first permutation is the identity
             ident = key

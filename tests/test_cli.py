@@ -455,7 +455,11 @@ class TestErrorsAndToggles:
         ("0 1\nv x A\n", 2, "non-integer vertex id"),
         ("0 1\n-1 0\n", 2, "negative vertex id"),
         ("0 1\n1 1\n", 2, "self loop"),
-    ], ids=["repeated", "negative", "non-integer", "negative-edge", "self-loop"])
+        ("0 1\nv 1\n", 2, "expected 'v id label'"),
+        ("0 1\n1 2 3\n", 2, "expected 'u v' or 'v id label'"),
+        ("0 1\n1 x\n", 2, "non-integer vertex id"),
+    ], ids=["repeated", "negative", "non-integer", "negative-edge", "self-loop",
+            "short-v-line", "long-edge-line", "non-integer-edge"])
     def test_bad_pattern_label_line(self, files, capsys, tmp_path, text, line, message):
         pat = tmp_path / "bad.pat"
         pat.write_text(text)
@@ -546,8 +550,24 @@ class TestErrorsAndToggles:
         assert code == 0
         assert json.loads(out) == [{"pattern": "255-clique", "support": 0}]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["clique", "-k", "1"], "clique size must be >= 2"),
+        (["tc", "--threads", "0"], "--threads must be >= 1"),
+    ], ids=["clique-k1", "threads-0"])
+    def test_size_and_thread_refusals(self, files, capsys, argv, message):
+        assert run(argv + [files["k4.el"]]) == 2
+        assert capsys.readouterr() == ("", f"gpm: {message}\n")
+
     def test_motif_lo_k5_rejected(self, files):
         assert run(["motif", "-k", "5", files["k4.el"], "--level", "lo"]) == 2
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def test_benchmark_tracer_reads_the_engine(capsys, tmp_path):
@@ -555,10 +575,7 @@ def test_benchmark_tracer_reads_the_engine(capsys, tmp_path):
     # each plan's counters from what `engine._run_plan` returns; every name
     # it wraps but `gpm.cli.mine` must exist, and each plan span's
     # `enumerated` must be what `--stats` prints
-    path = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_tracing()
     g = random_graph(random.Random(5), 30, 0.25)
     graph = tmp_path / "g.el"
     graph.write_text("".join(f"{u} {v}\n" for u in range(g.vertex_count)
@@ -574,3 +591,26 @@ def test_benchmark_tracer_reads_the_engine(capsys, tmp_path):
             spans = [s for s in tracer.spans[start:] if s[1] in plan_spans]
             assert len(spans) == 1
             assert spans[0][6]["enumerated"] == stats["enumerated_embeddings"] > 0
+
+
+def test_benchmark_tracer_reads_fsm(capsys, tmp_path):
+    # the tracer wraps `fsm_mine_spec` in the CLI and `mni` and
+    # `is_min_extension` in `gpm.fsm`, so fsm must keep calling them through
+    # those module names; `fsm.mine`'s embeddings are what `--stats` prints
+    tracing = _load_tracing()
+    rng = random.Random(5)
+    g = random_graph(rng, 30, 0.25)
+    graph, labels = tmp_path / "g.el", tmp_path / "g.lbl"
+    graph.write_text("".join(f"{u} {v}\n" for u in range(g.vertex_count)
+                             for v in g.adjacency()[u] if u < v))
+    labels.write_text("".join(f"{v} {rng.choice('AB')}\n" for v in range(g.vertex_count)))
+    tracer = tracing.Tracer()
+    with tracer:
+        assert run(["fsm", "-k", "3", "--minsup", "2", str(graph), "--labels", str(labels),
+                    "--stats", "--format", "json"]) == 0
+    stats = json.loads(capsys.readouterr().out)[-1]["stats"]
+    names = {s[1] for s in tracer.spans}
+    assert {"fsm.mine", "fsm.support", "dfscode.min_check"} <= names
+    mined = [s for s in tracer.spans if s[1] == "fsm.mine"]
+    assert len(mined) == 1
+    assert mined[0][6]["embeddings"] == stats["enumerated_embeddings"] > 0

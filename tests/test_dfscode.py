@@ -1,11 +1,12 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpm.dfscode import (decode, edge_lt, is_min_extension, min_dfs_code,
-                         render_code, rightmost_path)
+from gpm.dfscode import (backward_targets, code_vertex_count, decode, extension_key,
+                         is_min_extension, min_dfs_code, render_code, rightmost_path)
 from gpm.patterns import Pattern, canonical_code
 
 
@@ -58,16 +59,33 @@ def _all_dfs_codes(pattern):
     return out
 
 
+def _edge_lt(a, b):
+    """gSpan's pairwise order on code edges, kept as the reference that
+    `extension_key` must agree with."""
+    ia, ja = a[0], a[1]
+    ib, jb = b[0], b[1]
+    afwd = ia < ja
+    bfwd = ib < jb
+    if afwd != bfwd:
+        if not afwd:
+            return ia < jb
+        return ja <= ib
+    if not afwd:
+        if ia != ib:
+            return ia < ib
+        if ja != jb:
+            return ja < jb
+        return a[2:] < b[2:]
+    if ja != jb:
+        return ja < jb
+    if ia != ib:
+        return ia > ib
+    return a[2:] < b[2:]
+
+
 def _lex_min(codes):
-    best = codes[0]
-    for c in codes[1:]:
-        for a, b in zip(c, best):
-            if a == b:
-                continue
-            if edge_lt(a, b):
-                best = c
-            break
-    return best
+    # two codes first differ at edges that extend the same prefix
+    return min(codes, key=lambda code: [extension_key(e) for e in code])
 
 
 def _random_labeled_pattern(rng, k, n_labels=2):
@@ -161,6 +179,28 @@ def test_is_min_extension_on_any_code(code):
     except ValueError:
         got = ValueError
     assert got == want
+
+
+@given(seed=st.integers(0, 10 ** 6), k=st.integers(2, 5))
+@settings(max_examples=40, deadline=None)
+def test_extension_key_agrees_with_the_pairwise_rule(seed, k):
+    # every syntactic extension of every prefix of a minimal code, in pairs
+    rng = random.Random(seed)
+    code = min_dfs_code(_random_labeled_pattern(rng, k, n_labels=3))
+    for n in range(1, len(code) + 1):
+        prefix = code[:n]
+        labels = decode(prefix).labels
+        rmp, nv = rightmost_path(prefix), code_vertex_count(prefix)
+        exts = [(rmp[0], p, labels[rmp[0]], labels[p]) for p in rmp[1:]]
+        exts += [(p, nv, labels[p], l) for p in rmp for l in range(3)]
+        for a, b in permutations(exts, 2):
+            assert _edge_lt(a, b) == (extension_key(a) < extension_key(b))
+
+
+def test_backward_targets():
+    # the rightmost vertex 3 is joined to 2 (forward) and 0 (backward)
+    code = ((0, 1, 0, 0), (1, 2, 0, 0), (2, 3, 0, 0), (3, 0, 0, 0))
+    assert backward_targets(code, rightmost_path(code)) == [1]
 
 
 def test_edge_count_bound():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gpm import apps, localgraph, oracle
 from gpm.embedding import ConnectivityMap
-from gpm.engine import _is_canonical_extension, extend, mine
+from gpm.engine import ProblemSpec, _is_canonical_extension, extend, mine
 from gpm.graph import Graph, has_edge, orient
 from gpm.patterns import canonical_code, clique, named_motifs, triangle, wedge
 
@@ -696,3 +696,18 @@ def test_public_names_resolve():
     import gpm
     assert len(gpm.__all__) == len(set(gpm.__all__))
     assert [name for name in gpm.__all__ if not hasattr(gpm, name)] == []
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda g: mine(g, apps.motif_spec(3), workers=0), "workers must be >= 1"),
+    (lambda g: extend(g, ProblemSpec(vertex_induced=True, k=3, patterns=(triangle(), wedge())),
+                      [0]), "extend needs a single-pattern spec"),
+    (lambda g: extend(g, ProblemSpec(vertex_induced=False, k=2, explicit=False), [0]),
+     "extend supports vertex-induced problems"),
+    (lambda g: mine(g, replace(apps.clique_local_spec(3), patterns=(wedge(),))),
+     "local-graph search is wired for single explicit cliques"),
+], ids=["workers-0", "extend-two-patterns", "extend-edge-induced", "init-local-non-clique"])
+def test_library_refusals(run, message):
+    g = random_graph(random.Random(3), 10, 0.5)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run(g)

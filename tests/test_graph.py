@@ -60,6 +60,13 @@ class TestLoader:
         assert g.label_names == ("A", "B")
         assert list(g.labels) == [1, 0, 1]
 
+    def test_non_integer_label_id_in_the_line_loop(self, tmp_path):
+        # "x" is not a digit, so the file takes the line loop, which names the line
+        gpath = _write(tmp_path, "g.el", "0 1\n")
+        lpath = _write(tmp_path, "g.lbl", "0 A\nx B\n")
+        with pytest.raises(GraphParseError, match=r"g\.lbl:2: non-integer vertex id$"):
+            load_edge_list(gpath, labels_path=lpath)
+
     def test_missing_label_rejected(self, tmp_path):
         gpath = _write(tmp_path, "g.el", "0 1\n1 2\n")
         lpath = _write(tmp_path, "g.lbl", "0 A\n1 A\n")
@@ -84,6 +91,65 @@ def test_loaded_graph_invariants(edges):
     n = max(max(u, v) for u, v in edges) + 1
     g = Graph.from_edges(n, edges)
     assert validate_graph(g)
+
+
+@pytest.mark.parametrize("n, offsets, nbrs, labels, message", [
+    (3, [0, 1, 2], [1, 0], None, "bad row_offsets shape"),
+    (2, [1, 1, 2], [1, 0], None, "bad row_offsets shape"),
+    (2, [0, 2, 1], [1, 0], None, "row_offsets not monotone"),
+    (2, [0, 1, 3], [1, 0], None, "row_offsets do not cover neighbors"),
+    (2, [0, 1, 2], [2, 0], None, "neighbor id out of range"),
+    (3, [0, 2, 3, 4], [2, 1, 0, 0], None, "neighbor list of 0 not strictly ascending"),
+    (3, [0, 1, 3, 4], [1, 0, 1, 1], None, "self loop at 1"),
+    (3, [0, 1, 2, 3], [1, 0, 0], None, r"edge \(2, 0\) not symmetric"),
+    (2, [0, 1, 2], [1, 0], [0, 0, 0], "label array length mismatch"),
+], ids=["length", "first-offset", "monotone", "cover", "range", "ascending", "loop",
+        "symmetric", "labels"])
+def test_validate_graph_refusals(n, offsets, nbrs, labels, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        validate_graph(Graph(n, offsets, nbrs, labels=labels))
+
+
+def _entry_faults(g):
+    """Every per-entry fault of a CSR with sound offsets, by a loop over the
+    rows: the reference `validate_graph`'s vectorised checks must agree with."""
+    faults = []
+    for v in range(g.vertex_count):
+        nbrs = g.neighbors_of(v).tolist()
+        if any(b <= a for a, b in zip(nbrs, nbrs[1:])):
+            faults.append(f"neighbor list of {v} not strictly ascending")
+        if v in nbrs:
+            faults.append(f"self loop at {v}")
+        faults += [f"edge ({v}, {u}) not symmetric" for u in nbrs
+                   if v not in g.neighbors_of(u).tolist()]
+    return faults
+
+
+@given(edges=edge_lists, fault=st.sampled_from(["none", "drop", "loop", "reverse"]),
+       at=st.integers(0, 10 ** 6))
+@settings(max_examples=100, deadline=None)
+def test_validate_graph_agrees_with_a_loop_over_the_rows(edges, fault, at):
+    n = max(max(u, v) for u, v in edges) + 1
+    g = Graph.from_edges(n, edges)
+    offsets, nbrs = g.row_offsets.copy(), g.neighbors.copy()
+    if len(nbrs) and fault == "drop":  # one direction of one edge
+        i = at % len(nbrs)
+        nbrs = np.delete(nbrs, i)
+        offsets[np.searchsorted(offsets, i, side="right"):] -= 1
+    elif len(nbrs) and fault == "loop":
+        i = at % len(nbrs)
+        nbrs[i] = g.sources()[i]
+    elif fault == "reverse":
+        v = at % n
+        nbrs[offsets[v]:offsets[v + 1]] = nbrs[offsets[v]:offsets[v + 1]][::-1]
+    bad = Graph(n, offsets, nbrs)
+    faults = _entry_faults(bad)
+    try:
+        validate_graph(bad)
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    assert got in faults if faults else got is None
 
 
 @given(edges=edge_lists)

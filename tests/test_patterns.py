@@ -184,6 +184,24 @@ class TestOrbits:
         automorphisms(p)
         assert len(calls) == 1
 
+    def test_labeled_clique_scans_no_edge_bits(self, monkeypatch):
+        # every relabeling of a clique has all its edges
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return edge_bits(*args)
+
+        edge_bits = patterns._edge_bits
+        monkeypatch.setattr(patterns, "_edge_bits", counted)
+        # labels no other test uses, so the pattern is in no cache
+        labels = (7101, 7102) * 3 + (7101,)
+        p = Pattern(7, list(combinations(range(7), 2)), labels=labels)
+        want = tuple(perm for perm in permutations(range(7))
+                     if all(labels[perm[v]] == labels[v] for v in range(7)))
+        assert automorphisms(p) == want
+        assert len(want) == 4 * 3 * 2 * 3 * 2 and not calls
+
 
 class TestSymmetryOrders:
     def test_triangle_identity(self):
