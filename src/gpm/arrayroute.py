@@ -8,13 +8,15 @@ row per embedding. A level gathers the rows' CSR neighbours with
 `graph.gather`, tests adjacency with `CSRGraph.has_edges` and applies the
 walk's filters as vector masks, each in the walk's counting position, so
 what it counts into the plan (`considered`, `accepted`, `map`) equals what
-the walk counts there. The match plan, and with it the clique plan, grows
-one anchor position's neighbours per level (`count_match`, `_grow`) and
-hands each slice of finished rows to `process_rows`: rows are gathered in
-row order and candidates ascending, and slices are extended depth-first,
-so the rows arrive in the walk's (lexicographic) order. The generic plan
-extends every position and materialises nothing at size k: it counts each
-distinct packed connectivity code (`np.unique`) and classifies it once.
+the walk counts there. Each plan's route is one function whose nested
+`level` extends one slice and recurses. The match plan, and with it the
+clique plan, grows one anchor position's neighbours per level
+(`count_match`) and hands each slice of finished rows to `process_rows`:
+rows are gathered in row order and candidates ascending, and slices are
+extended depth-first, so the rows arrive in the walk's (lexicographic)
+order. The generic plan (`count_generic`) extends every position and
+materialises nothing at size k: it counts each distinct packed
+connectivity code (`np.unique`) and classifies it once.
 
 The local plan keeps kClist's shrinking local graph as bitsets instead
 (`count_local`): a row is a root and one uint64 mask over the root's
@@ -57,30 +59,53 @@ def _slices(cost, budget=None):
         a = b
 
 
-def _grow(plan, roots, anchors, keep):
-    """Grow `roots` to size-k rows and count them into `plan.map`.
+def count_match(plan, roots):
+    """Count (and hand to `process_rows`) the embeddings of a `_MatchPlan`'s
+    pattern grown from `roots`, a clique's included.
 
     Position `depth` extends each row by the CSR neighbours of its position
-    `anchors[depth]`, slice by slice and depth-first; `keep(par, u, depth)`
-    applies the plan's filters to the candidates `u` of the rows `par`,
-    counting into the plan, and returns the survivors. Each slice of finished
-    rows goes to `process_rows` in walk order, which is lexicographic.
+    `plan.anchors[depth]`, slice by slice and depth-first. A plan that is
+    not `distinct` (a clique on an acyclic orientation) skips the test that
+    a candidate is not already in the row.
     """
-    g = plan.g
-    out = np.diff(g.row_offsets)
+    g, k = plan.g, plan.k
+    deg, out = plan.degrees, np.diff(g.row_offsets)
     emit = plan.spec.process_rows
+    # every candidate is a neighbour of the anchor; test the other checked positions
+    tested = [[i for i in range(d) if plan.check_mask[d] >> i & 1
+               and not (i == plan.anchors[d] and plan.req[d] >> i & 1)] for d in range(k)]
+    required = [np.array([bool(plan.req[d] >> i & 1) for i in t]) for d, t in enumerate(tested)]
 
     def level(rows, depth):
-        if depth == plan.k:
+        if depth == k:
             if emit is not None:
                 emit(rows)
             return len(rows)
         found = 0
-        a = anchors[depth]
+        a = plan.anchors[depth]
         for s in _slices(out[rows[:, a]]):
             part = rows[s]
             at_row, at = gather(g.row_offsets[part[:, a]], out[part[:, a]])
-            par, u = keep(part[at_row], g.neighbors[at], depth)
+            par, u = part[at_row], g.neighbors[at]
+            # True keeps every row without building (and indexing by) a mask
+            ok = True
+            if plan.distinct:
+                ok = (par != u[:, None]).all(axis=1)
+                plan.considered += int(np.count_nonzero(ok))
+            else:
+                plan.considered += len(u)
+            if plan.use_df and plan.df_thresh[depth]:
+                ok &= deg[u] >= plan.df_thresh[depth]
+            if plan.g_labels is not None:
+                ok &= g.labels[u] == plan.want_label[depth]
+            for j in plan.smaller[depth]:
+                ok &= par[:, j] < u
+            if ok is not True:
+                u, par = u[ok], par[ok]
+            if tested[depth]:
+                fit = (g.has_edges(par[:, tested[depth]], u[:, None]) == required[depth]).all(axis=1)
+                u, par = u[fit], par[fit]
+            plan.accepted += len(u)
             if len(u):
                 found += level(np.column_stack((par, u)), depth + 1)
         return found
@@ -90,108 +115,58 @@ def _grow(plan, roots, anchors, keep):
         plan.map[plan.key] = found
 
 
-def count_match(plan, roots):
-    """Count (and hand to `process_rows`) the embeddings of a `_MatchPlan`'s
-    pattern grown from `roots`, a clique's included. A plan that is not
-    `distinct` (a clique on an acyclic orientation) skips the test that a
-    candidate is not already in the row."""
-    g = plan.g
-    deg = plan.degrees
-    # every candidate is a neighbour of the anchor; test the other checked positions
-    tested = [[i for i in range(d) if plan.check_mask[d] >> i & 1
-               and not (i == plan.anchors[d] and plan.req[d] >> i & 1)] for d in range(plan.k)]
-    required = [np.array([bool(plan.req[d] >> i & 1) for i in t]) for d, t in enumerate(tested)]
-
-    def keep(par, u, depth):
-        # True keeps every row without building (and indexing by) a mask
-        ok = True
-        if plan.distinct:
-            ok = (par != u[:, None]).all(axis=1)
-            plan.considered += int(np.count_nonzero(ok))
-        else:
-            plan.considered += len(u)
-        if plan.use_df and plan.df_thresh[depth]:
-            ok &= deg[u] >= plan.df_thresh[depth]
-        if plan.g_labels is not None:
-            ok &= g.labels[u] == plan.want_label[depth]
-        for j in plan.smaller[depth]:
-            ok &= par[:, j] < u
-        if ok is not True:
-            u, par = u[ok], par[ok]
-        if tested[depth]:
-            fit = (g.has_edges(par[:, tested[depth]], u[:, None]) == required[depth]).all(axis=1)
-            u, par = u[fit], par[fit]
-        plan.accepted += len(u)
-        return par, u
-
-    _grow(plan, roots, plan.anchors, keep)
-
-
 def count_generic(plan, roots):
     """Count a `_GenericPlan`'s connected induced k-subgraphs grown from
-    `roots` by pattern into `plan.map`."""
-    k = plan.k
+    `roots` by pattern into `plan.map`.
+
+    A level extends `rows` (positions 0..depth-1, packed codes `keys`) by
+    position `depth` through the walk's filters, slice by slice; at size k
+    it adds each distinct packed code's count to the tally. Rows of size k
+    are never built.
+    """
+    g, k, deg = plan.g, plan.k, plan.degrees
     tally = {}
-    if k == 1:
-        tally = {0: len(roots)} if len(roots) else {}
-    else:
-        _generic_level(plan, plan.degrees, roots[:, None],
-                       np.zeros(len(roots), dtype=np.int64), 1, tally)
+
+    def level(rows, keys, depth):
+        if depth == k:
+            packed, counts = np.unique(keys, return_counts=True)
+            for key, count in zip(packed.tolist(), counts.tolist()):
+                tally[key] = tally.get(key, 0) + count
+            return
+        weights = 1 << np.arange(depth)
+        shift = depth * (depth - 1) // 2
+        for s in _slices(deg[rows].sum(axis=1)):
+            part, part_keys = rows[s], keys[s]
+            grown_rows, grown_keys = [], []
+            for p in range(depth):
+                at_row, at = gather(g.row_offsets[part[:, p]], deg[part[:, p]])
+                u = g.neighbors[at]
+                par = part[at_row]
+                keep = (par != u[:, None]).all(axis=1)
+                if p:
+                    # a candidate counts once, from its lowest adjacent position
+                    keep &= ~g.has_edges(par[:, :p], u[:, None]).any(axis=1)
+                plan.considered += int(np.count_nonzero(keep))
+                # canonical-sequence filter (`engine._floors`): with u's lowest
+                # adjacent position at p, u must exceed the root and every vertex after p
+                keep &= u > par[:, [0, *range(p + 1, depth)]].max(axis=1)
+                at_row, u, par = at_row[keep], u[keep], par[keep]
+                plan.accepted += len(u)
+                code = (1 << p) + g.has_edges(par[:, p + 1:], u[:, None]) @ weights[p + 1:]
+                grown_keys.append(part_keys[at_row] | code << shift)
+                if depth + 1 < k:
+                    grown_rows.append(np.column_stack((par, u)))
+            grown_keys = np.concatenate(grown_keys)
+            if len(grown_keys):
+                level(np.concatenate(grown_rows) if depth + 1 < k else None, grown_keys,
+                      depth + 1)
+
+    level(roots[:, None], np.zeros(len(roots), dtype=np.int64), 1)
     for packed, count in tally.items():
         codes = tuple(packed >> (l * (l - 1) // 2) & ((1 << l) - 1) for l in range(1, k))
         key, wanted = plan.pattern_key(codes)
         if wanted:
             plan.map[key] = plan.map.get(key, 0) + count
-
-
-def _generic_level(plan, deg, rows, keys, depth, tally):
-    """Extend `rows` (positions 0..depth-1, packed codes `keys`) by position
-    `depth` through the walk's filters, slice by slice; at size k add each
-    distinct packed code's count to `tally`, else recurse."""
-    g = plan.g
-    weights = 1 << np.arange(depth)
-    shift = depth * (depth - 1) // 2
-    last = depth == plan.k - 1
-    for s in _slices(deg[rows].sum(axis=1)):
-        part, part_keys = rows[s], keys[s]
-        grown_rows, grown_keys = [], []
-        for p in range(depth):
-            at_row, at = gather(g.row_offsets[part[:, p]], deg[part[:, p]])
-            u = g.neighbors[at]
-            par = part[at_row]
-            keep = (par != u[:, None]).all(axis=1)
-            if p:
-                # a candidate counts once, from its lowest adjacent position
-                keep &= ~g.has_edges(par[:, :p], u[:, None]).any(axis=1)
-            plan.considered += int(np.count_nonzero(keep))
-            # canonical-sequence filter (`engine._floors`): with u's lowest
-            # adjacent position at p, u must exceed the root and every vertex after p
-            keep &= u > par[:, [0, *range(p + 1, depth)]].max(axis=1)
-            at_row, u, par = at_row[keep], u[keep], par[keep]
-            plan.accepted += len(u)
-            code = (1 << p) + g.has_edges(par[:, p + 1:], u[:, None]) @ weights[p + 1:]
-            grown_keys.append(part_keys[at_row] | code << shift)
-            if not last:
-                grown_rows.append(np.column_stack((par, u)))
-        grown_keys = np.concatenate(grown_keys)
-        if last:
-            packed, counts = np.unique(grown_keys, return_counts=True)
-            for key, count in zip(packed.tolist(), counts.tolist()):
-                tally[key] = tally.get(key, 0) + count
-        elif len(grown_keys):
-            _generic_level(plan, deg, np.concatenate(grown_rows), grown_keys,
-                           depth + 1, tally)
-
-
-def builtin_local(spec):
-    """True iff `spec` shrinks the built-in local graph, the one `count_local`
-    models: its `init_local` is `localgraph.init_local_graph` and its
-    `update_local` is `localgraph.LocalGraph.shrink`."""
-    if spec.init_local is None:
-        return False
-    from . import localgraph
-    return (spec.init_local is localgraph.init_local_graph
-            and spec.update_local is localgraph.LocalGraph.shrink)
 
 
 def _set_bits(masks):

@@ -30,11 +30,10 @@ Without per-embedding hooks every plan takes the array route instead:
 `arrayroute` extends whole slices of numpy embedding rows per level (the
 local plan's rows are a root and a uint64 bitset of its local graph),
 reports the walk's counters and hands finished rows to `process_rows` in
-walk order. The walk stays the route for any hook in `_WALK_HOOKS` (the
-built-in local graph's `init_local` excepted), `debug`, an explicit
-`use_mnc` (the ablation), generic problems on labeled graphs or with
-`process_rows`, a local plan with a root of more than 64 out-neighbours,
-and `extend()`. `MiningResult.plans` names each route, e.g. "clique:array".
+walk order. `_plans` alone picks the route, recognising the built-in
+local graph by identity, and its docstring lists every reason a plan walks;
+`extend()` always walks. `MiningResult.plans` names each route, e.g.
+"clique:array".
 
 Edge-induced implicit problems (frequent subgraph mining) traverse the
 sub-pattern tree instead; see `fsm`.
@@ -59,7 +58,7 @@ from .patterns import Pattern, canonical_code, is_clique, matching_order
 # hooks that need one embedding object per candidate: any of them, when set,
 # keeps a problem on the walk
 _WALK_HOOKS = ("process", "terminate", "get_support", "reduce", "to_add", "to_extend",
-               "get_pattern", "local_reduce", "init_local")
+               "get_pattern", "local_reduce")
 
 ORIENTATIONS = {"auto": "degree", "degree": "degree", "core": "core", "none": "id", "id": "id"}
 
@@ -170,8 +169,8 @@ class _PlanBase:
     embedding position `depth` and hands each accepted one to `_descend`.
     Both routes count into the plan's `map`, `considered` and `accepted`,
     and the walk's counters reach them even when `terminate` raises. Both
-    routes start from `roots()`; `array` (the `_plans` policy, narrowed by a
-    plan that needs more) runs `run_array(roots)` in place of the walk.
+    routes start from `roots()`; `array`, which `_plans` sets, runs
+    `run_array(roots)` in place of the walk.
     """
 
     key = None
@@ -389,11 +388,6 @@ class _LocalPlan(_CliquePlan):
     name = "local"
     run_array = arrayroute.count_local
 
-    def __init__(self, g, spec, opts, k, key):
-        super().__init__(g, spec, opts, k, key)
-        self.array = (self.array and np.diff(g.row_offsets).max(initial=0)
-                      <= arrayroute.MAX_LOCAL_MEMBERS)
-
     def run_root(self, root):
         self.lg = self.spec.init_local(self.g, root)
         self._descend(root, 0, 0)
@@ -438,10 +432,10 @@ class _GenericPlan(_PlanBase):
 
     Each connected vertex set is reached through exactly one accepted DFS
     sequence: a candidate must exceed its `_floors` entry, which `_extend`
-    computes once per prefix and `arrayroute._generic_level` vectorises as a
-    mask over its rows. Embeddings at size k are classified by the
-    canonical code of their induced subgraph, or by `get_pattern`.
-    The array route takes unlabeled graphs only, and counts without rows.
+    computes once per prefix and `arrayroute.count_generic`'s level
+    vectorises as a mask over its rows. Embeddings at size k are classified
+    by the canonical code of their induced subgraph, or by `get_pattern`.
+    The array route counts without rows.
     """
 
     name = "generic"
@@ -451,8 +445,6 @@ class _GenericPlan(_PlanBase):
         super().__init__(g, spec, opts)
         self.k = spec.k
         self.labels = g.labels.tolist() if g.labels is not None else None
-        self.array = (self.array and self.labels is None and spec.process_rows is None
-                      and self.k <= arrayroute.MAX_GENERIC_K)
         self._key_cache = {}
 
     def _classify(self, emb):
@@ -563,33 +555,42 @@ def _build_explicit_plan(g, pattern, spec, opts, orientation):
 def _plans(g, spec, opts, orientation, use_mnc):
     """The plans that run a vertex-induced or explicit `spec`, built one at
     a time: the local-graph plan, one plan per explicit pattern, or the
-    generic plan. `use_mnc` None is the per-plan connectivity-map policy and
-    lets a hook-free spec outside debug mode take the array route; the
-    built-in local graph's `init_local` counts as no hook."""
+    generic plan. `use_mnc` None is the per-plan connectivity-map policy.
+    Only here is a plan's route set: it walks on a hook in `_WALK_HOOKS`,
+    `debug` or an explicit `use_mnc`; a local plan also walks unless its
+    local graph is the built-in one (by identity) and no root has more than
+    `MAX_LOCAL_MEMBERS` out-neighbours; a generic plan also walks on a
+    labeled graph, with `process_rows` or with k past `MAX_GENERIC_K`."""
     if spec.explicit and g.labels is None and any(p.labels is not None for p in spec.patterns):
         raise ValueError("the pattern has vertex labels but the graph has none")
-    builtin_local = arrayroute.builtin_local(spec)
-    opts = dict(opts, array=use_mnc is None and not opts.get("debug")
-                and all(getattr(spec, hook) is None for hook in _WALK_HOOKS
-                        if not (builtin_local and hook == "init_local")))
+    array = (use_mnc is None and not opts.get("debug")
+             and all(getattr(spec, hook) is None for hook in _WALK_HOOKS))
     if spec.init_local is not None:
         if not spec.explicit or len(spec.patterns) != 1 or not is_clique(spec.patterns[0]):
             raise ValueError("local-graph search is wired for single explicit cliques")
+        from . import localgraph
         pattern = spec.patterns[0]
         og = _resolve_orientation(g, orientation)
-        yield _LocalPlan(og, spec, dict(opts, use_mnc=False), pattern.vertex_count,
-                         canonical_code(pattern))
+        array = (array and spec.init_local is localgraph.init_local_graph
+                 and spec.update_local is localgraph.LocalGraph.shrink
+                 and np.diff(og.row_offsets).max(initial=0) <= arrayroute.MAX_LOCAL_MEMBERS)
+        yield _LocalPlan(og, spec, dict(opts, use_mnc=False, array=array),
+                         pattern.vertex_count, canonical_code(pattern))
     elif spec.explicit:
         for pattern in spec.patterns:
             if use_mnc is None:
                 mnc = pattern.vertex_count > 3
             else:
                 mnc = use_mnc and pattern.vertex_count > 2
-            yield _build_explicit_plan(g, pattern, spec, dict(opts, use_mnc=mnc), orientation)
+            yield _build_explicit_plan(g, pattern, spec, dict(opts, array=array, use_mnc=mnc),
+                                       orientation)
     else:
         if isinstance(g, OrientedGraph):
             raise TypeError("implicit-pattern problems need the undirected graph")
-        yield _GenericPlan(g, spec, dict(opts, use_mnc=True if use_mnc is None else use_mnc))
+        array = (array and g.labels is None and spec.process_rows is None
+                 and spec.k <= arrayroute.MAX_GENERIC_K)
+        yield _GenericPlan(g, spec, dict(opts, array=array,
+                                         use_mnc=True if use_mnc is None else use_mnc))
 
 
 def workers_from_env():

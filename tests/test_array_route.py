@@ -21,10 +21,12 @@ from hypothesis import strategies as st
 
 import gpm.arrayroute
 from gpm import apps, mine
-from gpm.engine import ProblemSpec, _CliquePlan
+from gpm.arrayroute import MAX_GENERIC_K
+from gpm.engine import _WALK_HOOKS, HookMisuseError, ProblemSpec, _CliquePlan
 from gpm import localgraph
 from gpm.graph import CSRGraph, Graph
-from gpm.patterns import Pattern, all_patterns, named_motifs, triangle, wedge
+from gpm.patterns import (Pattern, all_patterns, canonical_code, clique, named_motifs, triangle,
+                          wedge)
 
 from conftest import edge_case_graphs, random_graph
 
@@ -135,6 +137,11 @@ def test_edge_case_graphs(budget):
             _assert_routes_agree(g, spec, budget)
 
 
+# one case per hook in `engine._WALK_HOOKS`, and the ablations
+WALK_CASES = ["process", "to_extend", "debug", "no-mnc", "terminate", "get_support",
+              "motif-rows", "reduce", "to_add", "get_pattern", "local_reduce"]
+
+
 @pytest.mark.parametrize("make, options", [
     (lambda: apps.motif_spec(3, process=lambda emb: None), {}),
     (lambda: apps.motif_spec(3, to_extend=lambda emb, pos: True), {}),
@@ -143,10 +150,28 @@ def test_edge_case_graphs(budget):
     (lambda: apps.subgraph_listing_spec(wedge(), terminate=lambda emb: False), {}),
     (lambda: apps.subgraph_listing_spec(wedge(), get_support=lambda emb: 1), {}),
     (lambda: apps.motif_spec(3, process_rows=lambda rows: None), {}),
-], ids=["process", "to_extend", "debug", "no-mnc", "terminate", "get_support", "motif-rows"])
+    (lambda: apps.motif_spec(3, reduce=lambda a, b: a + b), {}),
+    (lambda: apps.subgraph_listing_spec(wedge(), to_add=lambda emb, u: True), {}),
+    (lambda: apps.motif_spec(3, get_pattern=lambda emb: 0), {}),
+    (lambda: apps.clique_spec(3, local_reduce=lambda emb, depth, acc: None), {}),
+], ids=WALK_CASES)
 def test_hooks_and_ablations_keep_the_walk(make, options):
     g = random_graph(random.Random(5), 20, 0.3)
     assert all(route.endswith(":walk") for route in mine(g, make(), **options).plans)
+
+
+def test_every_walk_hook_has_a_case():
+    assert set(_WALK_HOOKS) <= set(WALK_CASES)
+
+
+@pytest.mark.parametrize("k, route", [(MAX_GENERIC_K, "generic:array"),
+                                      (MAX_GENERIC_K + 1, "generic:walk")])
+def test_generic_size_limit(k, route):
+    # every k-set of K(k+1) is a clique, so each of the k+1 classifies once
+    g = Graph.from_edges(k + 1, list(combinations(range(k + 1), 2)))
+    result = mine(g, apps.motif_spec(k))
+    assert result.plans == (route,)
+    assert result.pattern_map == {canonical_code(clique(k)): k + 1}
 
 
 ORIENTATIONS = ["degree", "core", "none"]
@@ -370,6 +395,49 @@ def test_custom_local_graphs_keep_the_walk(change):
     result = mine(g, spec, orientation="core")
     assert result.plans == ("local:walk",)
     assert result.pattern_map == mine(g, apps.clique_local_spec(4), orientation="core").pattern_map
+
+
+def _later_vertices(g, root):
+    """A faulty local graph: every later vertex, adjacent or not, all
+    joined to each other."""
+    members = list(range(root + 1, g.vertex_count))
+    return localgraph.LocalGraph(members, {w: set(members) - {w} for w in members})
+
+
+def _root_twice(g, root):
+    """A faulty local graph: the built-in one with the root also a level-0
+    candidate, joined to every member."""
+    lg = localgraph.init_local_graph(g, root)
+    if lg is not None:
+        lg.cand[0] = [root, *lg.cand[0]]
+        lg.neighbors[root] = set(lg.vertices)
+    return lg
+
+
+@pytest.mark.parametrize("init_local, message", [
+    (_later_vertices, "connectivity map disagrees with the graph"),
+    (_root_twice, "duplicate vertex admitted into a vertex-induced embedding"),
+], ids=["later-vertices", "root-twice"])
+def test_debug_catches_a_faulty_local_graph(init_local, message):
+    g = random_graph(random.Random(11), 20, 0.5)
+    spec = replace(apps.clique_local_spec(4), init_local=init_local)
+    assert mine(g, spec, orientation="core").plans == ("local:walk",)
+    with pytest.raises(HookMisuseError, match=f"^{message}$"):
+        mine(g, spec, orientation="core", debug=True)
+
+
+@given(seed=st.integers(0, 10 ** 6), k=st.integers(3, 5))
+@settings(max_examples=15, deadline=None)
+def test_local_walk_applies_the_to_add_veto(seed, k):
+    def veto(emb, u):
+        return u % 3 != 0
+
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(0, 20), rng.uniform(0.2, 0.9))
+    local = mine(g, apps.clique_local_spec(k, to_add=veto), orientation="core")
+    plain = mine(g, apps.clique_spec(k, to_add=veto), orientation="core")
+    assert (local.plans, plain.plans) == (("local:walk",), ("clique:walk",))
+    assert local.pattern_map == plain.pattern_map
 
 
 def test_budget_one_cuts_every_slice_to_one_row_or_the_budget(monkeypatch):

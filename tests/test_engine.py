@@ -711,3 +711,9 @@ def test_library_refusals(run, message):
     g = random_graph(random.Random(3), 10, 0.5)
     with pytest.raises(ValueError, match=f"^{message}$"):
         run(g)
+
+
+def test_non_clique_pattern_on_an_oriented_graph_is_refused():
+    g = orient(random_graph(random.Random(3), 10, 0.5), "degree")
+    with pytest.raises(TypeError, match="^non-clique patterns need the undirected graph$"):
+        mine(g, apps.subgraph_listing_spec(wedge()))

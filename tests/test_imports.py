@@ -49,14 +49,22 @@ def test_cli_module_loads_no_mining_module():
         "gpm", "gpm.cli", "gpm.dfscode", "gpm.fsm", "gpm.graph", "gpm.patterns", "numpy"}
 
 
-@pytest.mark.parametrize("argv", [["tc"], ["match", "-p", "PATTERN"]])
-def test_tc_and_match_load_no_oracle_or_local_modules(graph_files, argv):
+def _run_cli(graph_files, argv):
     g, _, pat = graph_files
     argv = [pat if a == "PATTERN" else a for a in argv] + [g, "--threads", "1"]
     code = "import sys\nfrom gpm.cli import run\nassert run(sys.argv[1:]) == 0"
-    loaded = _modules(code, *argv)
+    return _modules(code, *argv)
+
+
+@pytest.mark.parametrize("argv", [["tc"], ["match", "-p", "PATTERN"], ["motif", "-k", "3"]])
+def test_tc_and_match_load_no_oracle_or_local_modules(graph_files, argv):
+    loaded = _run_cli(graph_files, argv)
     assert "gpm.apps" in loaded
     assert not loaded & {"gpm.oracle", "gpm.localcount", "gpm.localgraph"}
+
+
+def test_clique_lo_loads_the_local_graph_module(graph_files):
+    assert "gpm.localgraph" in _run_cli(graph_files, ["clique", "-k", "3", "--level", "lo"])
 
 
 def test_names_resolve_on_first_use():
