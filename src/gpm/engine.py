@@ -560,7 +560,16 @@ def _plans(g, spec, opts, orientation, use_mnc):
     `debug` or an explicit `use_mnc`; a local plan also walks unless its
     local graph is the built-in one (by identity) and no root has more than
     `MAX_LOCAL_MEMBERS` out-neighbours; a generic plan also walks on a
-    labeled graph, with `process_rows` or with k past `MAX_GENERIC_K`."""
+    labeled graph, with `process_rows` or with k past `MAX_GENERIC_K`. A hook
+    no plan would call is refused: `to_add_edge` always, `update_local`
+    without `init_local`, and on an explicit spec `to_extend`, `get_pattern`
+    and `is_implicit_pattern`."""
+    uncalled = ["to_add_edge"] + ["update_local"] * (spec.init_local is None)
+    if spec.explicit:
+        uncalled += ["to_extend", "get_pattern", "is_implicit_pattern"]
+    for hook in uncalled:
+        if getattr(spec, hook) is not None:
+            raise ValueError(f"a {hook} hook would never be called on this problem")
     if spec.explicit and g.labels is None and any(p.labels is not None for p in spec.patterns):
         raise ValueError("the pattern has vertex labels but the graph has none")
     array = (use_mnc is None and not opts.get("debug")

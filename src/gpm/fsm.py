@@ -8,9 +8,9 @@ its node during extension, except at the last level, whose children are
 counted from their parent's rows and built only when read; support is the
 minimum image count over pattern positions (domain support, `mni`), which is
 anti-monotone and drives subtree pruning. A spec's `get_support(node)` hook
-replaces `mni`: it sees each node once, with all of its rows. The seeds are
-walked in order on one thread; `mine_fsm`'s `workers` argument is accepted
-and ignored.
+replaces `mni`: it sees each node once, with all of its rows. The walk lives
+in `mine_spec` alone (seeds in order, one thread); `mine_fsm` is a preset
+that builds a spec and runs it, and ignores its `workers` argument.
 
 A node holds its embeddings as one `(E, positions)` int64 array, one row per
 vertex assignment (structure-of-arrays embedding lists, as in Pangolin).
@@ -310,54 +310,6 @@ def _count_leaves(node, g, budget):
     return children
 
 
-def _walk(nodes, k_edges, accept, prune, results, budget, extend):
-    """Walk each of the charged `nodes` and its subtree in order, recording
-    frequent codes in `results`; returns the number of embeddings the nodes
-    hold. A node is popped from the list before it is walked, so that its
-    array is freed when its charge is released."""
-    considered = 0
-    nodes.reverse()
-    while nodes:
-        node = nodes.pop()
-        try:
-            considered += node.n_emb
-            frequent = accept(node)
-            if frequent:
-                results[node.code] = node.support
-            if (frequent or not prune) and node.edge_count < k_edges:
-                considered += _walk(extend(node), k_edges, accept, prune, results, budget,
-                                    extend)
-        finally:
-            budget.sub(_node_bytes(node))
-    return considered
-
-
-def _mine(g, k_edges, accept, prune, memory_cap, edge_filter=None, count_leaves=True):
-    """Check the input, then walk the seeds in order; returns
-    ({code: support}, embeddings considered). With `count_leaves`, the last
-    level's supports are `mni`'s, counted without building the children."""
-    if g.labels is None:
-        raise ValueError("frequent subgraph mining requires a labeled graph")
-    # the DFS-code minimality check refuses longer codes; fail before mining
-    if k_edges > MAX_CODE_EDGES:
-        raise ValueError(f"fsm supports at most {MAX_CODE_EDGES} pattern edges, "
-                         f"got k = {k_edges}")
-    if memory_cap < 1:
-        raise ValueError(f"the memory cap must be at least 1 byte, got {memory_cap}")
-    budget = _MemoryBudget(memory_cap)
-
-    def extend(node):
-        if count_leaves and node.edge_count + 1 == k_edges:
-            return _count_leaves(node, g, budget)
-        return rightmost_extensions(node, g, budget, edge_filter)
-
-    seeds = _seed_nodes(g)
-    budget.add(sum(_node_bytes(seed) for seed in seeds))
-    results = {}
-    considered = _walk(seeds, k_edges, accept, prune, results, budget, extend)
-    return results, considered
-
-
 def mine_fsm(g, k_edges, min_sup, *, workers=1, prune=True,
              memory_cap=DEFAULT_MEMORY_CAP):
     """Patterns with at most k_edges edges whose domain support is >= min_sup.
@@ -372,42 +324,77 @@ def mine_fsm(g, k_edges, min_sup, *, workers=1, prune=True,
     pattern's from when it is built, until its subtree is walked; plus each
     extension's gather.
     """
+    from .engine import ProblemSpec  # here, so that `import gpm.cli` loads no engine
     if min_sup < 1:
         raise ValueError("min_sup must be >= 1")
     if k_edges is None:
         k_edges = MAX_CODE_EDGES
     if k_edges < 1:
         raise ValueError("k_edges must be >= 1")
-    results, _ = _mine(g, k_edges, lambda node: node.support >= min_sup, prune, memory_cap)
-    return results
+    spec = ProblemSpec(vertex_induced=False, explicit=False, k=k_edges,
+                       is_implicit_pattern=lambda node: node.support >= min_sup,
+                       support_anti_monotonic=prune)
+    return mine_spec(g, spec, memory_cap)[0]
 
 
 def mine_spec(g, spec, memory_cap=DEFAULT_MEMORY_CAP):
-    """Engine route for edge-induced implicit problems described by a spec.
+    """fsm's one driver: walk the sub-pattern tree of an edge-induced implicit
+    spec; returns ({code: support}, embeddings considered).
 
     `spec.is_implicit_pattern` (given a PatternNode) selects the patterns of
     interest; with `spec.support_anti_monotonic` the same test prunes
     subtrees. `spec.get_support(node)` replaces `mni` as the support of a
     node, called once per node with its `code` and `(E, positions)` `emb`
-    rows; a `reduce` hook is refused, since supports are not combined.
-    `to_add_edge` vetoes extension edges. Without either hook, the last
+    rows. `to_add_edge` vetoes extension edges. Without either hook, the last
     level's nodes are counted from their parents' rows, and a node's `emb` is
-    built only if `is_implicit_pattern` reads it. Returns ({code: support},
-    embeddings considered).
+    built only if `is_implicit_pattern` reads it. Hooks the walk never calls,
+    `reduce` among them, are refused. Seeds are charged before the walk, and
+    a node's charge is released after its subtree.
     """
-    if spec.reduce is not None:
-        raise ValueError("fsm computes one support per pattern node; "
-                         "a reduce hook would never be called")
-    accept_hook = spec.is_implicit_pattern
+    for hook in ("reduce", "process", "process_rows", "terminate", "to_add", "to_extend",
+                 "get_pattern", "local_reduce", "init_local", "update_local"):
+        if getattr(spec, hook) is not None:
+            raise ValueError(f"a {hook} hook would never be called: "
+                             "fsm walks pattern nodes, one support each")
+    if g.labels is None:
+        raise ValueError("frequent subgraph mining requires a labeled graph")
+    k = spec.k
+    # the DFS-code minimality check refuses longer codes; fail before mining
+    if k > MAX_CODE_EDGES:
+        raise ValueError(f"fsm supports at most {MAX_CODE_EDGES} pattern edges, got k = {k}")
+    if memory_cap < 1:
+        raise ValueError(f"the memory cap must be at least 1 byte, got {memory_cap}")
+    budget = _MemoryBudget(memory_cap)
+    accept_hook, edge_filter = spec.is_implicit_pattern, spec.to_add_edge
     # looked up per run, so that a wrapped `mni` is the one called
     support = spec.get_support or mni
+    count_leaves = spec.get_support is None and edge_filter is None
+    results = {}
 
-    def accept(node):
-        if node._support is None:
-            node._support = support(node)
-        if accept_hook is None:
-            return True
-        return bool(accept_hook(node))
+    def walk(nodes):
+        """Walk the charged `nodes` and their subtrees in order, popping each
+        so that its array is freed with its charge; returns their embeddings."""
+        considered = 0
+        nodes.reverse()
+        while nodes:
+            node = nodes.pop()
+            try:
+                considered += node.n_emb
+                if node._support is None:
+                    node._support = support(node)
+                accepted = accept_hook is None or bool(accept_hook(node))
+                if accepted:
+                    results[node.code] = node.support
+                if (accepted or not spec.support_anti_monotonic) and node.edge_count < k:
+                    if count_leaves and node.edge_count + 1 == k:
+                        children = _count_leaves(node, g, budget)
+                    else:
+                        children = rightmost_extensions(node, g, budget, edge_filter)
+                    considered += walk(children)
+            finally:
+                budget.sub(_node_bytes(node))
+        return considered
 
-    return _mine(g, spec.k, accept, bool(spec.support_anti_monotonic), memory_cap,
-                 spec.to_add_edge, spec.get_support is None and spec.to_add_edge is None)
+    seeds = _seed_nodes(g)
+    budget.add(sum(_node_bytes(seed) for seed in seeds))
+    return results, walk(seeds)

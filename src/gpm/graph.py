@@ -174,7 +174,8 @@ def load_edge_list(path, labels_path=None):
 
     The loader normalizes rather than rejects: self-loops are dropped,
     duplicate and reversed edges merged, neighbor lists sorted. Vertex count
-    is max id + 1; a count whose arrays cannot be allocated raises
+    is the largest id in the edge or label file + 1, so a label file can name
+    vertices no edge reaches; a count whose arrays cannot be allocated raises
     MemoryError naming it. An optional label file has one "id label" line
     per vertex and must cover every vertex; label tokens are mapped to dense
     integers. A file that `_tokens` and `_digits` accept is parsed in numpy,
@@ -186,14 +187,14 @@ def load_edge_list(path, labels_path=None):
         edges, n = _edge_lines(path)
     else:
         edges, n = ids.reshape(-1, 2), int(ids.max(initial=-1)) + 1
+    labels = label_names = None
+    if labels_path is not None:
+        labels, label_names = _load_labels(labels_path, n)
+        n = len(labels)
     too_big = MemoryError(f"{path}: {n} vertices (largest id + 1) do not fit in memory")
     # numpy's size limit for the n + 1 int64 row offsets
     if n >= np.iinfo(np.int64).max // 8:
         raise too_big
-
-    labels = label_names = None
-    if labels_path is not None:
-        labels, label_names = _load_labels(labels_path, n)
     try:
         return Graph.from_edges(n, edges, labels=labels, label_names=label_names)
     except MemoryError:
@@ -272,15 +273,15 @@ def _edge_lines(path):
 
 
 def _load_labels(path, vertex_count):
-    """Dense label ids of a label file and the token each stands for; in
-    numpy when its ids are digits naming each vertex once, else by the line
-    loop."""
+    """Dense label ids of a label file and the token each stands for, one per
+    vertex of 0..max(vertex_count, largest id + 1) - 1; in numpy when its ids
+    are digits naming each of those vertices once, else by the line loop."""
     with open(path, "rb") as f:
         found = _tokens(f.read())
     ids = _digits(found, slice(0, None, 2))
-    if ids is not None and len(ids) == vertex_count:
+    if ids is not None and len(ids) >= vertex_count:
         order = np.argsort(ids)
-        if np.array_equal(ids[order], np.arange(vertex_count)):
+        if np.array_equal(ids[order], np.arange(len(ids))):
             tokens = found[0].decode("ascii").split()[1::2]
             ids, names = label_ids([tokens[i] for i in order.tolist()])
             return np.array(ids, dtype=np.int64), names
@@ -297,12 +298,12 @@ def _label_lines(path, vertex_count):
             v = int(parts[0])
         except ValueError:
             raise GraphParseError(f"{path}:{lineno}: non-integer vertex id")
-        if v < 0 or v >= vertex_count:
-            raise GraphParseError(
-                f"{path}:{lineno}: vertex id {v} outside graph range 0..{vertex_count - 1}")
+        if v < 0:
+            raise GraphParseError(f"{path}:{lineno}: negative vertex id")
         if v in raw_labels:
             raise GraphParseError(f"{path}:{lineno}: duplicate label for vertex {v}")
         raw_labels[v] = parts[1]
+    vertex_count = max(vertex_count, max(raw_labels, default=-1) + 1)
     # ids in the file are distinct and in range, so the count tells
     if len(raw_labels) < vertex_count:
         raise GraphParseError(f"{path}: missing labels for vertices "
@@ -366,42 +367,25 @@ def validate_graph(g):
 
 
 def core_numbers(g):
-    """k-core number of each vertex via the standard linear-time peeling."""
-    n = g.vertex_count
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
+    """k-core number of each vertex: peel a vertex of least remaining degree,
+    taken from one list per degree that keeps stale entries until they are
+    popped. A vertex's degree only falls to the bucket being peeled, never
+    below, so one pass over the buckets peels every vertex."""
     adj = g.adjacency()
     deg = [len(a) for a in adj]
-    md = max(deg)
-    # bucket sort vertices by degree
-    bin_count = [0] * (md + 1)
-    for d in deg:
-        bin_count[d] += 1
-    start = [0] * (md + 1)
-    s = 0
-    for d in range(md + 1):
-        start[d] = s
-        s += bin_count[d]
-    pos = [0] * n
-    vert = [0] * n
-    nxt = start.copy()
-    for v in range(n):
-        pos[v] = nxt[deg[v]]
-        vert[pos[v]] = v
-        nxt[deg[v]] += 1
-    for i in range(n):
-        v = vert[i]
-        for u in adj[v]:
-            if deg[u] > deg[v]:
-                du = deg[u]
-                pu = pos[u]
-                pw = start[du]
-                w = vert[pw]
-                if u != w:
-                    vert[pu], vert[pw] = w, u
-                    pos[u], pos[w] = pw, pu
-                start[du] += 1
-                deg[u] -= 1
+    buckets = [[] for _ in range(max(deg, default=0) + 1)]
+    for v, d in enumerate(deg):
+        buckets[d].append(v)
+    for d, bucket in enumerate(buckets):
+        while bucket:
+            v = bucket.pop()
+            # a stale entry: v has since moved to a lower bucket
+            if deg[v] != d:
+                continue
+            for u in adj[v]:
+                if deg[u] > d:
+                    deg[u] -= 1
+                    buckets[deg[u]].append(u)
     return np.array(deg, dtype=np.int64)
 
 

@@ -393,6 +393,15 @@ class TestErrorsAndToggles:
         assert captured.out == ""
         assert captured.err == f"gpm: {bad}: not UTF-8 text (invalid start byte)\n"
 
+    def test_negative_label_id(self, files, capsys, tmp_path):
+        bad = tmp_path / "bad.lbl"
+        bad.write_text("0 A\n1 B\n-2 A\n3 B\n")
+        assert run(["fsm", "-k", "1", "--minsup", "1", files["two_edges.el"],
+                    "--labels", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gpm: {bad}:3: negative vertex id\n"
+
     def test_usage_error(self, capsys):
         assert run(["clique"]) == 2
 

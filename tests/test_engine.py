@@ -717,3 +717,24 @@ def test_non_clique_pattern_on_an_oriented_graph_is_refused():
     g = orient(random_graph(random.Random(3), 10, 0.5), "degree")
     with pytest.raises(TypeError, match="^non-clique patterns need the undirected graph$"):
         mine(g, apps.subgraph_listing_spec(wedge()))
+
+
+# every problem kind `_plans` runs, and the hooks none of its plans would call
+_SPEC_KINDS = {"clique": lambda **h: apps.clique_spec(3, **h),
+               "listing": lambda **h: apps.subgraph_listing_spec(wedge(), **h),
+               "local": lambda **h: apps.clique_local_spec(3, **h),
+               "motif": lambda **h: apps.motif_spec(3, **h)}
+_UNCALLED = [(hook, kind) for kind in ("clique", "listing", "local")
+             for hook in ("to_extend", "get_pattern", "is_implicit_pattern")]
+_UNCALLED += [("to_add_edge", kind) for kind in _SPEC_KINDS]
+_UNCALLED += [("update_local", kind) for kind in ("clique", "listing", "motif")]
+
+
+@pytest.mark.parametrize("hook, kind", _UNCALLED, ids=[f"{h}-{k}" for h, k in _UNCALLED])
+def test_hooks_no_plan_calls_are_refused(hook, kind):
+    calls = []
+    spec = _SPEC_KINDS[kind](**{hook: lambda *args: calls.append(args)})
+    g = random_graph(random.Random(4), 12, 0.4)
+    with pytest.raises(ValueError, match=f"^a {hook} hook would never be called on this problem$"):
+        mine(g, spec)
+    assert calls == []

@@ -476,3 +476,43 @@ class TestLeafCounting:
         assert mine_spec(g, built)[0] == want
         with pytest.raises(FsmMemoryError):
             mine_spec(g, built, memory_cap=cap)
+
+
+_UNCALLED = ["reduce", "process", "process_rows", "terminate", "to_add", "to_extend",
+             "get_pattern", "local_reduce", "init_local", "update_local"]
+
+
+@pytest.mark.parametrize("hook", _UNCALLED)
+def test_hooks_the_walk_never_calls_are_refused(monkeypatch, hook):
+    import gpm.fsm
+    monkeypatch.setattr(gpm.fsm, "_seed_nodes", None)
+    calls = []
+    spec = ProblemSpec(vertex_induced=False, explicit=False, k=2,
+                       **{hook: lambda *args: calls.append(args)})
+    g = labeled(3, [(0, 1), (1, 2)], [0, 1, 0])
+    with pytest.raises(ValueError, match=f"^a {hook} hook would never be called: "):
+        mine(g, spec)
+    assert calls == []
+
+
+def test_mine_fsm_is_a_spec_preset(monkeypatch):
+    import gpm.fsm
+    from gpm.dfscode import MAX_CODE_EDGES
+    g = random_graph(random.Random(9), 14, 0.35, labels=2)
+    cap = 10 ** 8
+    want = mine_fsm(g, 3, 2, prune=False, memory_cap=cap)
+    calls = []
+    driver = gpm.fsm.mine_spec
+
+    def recorded(g, spec, memory_cap):
+        calls.append((spec, memory_cap))
+        return driver(g, spec, memory_cap)
+
+    monkeypatch.setattr(gpm.fsm, "mine_spec", recorded)
+    assert mine_fsm(g, 3, 2, prune=False, memory_cap=cap) == want
+    (spec, memory_cap), = calls
+    assert (spec.k, spec.support_anti_monotonic, memory_cap) == (3, False, cap)
+    assert spec.get_support is None and spec.to_add_edge is None
+    calls.clear()
+    mine_fsm(labeled(3, [(0, 1), (1, 2)], [0, 1, 0]), None, 1)
+    assert [spec.k for spec, _ in calls] == [MAX_CODE_EDGES]

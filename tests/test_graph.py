@@ -50,7 +50,7 @@ class TestLoader:
     def test_label_id_out_of_range(self, tmp_path):
         gpath = _write(tmp_path, "g.el", "0 1\n")
         lpath = _write(tmp_path, "g.lbl", "0 A\n1 B\n7 C\n")
-        with pytest.raises(GraphParseError, match="outside graph range"):
+        with pytest.raises(GraphParseError, match=r"missing labels for vertices \[2, 3, 4, 5, 6\]$"):
             load_edge_list(gpath, labels_path=lpath)
 
     def test_labels_mapped_dense(self, tmp_path):
@@ -78,6 +78,24 @@ class TestLoader:
         gpath = _write(tmp_path, "g.el", "0 1000000000000\n")
         lpath = _write(tmp_path, "g.lbl", "0 A\n1 A\n")
         with pytest.raises(GraphParseError, match=r"vertices \[2, 3, 4, 5, 6\]\.\.\.$"):
+            load_edge_list(gpath, labels_path=lpath)
+
+    @pytest.mark.parametrize("header", ["", "# a comment sends the file to the line loop\n"],
+                             ids=["numpy", "line-loop"])
+    def test_label_file_names_a_trailing_isolated_vertex(self, tmp_path, monkeypatch, header):
+        if not header:
+            monkeypatch.setattr(graph, "_label_lines", None)
+        gpath = _write(tmp_path, "g.el", "0 1\n1 2\n")
+        lpath = _write(tmp_path, "g.lbl", header + "3 C\n0 A\n1 B\n2 A\n")
+        g = load_edge_list(gpath, labels_path=lpath)
+        assert g.vertex_count == 4 and g.degree(3) == 0
+        assert g.labels.tolist() == [0, 1, 0, 2] and g.label_names == ("A", "B", "C")
+        assert validate_graph(g)
+
+    def test_negative_label_id_names_the_line(self, tmp_path):
+        gpath = _write(tmp_path, "g.el", "0 1\n")
+        lpath = _write(tmp_path, "g.lbl", "0 A\n-1 B\n1 A\n")
+        with pytest.raises(GraphParseError, match=r"g\.lbl:2: negative vertex id$"):
             load_edge_list(gpath, labels_path=lpath)
 
 
@@ -309,6 +327,15 @@ class TestCoreNumbers:
     def test_matches_naive_peeling_large(self, rng):
         g = random_graph(rng, 200, 0.03)
         assert list(core_numbers(g)) == _naive_cores(g)
+
+    def test_empty_graph(self):
+        cores = core_numbers(Graph.from_edges(0, []))
+        assert cores.dtype == np.int64 and cores.tolist() == []
+
+    def test_isolated_vertices(self):
+        # a triangle, a pendant edge and three vertices with no edge at all
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        assert core_numbers(g).tolist() == [2, 2, 2, 1, 0, 0, 0]
 
 
 def _naive_cores(g):
