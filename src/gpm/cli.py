@@ -18,7 +18,7 @@ from contextlib import nullcontext
 # the help text and the benchmark tracer read these; each subcommand imports
 # the mining modules it runs
 from .dfscode import MAX_CODE_EDGES, render_code
-from .fsm import NODE_OVERHEAD_BYTES, FsmMemoryError
+from .fsm import DEFAULT_MEMORY_CAP, NODE_OVERHEAD_BYTES, FsmMemoryError
 from .fsm import mine_spec as fsm_mine_spec
 from .graph import GraphParseError, load_edge_list
 from .patterns import canonical_code, load_pattern, motif_name
@@ -109,7 +109,7 @@ def _build_parser():
                    help=f"maximum pattern edges (at most {MAX_CODE_EDGES})")
     p.add_argument("--minsup", type=int, required=True,
                    help="support threshold, at least 1 (frequent: support >= minsup)")
-    p.add_argument("--mem-cap", type=int, default=4 * 2 ** 30,
+    p.add_argument("--mem-cap", type=int, default=DEFAULT_MEMORY_CAP,
                    help="memory cap in bytes, at least 1, for the embedding arrays "
                         "of the patterns alive at once, the single-edge seeds "
                         "included until each is walked (8 bytes per pattern vertex "

@@ -30,9 +30,10 @@ Without per-embedding hooks every plan takes the array route instead:
 `arrayroute` extends whole slices of numpy embedding rows per level (the
 local plan's rows are a root and a uint64 bitset of its local graph),
 reports the walk's counters and hands finished rows to `process_rows` in
-walk order. `_plans` alone picks the route, recognising the built-in
-local graph by identity, and its docstring lists every reason a plan walks;
-`extend()` always walks. `MiningResult.plans` names each route, e.g.
+walk order. `_plans` alone configures a plan: it sets the plan's route
+(`array`) and connectivity map (`use_mnc`), and its docstring lists every
+reason a plan walks; `extend()` always walks. The walk calls the hooks it
+reads from the plan's `spec`. `MiningResult.plans` names each route, e.g.
 "clique:array".
 
 Edge-induced implicit problems (frequent subgraph mining) traverse the
@@ -169,28 +170,21 @@ class _PlanBase:
     embedding position `depth` and hands each accepted one to `_descend`.
     Both routes count into the plan's `map`, `considered` and `accepted`,
     and the walk's counters reach them even when `terminate` raises. Both
-    routes start from `roots()`; `array`, which `_plans` sets, runs
-    `run_array(roots)` in place of the walk.
+    routes start from `roots()`. `_plans` sets `array`, which runs
+    `run_array(roots)` in place of the walk, and `use_mnc`; the walk calls
+    the hooks it reads from `spec`.
     """
 
-    key = None
-    name = None
-
-    def __init__(self, g, spec, opts):
+    def __init__(self, g, spec, k, key=None, use_df=True, debug=False):
         self.g = g
         self.spec = spec
-        self.array = opts.get("array", False)
+        self.k = k
+        self.key = key
+        self.use_df = use_df
+        self.debug = debug
         self.terminated = False
-        self.debug = opts.get("debug", False)
-        self.use_mnc = opts.get("use_mnc", False)
-        self.use_df = opts.get("use_df", True)
         self._reduce = spec.reducer()
-        self._get_support = spec.get_support
-        self._process = spec.process
-        self._process_rows = spec.process_rows
         self._rows = []
-        self._terminate = spec.terminate
-        self._local_reduce = spec.local_reduce
         self._dbg_tick = 0
         self.map = {}
         self.considered = self.accepted = 0
@@ -223,8 +217,8 @@ class _PlanBase:
         emb.codes.append(code)
         emb.members.add(u)
         try:
-            if self._local_reduce is not None:
-                self._local_reduce(emb, depth, self.map)
+            if self.spec.local_reduce is not None:
+                self.spec.local_reduce(emb, depth, self.map)
             if depth == self.k - 1:
                 self._finalize(self.key)
             elif self.mnc is None:
@@ -241,26 +235,27 @@ class _PlanBase:
             emb.members.discard(u)
 
     def _finalize(self, key):
+        spec = self.spec
         emb = self.emb
         m = self.map
-        sup = 1 if self._get_support is None else self._get_support(emb)
+        sup = 1 if spec.get_support is None else spec.get_support(emb)
         if key in m:
             m[key] = self._reduce(m[key], sup)
         else:
             m[key] = sup
-        if self._process is not None:
-            self._process(emb)
-        if self._process_rows is not None:
+        if spec.process is not None:
+            spec.process(emb)
+        if spec.process_rows is not None:
             self._rows.append(emb.vertices[:])
             if len(self._rows) >= arrayroute.ROW_BUDGET:
                 self.flush_rows()
-        if self._terminate is not None and self._terminate(emb):
+        if spec.terminate is not None and spec.terminate(emb):
             raise _StopMining
 
     def flush_rows(self):
         """Hand the rows the walk has buffered to `process_rows` as one batch."""
         if self._rows:
-            self._process_rows(np.array(self._rows, dtype=np.int64))
+            self.spec.process_rows(np.array(self._rows, dtype=np.int64))
             self._rows.clear()
 
     def _debug_check(self, u, mask, depth):
@@ -291,10 +286,8 @@ class _MatchPlan(_PlanBase):
     # labeled matching: the graph's labels and each position's pattern label
     g_labels = want_label = None
 
-    def __init__(self, g, spec, opts, pattern, key):
-        super().__init__(g, spec, opts)
-        self.key = key
-        self.k = pattern.vertex_count
+    def __init__(self, g, spec, pattern, key, **kw):
+        super().__init__(g, spec, pattern.vertex_count, key, **kw)
         order = matching_order(pattern)
         self.anchors = [min(order.required[i]) if order.required[i] else 0
                         for i in range(self.k)]
@@ -372,10 +365,8 @@ class _CliquePlan(_MatchPlan):
     name = "clique"
     distinct = False
 
-    def __init__(self, g, spec, opts, k, key):
-        _PlanBase.__init__(self, g, spec, opts)
-        self.k = k
-        self.key = key
+    def __init__(self, g, spec, k, key, **kw):
+        _PlanBase.__init__(self, g, spec, k, key, **kw)
         self.anchors = list(range(-1, k - 1))
         self.req = self.check_mask = [(1 << i) - 1 for i in range(k)]
         self.smaller = [[]] * k
@@ -441,9 +432,8 @@ class _GenericPlan(_PlanBase):
     name = "generic"
     run_array = arrayroute.count_generic
 
-    def __init__(self, g, spec, opts):
-        super().__init__(g, spec, opts)
-        self.k = spec.k
+    def __init__(self, g, spec, **kw):
+        super().__init__(g, spec, spec.k, **kw)
         self.labels = g.labels.tolist() if g.labels is not None else None
         self._key_cache = {}
 
@@ -534,34 +524,16 @@ def _run_plan(plan):
     return [plan]
 
 
-def _resolve_orientation(g, orientation):
-    if isinstance(g, OrientedGraph):
-        return g
-    return orient(g, ORIENTATIONS[orientation])
-
-
-def _build_explicit_plan(g, pattern, spec, opts, orientation):
-    key = canonical_code(pattern)
-    # the clique plans are label-blind; labeled cliques take the matching-order
-    # route like any other labeled pattern
-    if is_clique(pattern) and pattern.labels is None:
-        return _CliquePlan(_resolve_orientation(g, orientation), spec, opts,
-                           pattern.vertex_count, key)
-    if isinstance(g, OrientedGraph):
-        raise TypeError("non-clique patterns need the undirected graph")
-    return _MatchPlan(g, spec, opts, pattern, key)
-
-
-def _plans(g, spec, opts, orientation, use_mnc):
+def _plans(g, spec, orientation, use_mnc, use_df=True, debug=False):
     """The plans that run a vertex-induced or explicit `spec`, built one at
     a time: the local-graph plan, one plan per explicit pattern, or the
-    generic plan. `use_mnc` None is the per-plan connectivity-map policy.
-    Only here is a plan's route set: it walks on a hook in `_WALK_HOOKS`,
-    `debug` or an explicit `use_mnc`; a local plan also walks unless its
-    local graph is the built-in one (by identity) and no root has more than
+    generic plan. Only here is a plan configured: each clause sets its plan's
+    `array` and `use_mnc`. A plan walks on a hook in `_WALK_HOOKS`, `debug`
+    or an explicit `use_mnc`; a local plan also walks unless its local graph
+    is the built-in one (by identity) and no root has more than
     `MAX_LOCAL_MEMBERS` out-neighbours; a generic plan also walks on a
-    labeled graph, with `process_rows` or with k past `MAX_GENERIC_K`. A hook
-    no plan would call is refused: `to_add_edge` always, `update_local`
+    labeled graph, with `process_rows` or with k past `MAX_GENERIC_K`. A
+    hook no plan would call is refused: `to_add_edge` always, `update_local`
     without `init_local`, and on an explicit spec `to_extend`, `get_pattern`
     and `is_implicit_pattern`."""
     uncalled = ["to_add_edge"] + ["update_local"] * (spec.init_local is None)
@@ -572,34 +544,47 @@ def _plans(g, spec, opts, orientation, use_mnc):
             raise ValueError(f"a {hook} hook would never be called on this problem")
     if spec.explicit and g.labels is None and any(p.labels is not None for p in spec.patterns):
         raise ValueError("the pattern has vertex labels but the graph has none")
-    array = (use_mnc is None and not opts.get("debug")
+    array = (use_mnc is None and not debug
              and all(getattr(spec, hook) is None for hook in _WALK_HOOKS))
     if spec.init_local is not None:
         if not spec.explicit or len(spec.patterns) != 1 or not is_clique(spec.patterns[0]):
             raise ValueError("local-graph search is wired for single explicit cliques")
         from . import localgraph
         pattern = spec.patterns[0]
-        og = _resolve_orientation(g, orientation)
-        array = (array and spec.init_local is localgraph.init_local_graph
-                 and spec.update_local is localgraph.LocalGraph.shrink
-                 and np.diff(og.row_offsets).max(initial=0) <= arrayroute.MAX_LOCAL_MEMBERS)
-        yield _LocalPlan(og, spec, dict(opts, use_mnc=False, array=array),
-                         pattern.vertex_count, canonical_code(pattern))
+        og = g if isinstance(g, OrientedGraph) else orient(g, ORIENTATIONS[orientation])
+        plan = _LocalPlan(og, spec, pattern.vertex_count, canonical_code(pattern),
+                          use_df=use_df, debug=debug)
+        plan.array = bool(array and spec.init_local is localgraph.init_local_graph
+                          and spec.update_local is localgraph.LocalGraph.shrink
+                          and np.diff(og.row_offsets).max(initial=0)
+                          <= arrayroute.MAX_LOCAL_MEMBERS)
+        plan.use_mnc = False
+        yield plan
     elif spec.explicit:
         for pattern in spec.patterns:
-            if use_mnc is None:
-                mnc = pattern.vertex_count > 3
+            key = canonical_code(pattern)
+            # the clique plans are label-blind; labeled cliques take the
+            # matching-order route like any other labeled pattern
+            if is_clique(pattern) and pattern.labels is None:
+                og = g if isinstance(g, OrientedGraph) else orient(g, ORIENTATIONS[orientation])
+                plan = _CliquePlan(og, spec, pattern.vertex_count, key,
+                                   use_df=use_df, debug=debug)
+            elif isinstance(g, OrientedGraph):
+                raise TypeError("non-clique patterns need the undirected graph")
             else:
-                mnc = use_mnc and pattern.vertex_count > 2
-            yield _build_explicit_plan(g, pattern, spec, dict(opts, array=array, use_mnc=mnc),
-                                       orientation)
+                plan = _MatchPlan(g, spec, pattern, key, use_df=use_df, debug=debug)
+            plan.array = array
+            # the map pays for itself from 4 vertices; asked for, it runs from 3
+            plan.use_mnc = use_mnc is not False and pattern.vertex_count > (2 if use_mnc else 3)
+            yield plan
     else:
         if isinstance(g, OrientedGraph):
             raise TypeError("implicit-pattern problems need the undirected graph")
-        array = (array and g.labels is None and spec.process_rows is None
-                 and spec.k <= arrayroute.MAX_GENERIC_K)
-        yield _GenericPlan(g, spec, dict(opts, array=array,
-                                         use_mnc=True if use_mnc is None else use_mnc))
+        plan = _GenericPlan(g, spec, use_df=use_df, debug=debug)
+        plan.array = (array and g.labels is None and spec.process_rows is None
+                      and spec.k <= arrayroute.MAX_GENERIC_K)
+        plan.use_mnc = use_mnc is not False
+        yield plan
 
 
 def workers_from_env():
@@ -642,8 +627,7 @@ def mine(g, spec, *, workers=None, orientation="auto", use_mnc=None, use_df=True
         plans.append("fsm")
     else:
         reduce_fn = spec.reducer()
-        opts = {"use_df": use_df, "debug": debug}
-        for plan in _plans(g, spec, opts, orientation, use_mnc):
+        for plan in _plans(g, spec, orientation, use_mnc, use_df, debug):
             plans.append(f"{plan.name}:{'array' if plan.array else 'walk'}")
             _run_plan(plan)
             enumerated += plan.considered
@@ -679,8 +663,7 @@ def extend(g, spec, vertices, *, orientation="auto", use_df=False):
         raise ValueError("extend supports vertex-induced problems")
     if orientation not in ORIENTATIONS:
         raise ValueError(f"unknown orientation {orientation!r}")
-    opts = {"use_df": use_df}
-    plan = next(_plans(g, spec, opts, orientation, False))
+    plan = next(_plans(g, spec, orientation, False, use_df))
     plan.start_walk()
     verts = list(vertices)
     for depth, v in enumerate(verts):

@@ -41,9 +41,6 @@ class Pattern:
             raise ValueError("pattern must be connected")
         self._hash = hash((self.vertex_count, self.edges, self.labels))
 
-    def adjacency(self):
-        return [sorted(a) for a in self.adjacency_sets()]
-
     def adjacency_sets(self):
         adj = [set() for _ in range(self.vertex_count)]
         for u, v in self.edges:

@@ -480,7 +480,8 @@ class TestErrorsAndToggles:
         ("", "pattern has no edges"),
         ("v 0 A\nv 1 B\n", "pattern has no edges"),
         ("0 1\n2 3\n", "pattern must be connected"),
-    ], ids=["empty", "labels-only", "disconnected"])
+        ("0 1\n1 2\n0 2\n3 4\n", "pattern must be connected"),
+    ], ids=["empty", "labels-only", "disconnected", "disconnected-enough-edges"])
     def test_bad_pattern_file(self, files, capsys, tmp_path, text, message):
         pat = tmp_path / "bad.pat"
         pat.write_text(text)
@@ -492,8 +493,7 @@ class TestErrorsAndToggles:
                              ids=["unlabeled", "labeled"])
     def test_pattern_with_a_huge_vertex_id(self, files, capsys, tmp_path, monkeypatch, text):
         # k vertices need k - 1 edges, so nothing is built per vertex
-        for name in ("adjacency", "adjacency_sets"):
-            monkeypatch.setattr(Pattern, name, lambda self: pytest.fail("built adjacency"))
+        monkeypatch.setattr(Pattern, "adjacency_sets", lambda self: pytest.fail("built adjacency"))
         pat = tmp_path / "huge.pat"
         pat.write_text(text)
         assert run(["match", "-p", str(pat), files["tailed.el"],

@@ -208,6 +208,11 @@ def test_edge_count_bound():
         min_dfs_code(Pattern(6, [(a, b) for a in range(6) for b in range(a + 1, 6)]))
 
 
+def test_edgeless_pattern_refused():
+    with pytest.raises(ValueError, match="^DFS codes require at least one edge$"):
+        min_dfs_code(Pattern(1, []))
+
+
 def test_rightmost_path():
     code = ((0, 1, 0, 0), (1, 2, 0, 0), (2, 0, 0, 0), (1, 3, 0, 0))
     assert rightmost_path(code) == [3, 1, 0]

@@ -596,6 +596,41 @@ def test_plan_counters_pinned(monkeypatch, spec, plan, expect):
     assert ran == [plan, plan]
 
 
+# kind -> (spec maker, plan name, keeps the connectivity map at use_mnc None,
+# True, False): a 3-vertex explicit plan keeps it only when asked for, a
+# 4-vertex one and the generic plan unless refused, the local plan never
+_ROUTE_CASES = {
+    "clique3": (lambda **h: apps.clique_spec(3, **h), "clique", (False, True, False)),
+    "clique4": (lambda **h: apps.clique_spec(4, **h), "clique", (True, True, False)),
+    "wedge": (lambda **h: apps.subgraph_listing_spec(wedge(), **h), "match", (False, True, False)),
+    "4-cycle": (lambda **h: apps.subgraph_listing_spec(named_motifs(4)["4-cycle"], **h), "match",
+                (True, True, False)),
+    "motif3": (lambda **h: apps.motif_spec(3, **h), "generic", (True, True, False)),
+    "local4": (lambda **h: apps.clique_local_spec(4, **h), "local", (False, False, False)),
+}
+
+
+@pytest.mark.parametrize("hooked", [False, True], ids=["hook-free", "process"])
+@pytest.mark.parametrize("use_mnc", [None, True, False])
+@pytest.mark.parametrize("kind", _ROUTE_CASES)
+def test_plan_route_and_map_pinned(monkeypatch, kind, use_mnc, hooked):
+    # a plan takes the array route iff use_mnc is None and no hook is set
+    import gpm.engine
+    ran = []
+    run_plan = gpm.engine._run_plan
+
+    def record(p):
+        ran.append((p.name, p.array, p.use_mnc))
+        return run_plan(p)
+
+    monkeypatch.setattr(gpm.engine, "_run_plan", record)
+    make, name, maps = _ROUTE_CASES[kind]
+    mine(_pinned_graph(), make(**({"process": lambda emb: None} if hooked else {})),
+         use_mnc=use_mnc, workers=1)
+    assert ran == [(name, use_mnc is None and not hooked, maps[(None, True, False).index(use_mnc)])]
+    assert all(type(a) is bool and type(m) is bool for _, a, m in ran)
+
+
 def _sequences_by_extend(g, spec, size):
     seqs = []
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from gpm import apps, localcount, oracle
 from gpm.graph import Graph
 from gpm.localcount import (MC4_CORRECTIONS, calibrate_corrections,
@@ -137,3 +139,8 @@ class TestCalibration:
         assert MC4_CORRECTIONS["diamond"]["raw"] == Fraction(1, 2)
         assert MC4_CORRECTIONS["diamond"]["4-clique"] == -6
         assert MC4_CORRECTIONS["3-star"]["raw"] == Fraction(1, 6)
+
+    def test_non_integer_correction_refused(self):
+        with pytest.raises(ArithmeticError,
+                           match="^correction did not produce an integer count$"):
+            localcount._apply_correction({"raw": Fraction(1, 2)}, 3, {})
