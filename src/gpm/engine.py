@@ -95,8 +95,8 @@ class ProblemSpec:
     candidates, `to_add(emb, u)` / `to_add_edge(emb, e)` veto extensions,
     `get_pattern(emb)` overrides pattern classification,
     `local_reduce(emb, depth, acc)` streams per-vertex or per-edge counts,
-    `init_local(g, root)` builds a local graph and `update_local(lg, level,
-    v)` its level+1, keeping levels 0..level; nothing is popped.
+    `init_local(g, root)` builds a root vertex's local graph, `update_local(lg,
+    level, v)` its level+1 keeping levels 0..level; nothing is popped.
     """
 
     vertex_induced: bool
@@ -168,11 +168,10 @@ class _PlanBase:
 
     A plan supplies `_extend(depth)`, which filters the candidates for
     embedding position `depth` and hands each accepted one to `_descend`.
-    Both routes count into the plan's `map`, `considered` and `accepted`,
-    and the walk's counters reach them even when `terminate` raises. Both
-    routes start from `roots()`. `_plans` sets `array`, which runs
-    `run_array(roots)` in place of the walk, and `use_mnc`; the walk calls
-    the hooks it reads from `spec`.
+    Both routes start from `roots()` and count into the plan's `map`,
+    `considered` and `accepted`; the walk's counters reach them even when
+    `terminate` raises. `_plans` sets `use_mnc` and `array`, which runs
+    `run_array(roots)` in place of the walk.
     """
 
     def __init__(self, g, spec, k, key=None, use_df=True, debug=False):
@@ -188,7 +187,6 @@ class _PlanBase:
         self._dbg_tick = 0
         self.map = {}
         self.considered = self.accepted = 0
-        self.lg = None
         # the degree filters read degrees in the source graph
         self.degrees = g.source_degrees if isinstance(g, OrientedGraph) else g.degrees()
 
@@ -374,10 +372,11 @@ class _CliquePlan(_MatchPlan):
 
 
 class _LocalPlan(_CliquePlan):
-    """Extension candidates come from a per-root local graph the hooks shrink."""
+    """Extension candidates come from `lg`, a per-root local graph the hooks shrink."""
 
     name = "local"
     run_array = arrayroute.count_local
+    lg = None
 
     def run_root(self, root):
         self.lg = self.spec.init_local(self.g, root)
@@ -389,11 +388,10 @@ class _LocalPlan(_CliquePlan):
             return
         spec = self.spec
         emb = self.emb
-        level = depth - 1
         if depth >= 2:
-            spec.update_local(lg, level - 1, emb.vertices[-1])
+            spec.update_local(lg, depth - 2, emb.vertices[-1])
         need = (1 << depth) - 1
-        for u in lg.candidates(level):
+        for u in lg.candidates(depth - 1):
             self.considered += 1
             if self.use_df and self.deg[u] < self.k - 1:
                 continue
@@ -532,25 +530,35 @@ def _plans(g, spec, orientation, use_mnc, use_df=True, debug=False):
     or an explicit `use_mnc`; a local plan also walks unless its local graph
     is the built-in one (by identity) and no root has more than
     `MAX_LOCAL_MEMBERS` out-neighbours; a generic plan also walks on a
-    labeled graph, with `process_rows` or with k past `MAX_GENERIC_K`. A
-    hook no plan would call is refused: `to_add_edge` always, `update_local`
-    without `init_local`, and on an explicit spec `to_extend`, `get_pattern`
-    and `is_implicit_pattern`."""
-    uncalled = ["to_add_edge"] + ["update_local"] * (spec.init_local is None)
+    labeled graph, with `process_rows` or with k past `MAX_GENERIC_K`.
+    Refused: hooks no plan would call (`to_add_edge`; `update_local` without
+    `init_local`; `to_extend`, `get_pattern`, `is_implicit_pattern` on an
+    explicit spec), `init_local` without `update_local` from 3 pattern
+    vertices, a labeled pattern on an unlabeled graph, and `init_local` on
+    anything but one unlabeled clique."""
+    local = spec.init_local is not None
+    uncalled = ["to_add_edge"] + ["update_local"] * (not local)
     if spec.explicit:
         uncalled += ["to_extend", "get_pattern", "is_implicit_pattern"]
     for hook in uncalled:
         if getattr(spec, hook) is not None:
             raise ValueError(f"a {hook} hook would never be called on this problem")
+    if local and spec.update_local is None and spec.explicit and spec.patterns[0].vertex_count > 2:
+        raise ValueError("init_local needs update_local on a pattern of 3 or more vertices")
     if spec.explicit and g.labels is None and any(p.labels is not None for p in spec.patterns):
         raise ValueError("the pattern has vertex labels but the graph has none")
+    # the clique and local plans read no labels: they run only unlabeled cliques
+    blind = {p for p in spec.patterns or () if is_clique(p) and p.labels is None}
     array = (use_mnc is None and not debug
              and all(getattr(spec, hook) is None for hook in _WALK_HOOKS))
-    if spec.init_local is not None:
+    if local:
         if not spec.explicit or len(spec.patterns) != 1 or not is_clique(spec.patterns[0]):
             raise ValueError("local-graph search is wired for single explicit cliques")
-        from . import localgraph
         pattern = spec.patterns[0]
+        if pattern not in blind:
+            raise ValueError(f"local-graph search is label-blind; the clique has labels "
+                             f"{pattern.labels}")
+        from . import localgraph
         og = g if isinstance(g, OrientedGraph) else orient(g, ORIENTATIONS[orientation])
         plan = _LocalPlan(og, spec, pattern.vertex_count, canonical_code(pattern),
                           use_df=use_df, debug=debug)
@@ -563,9 +571,7 @@ def _plans(g, spec, orientation, use_mnc, use_df=True, debug=False):
     elif spec.explicit:
         for pattern in spec.patterns:
             key = canonical_code(pattern)
-            # the clique plans are label-blind; labeled cliques take the
-            # matching-order route like any other labeled pattern
-            if is_clique(pattern) and pattern.labels is None:
+            if pattern in blind:
                 og = g if isinstance(g, OrientedGraph) else orient(g, ORIENTATIONS[orientation])
                 plan = _CliquePlan(og, spec, pattern.vertex_count, key,
                                    use_df=use_df, debug=debug)
@@ -647,15 +653,15 @@ def mine(g, spec, *, workers=None, orientation="auto", use_mnc=None, use_df=True
 def extend(g, spec, vertices, *, orientation="auto", use_df=False):
     """Accepted extension candidates for one partial embedding.
 
-    Builds the plan `mine` would run, pushes `vertices` onto its walk's
-    embedding (for the local-graph plan, also building the root's local graph
-    and shrinking it for every prefix level below the last) and runs the
-    plan's own extension step one level deep, with the descend step
-    replaced by a sink that records each candidate. The answer is therefore
-    exactly what `mine` would descend into from that prefix (dedup, degree
-    filter, symmetry breaking, matching-order constraints, local graph),
-    and the `to_extend` / `to_add` hooks apply. Root checks are not
-    replayed.
+    `vertices` is a prefix of 1 to k - 1 graph vertices (k: the pattern's
+    vertex count, or `spec.k` for an implicit spec); any other is refused.
+    Builds the plan `mine` would run, pushes the prefix onto its walk's
+    embedding (for the local-graph plan, also building the root's local
+    graph and shrinking it for every prefix level below the last) and runs
+    the plan's own extension step one level deep, with the descend step
+    replaced by a sink that records each candidate. The answer is exactly
+    what `mine` would descend into from that prefix, with every filter and
+    the `to_extend` / `to_add` hooks applied; root checks are not replayed.
     """
     if spec.explicit and len(spec.patterns) != 1:
         raise ValueError("extend needs a single-pattern spec")
@@ -664,15 +670,18 @@ def extend(g, spec, vertices, *, orientation="auto", use_df=False):
     if orientation not in ORIENTATIONS:
         raise ValueError(f"unknown orientation {orientation!r}")
     plan = next(_plans(g, spec, orientation, False, use_df))
-    plan.start_walk()
     verts = list(vertices)
+    if not 0 < len(verts) < plan.k:
+        raise ValueError(f"extend needs a prefix of 1 to {plan.k - 1} vertices, got {len(verts)}")
+    plan.start_walk()
     for depth, v in enumerate(verts):
+        if not 0 <= v < g.vertex_count:
+            raise ValueError(f"prefix vertex {v} is not in 0..{g.vertex_count - 1}")
         plan.emb.push(v, _code(plan.adj, verts[:depth], v))
     if isinstance(plan, _LocalPlan):
         plan.lg = spec.init_local(plan.g, verts[0])
-        if plan.lg is not None:
-            for depth in range(2, len(verts)):
-                spec.update_local(plan.lg, depth - 2, verts[depth - 1])
+        for level, v in enumerate(verts[1:-1] if plan.lg is not None else ()):
+            spec.update_local(plan.lg, level, v)
     found = []
     plan._descend = lambda u, code, depth: found.append(u)
     plan._extend(len(verts))

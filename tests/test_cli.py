@@ -367,6 +367,16 @@ class TestErrorsAndToggles:
         assert captured.err.count("\n") == 1
         assert "1000000000001 vertices" in captured.err
 
+    def test_out_of_memory_while_mining(self, files, capsys, monkeypatch):
+        import gpm.apps
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(gpm.apps, "count_triangles", exhausted)
+        assert run(["tc", files["k4.el"]]) == 3
+        assert capsys.readouterr() == ("", "gpm: out of memory mining a graph with 4 vertices\n")
+
     @pytest.mark.parametrize("big", ["1152921504606846974", "9223372036854775807",
                                      "9223372036854775808", "99999999999999999999"])
     def test_vertex_id_beyond_int64_offsets(self, capsys, tmp_path, big):
@@ -404,6 +414,15 @@ class TestErrorsAndToggles:
 
     def test_usage_error(self, capsys):
         assert run(["clique"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        [], ["tc"], ["clique"], ["match"], ["motif"], ["fsm"],
+        ["oracle"], ["oracle", "motif"], ["oracle", "match"], ["oracle", "mni"],
+    ], ids=lambda argv: "-".join(["gpm", *argv]))
+    def test_help(self, capsys, argv):
+        assert run(argv + ["--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: gpm") and captured.err == ""
 
     def test_fsm_memory_cap(self, files, capsys, tmp_path):
         g = tmp_path / "dense.el"

@@ -11,7 +11,7 @@ from gpm import apps, localgraph, oracle
 from gpm.embedding import ConnectivityMap
 from gpm.engine import ProblemSpec, _is_canonical_extension, extend, mine
 from gpm.graph import Graph, has_edge, orient
-from gpm.patterns import canonical_code, clique, named_motifs, triangle, wedge
+from gpm.patterns import Pattern, canonical_code, clique, named_motifs, triangle, wedge
 
 from conftest import random_graph
 
@@ -733,6 +733,11 @@ def test_public_names_resolve():
     assert [name for name in gpm.__all__ if not hasattr(gpm, name)] == []
 
 
+# a labeled triangle that occurs once; label-blind, the graph has two triangles
+_LABELED_G = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)], labels=[0, 1, 0, 1])
+_LABELED_TRI = Pattern(3, [(0, 1), (1, 2), (0, 2)], labels=(0, 0, 1))
+
+
 @pytest.mark.parametrize("run, message", [
     (lambda g: mine(g, apps.motif_spec(3), workers=0), "workers must be >= 1"),
     (lambda g: extend(g, ProblemSpec(vertex_induced=True, k=3, patterns=(triangle(), wedge())),
@@ -741,7 +746,30 @@ def test_public_names_resolve():
      "extend supports vertex-induced problems"),
     (lambda g: mine(g, replace(apps.clique_local_spec(3), patterns=(wedge(),))),
      "local-graph search is wired for single explicit cliques"),
-], ids=["workers-0", "extend-two-patterns", "extend-edge-induced", "init-local-non-clique"])
+    (lambda g: mine(_LABELED_G, replace(apps.clique_local_spec(3), patterns=(_LABELED_TRI,))),
+     r"local-graph search is label-blind; the clique has labels \(0, 0, 1\)"),
+    (lambda g: mine(_LABELED_G, replace(apps.clique_local_spec(3), patterns=(_LABELED_TRI,)),
+                    use_mnc=False),
+     r"local-graph search is label-blind; the clique has labels \(0, 0, 1\)"),
+    (lambda g: mine(g, replace(apps.clique_local_spec(4), update_local=None)),
+     "init_local needs update_local on a pattern of 3 or more vertices"),
+    (lambda g: extend(g, apps.clique_spec(3), []),
+     "extend needs a prefix of 1 to 2 vertices, got 0"),
+    (lambda g: extend(g, apps.motif_spec(3), []),
+     "extend needs a prefix of 1 to 2 vertices, got 0"),
+    (lambda g: extend(g, apps.motif_spec(3), [0, 1, 2]),
+     "extend needs a prefix of 1 to 2 vertices, got 3"),
+    (lambda g: extend(g, apps.clique_local_spec(3), [0, 1, 2]),
+     "extend needs a prefix of 1 to 2 vertices, got 3"),
+    (lambda g: extend(g, apps.subgraph_listing_spec(wedge()), [0, 1, 2]),
+     "extend needs a prefix of 1 to 2 vertices, got 3"),
+    (lambda g: extend(g, apps.clique_spec(4), [0, 99]), "prefix vertex 99 is not in 0..9"),
+    (lambda g: extend(g, apps.motif_spec(3), [-1]), "prefix vertex -1 is not in 0..9"),
+], ids=["workers-0", "extend-two-patterns", "extend-edge-induced", "init-local-non-clique",
+        "init-local-labeled-clique-array", "init-local-labeled-clique-walk",
+        "init-local-without-update-local", "extend-empty-clique", "extend-empty-motif",
+        "extend-full-motif", "extend-full-local", "extend-full-listing",
+        "extend-vertex-past-n", "extend-negative-vertex"])
 def test_library_refusals(run, message):
     g = random_graph(random.Random(3), 10, 0.5)
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -773,3 +801,12 @@ def test_hooks_no_plan_calls_are_refused(hook, kind):
     with pytest.raises(ValueError, match=f"^a {hook} hook would never be called on this problem$"):
         mine(g, spec)
     assert calls == []
+
+
+@pytest.mark.parametrize("use_mnc", [None, False])
+def test_an_unshrunk_local_graph_needs_no_update_local(use_mnc):
+    # a 2-clique never shrinks its local graph, so init_local alone counts it
+    g = random_graph(random.Random(4), 12, 0.4)
+    result = mine(g, replace(apps.clique_local_spec(2), update_local=None), use_mnc=use_mnc)
+    assert result.plans == ("local:walk",)
+    assert result.pattern_map == {canonical_code(clique(2)): g.edge_count}

@@ -11,49 +11,39 @@ from conftest import random_graph
 
 
 class TestInit:
-    def test_k4_edge_root(self, k4):
-        lg = init_local_graph(k4, (0, 1))
-        assert lg.vertices == [2, 3]
-        assert lg.neighbors_at(0, 2) == [3]
-        assert lg.neighbors_at(0, 3) == [2]
-
-    def test_path_edge_root_empty(self, path3):
-        assert init_local_graph(path3, (0, 1)) is None
-
-    def test_common_neighborhood_membership(self, rng):
-        for _ in range(10):
-            g = random_graph(rng, 25, 0.3)
-            adj = [set(a) for a in g.adjacency()]
-            u = rng.randrange(25)
-            if not adj[u]:
-                continue
-            v = rng.choice(sorted(adj[u]))
-            lg = init_local_graph(g, (u, v))
-            expect = sorted(adj[u] & adj[v])
-            if not expect:
-                assert lg is None
-            else:
-                assert lg.vertices == expect
+    def test_k4_vertex_root(self, k4):
+        og = orient(k4, "degree")
+        lg = init_local_graph(og, 1)
+        assert lg.candidates(0) == [2, 3]
+        lg.shrink(0, 2)
+        assert lg.candidates(1) == [3]
+        lg.shrink(0, 3)
+        assert lg.candidates(1) == []
 
     def test_vertex_root_uses_out_neighbors(self, k5):
         og = orient(k5, "degree")
         lg = init_local_graph(og, 0)
         assert lg.vertices == [1, 2, 3, 4]
-        assert lg.neighbors_at(0, 1) == [2, 3, 4]
-        assert lg.neighbors_at(0, 4) == []
+        lg.shrink(0, 1)
+        assert lg.candidates(1) == [2, 3, 4]
+        lg.shrink(0, 4)
+        assert lg.candidates(1) == []
 
 
 class TestShrink:
-    def test_k5_edge_root_choose(self, k5):
-        lg = init_local_graph(k5, (0, 1))
-        assert sorted(lg.candidates(0)) == [2, 3, 4]
+    def test_k5_vertex_root_choose(self, k5):
+        og = orient(k5, "degree")
+        lg = init_local_graph(og, 1)
+        assert lg.candidates(0) == [2, 3, 4]
         lg.shrink(0, 2)
-        assert sorted(lg.candidates(1)) == [3, 4]
-        assert lg.neighbors_at(1, 3) == [4]
+        assert lg.candidates(1) == [3, 4]
+        lg.shrink(1, 3)
+        assert lg.candidates(2) == [4]
 
     def test_empty_next_level(self):
         g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
-        lg = init_local_graph(g, (0, 1))  # members {2, 3, 4}, no edges among them
+        lg = init_local_graph(orient(g, "id"), 1)  # members {2, 3, 4}, no edges among them
+        assert lg.candidates(0) == [2, 3, 4]
         lg.shrink(0, 2)
         assert lg.candidates(1) == []
 

@@ -48,6 +48,23 @@ class TestPattern:
         with pytest.raises(ValueError, match="pattern must be connected"):
             Pattern(10 ** 12, [(0, 1)])
 
+    @pytest.mark.parametrize("edges, labels, message", [
+        ([(0, 1), (1, 3)], None, r"pattern edge \(1, 3\) out of range"),
+        ([(0, 1), (1, -1)], None, r"pattern edge \(1, -1\) out of range"),
+        ([(0, 1), (1, 2)], (0, 1), "label tuple length mismatch"),
+    ], ids=["past-k", "negative", "short-labels"])
+    def test_rejects_malformed_input(self, edges, labels, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Pattern(3, edges, labels=labels)
+
+    def test_equality_and_hash(self):
+        a = Pattern(3, [(1, 0), (2, 1)], labels=[0, 1, 0])
+        b = Pattern(3, [(0, 1), (1, 2), (0, 1)], labels=(0, 1, 0))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Pattern(3, [(0, 1), (1, 2)], labels=(0, 1, 1))
+        assert a != Pattern(3, [(0, 1), (1, 2)])
+        assert a != "not a pattern"
+
     def test_is_clique(self):
         assert is_clique(triangle())
         assert is_clique(clique(5))
